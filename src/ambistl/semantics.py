@@ -6,7 +6,8 @@ literals, the temporal constructors F and G, the boolean constructors
 NOT/AND/OR, symbolic sequencing SEQ, and EXTG, the guard whose interval is
 anchored to the temporal extent of its sibling (resolved during conversion
 to STL).  Lexical templates are closed terms in this language; composition
-applies them along a derivation and beta-reduces the result.
+applies them along a derivation and beta-reduces the result with a single
+normal-order normalizer, capped at ``REDUCTION_BUDGET`` beta contractions.
 
 Constructors are opaque to reduction: an application whose head is a
 constructor is stuck and survives into the normal form, where the
@@ -29,7 +30,7 @@ class TermError(Exception):
 
 
 class ReductionBudgetError(TermError):
-    """Reduction did not reach a normal form within the step budget."""
+    """Reduction did not reach a normal form within the contraction budget."""
 
 
 class TemplateSyntaxError(TermError):
@@ -185,70 +186,42 @@ def substitute(t: Term, var: str, repl: Term) -> Term:
     return _rebuild(t, [substitute(c, var, repl) for c in kids])
 
 
-def _step_normal(t: Term) -> Term | None:
-    """One leftmost-outermost beta step, or None when t is normal."""
-    if isinstance(t, App):
-        if isinstance(t.fn, Lam):
-            return substitute(t.fn.body, t.fn.var, t.arg)
-        fn = _step_normal(t.fn)
-        if fn is not None:
-            return App(fn, t.arg)
-        arg = _step_normal(t.arg)
-        if arg is not None:
-            return App(t.fn, arg)
-        return None
-    if isinstance(t, Lam):
-        body = _step_normal(t.body)
-        return Lam(t.var, body) if body is not None else None
-    kids = _children(t)
-    for i, c in enumerate(kids):
-        stepped = _step_normal(c)
-        if stepped is not None:
-            kids[i] = stepped
-            return _rebuild(t, kids)
-    return None
+def beta_reduce(term: Term) -> Term:
+    """Reduce ``term`` to beta-normal form in normal order.
 
-
-def _step_applicative(t: Term) -> Term | None:
-    """One innermost-leftmost beta step, or None when t is normal."""
-    if isinstance(t, App):
-        fn = _step_applicative(t.fn)
-        if fn is not None:
-            return App(fn, t.arg)
-        arg = _step_applicative(t.arg)
-        if arg is not None:
-            return App(t.fn, arg)
-        if isinstance(t.fn, Lam):
-            return substitute(t.fn.body, t.fn.var, t.arg)
-        return None
-    if isinstance(t, Lam):
-        body = _step_applicative(t.body)
-        return Lam(t.var, body) if body is not None else None
-    kids = _children(t)
-    for i, c in enumerate(kids):
-        stepped = _step_applicative(c)
-        if stepped is not None:
-            kids[i] = stepped
-            return _rebuild(t, kids)
-    return None
-
-
-def beta_reduce(term: Term, order: str = "normal", budget: int = REDUCTION_BUDGET) -> Term:
-    """Reduce ``term`` to beta-normal form.
-
-    ``order`` selects the reduction strategy ("normal" or "applicative");
-    the templates shipped with the package are non-self-applicative, so
-    both orders terminate and agree.  Exceeding the step budget raises
-    :class:`ReductionBudgetError`, the signal for an ill-typed template.
+    The head is reduced to weak-head normal form first, contracting each
+    ``App(Lam, arg)`` with :func:`substitute`; then the pieces are
+    normalized: the operands of a stuck application, a lambda body and
+    constructor children.  More than :data:`REDUCTION_BUDGET` contractions
+    raise :class:`ReductionBudgetError`, the signal for an ill-typed
+    template that has no normal form.
     """
-    step = {"normal": _step_normal, "applicative": _step_applicative}[order]
-    current = term
-    for _ in range(budget):
-        reduced = step(current)
-        if reduced is None:
-            return current
-        current = reduced
-    raise ReductionBudgetError(f"no normal form within {budget} steps (ill-typed template?)")
+    contractions = 0
+
+    def head_normal(t: Term) -> Term:
+        nonlocal contractions
+        while isinstance(t, App):
+            fn = head_normal(t.fn)
+            if not isinstance(fn, Lam):
+                return App(fn, t.arg)
+            contractions += 1
+            if contractions > REDUCTION_BUDGET:
+                raise ReductionBudgetError(
+                    f"no normal form within {REDUCTION_BUDGET} contractions (ill-typed template?)"
+                )
+            t = substitute(fn.body, fn.var, t.arg)
+        return t
+
+    def normalize(t: Term) -> Term:
+        t = head_normal(t)
+        if isinstance(t, App):
+            return App(normalize(t.fn), normalize(t.arg))
+        if isinstance(t, Lam):
+            return Lam(t.var, normalize(t.body))
+        kids = _children(t)
+        return _rebuild(t, [normalize(c) for c in kids]) if kids else t
+
+    return normalize(term)
 
 
 def alpha_equal(a: Term, b: Term) -> bool:
@@ -340,7 +313,10 @@ def parse_term(text: str) -> Term:
     constructors ``F G NOT AND OR SEQ I EXTG``, atoms ``phi_<name>``, integers,
     and variables."""
     tokens = list(_lex_template(text))
-    term, pos = _parse_term(tokens, 0)
+    try:
+        term, pos = _parse_term(tokens, 0)
+    except RecursionError:
+        raise TemplateSyntaxError("template nested too deeply") from None
     if pos != len(tokens):
         raise TemplateSyntaxError(f"trailing input: {' '.join(tokens[pos:])!r}")
     return term

@@ -279,7 +279,10 @@ def _rob(f: Formula, x: "Trajectory", regions: "RegionMap", t: int, horizon: int
 def parse_formula(text: str) -> Formula:
     """Parse the canonical rendering back into a formula tree."""
     tokens = list(_lex(text))
-    formula, pos = _parse(tokens, 0)
+    try:
+        formula, pos = _parse(tokens, 0)
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply") from None
     if pos != len(tokens):
         raise FormulaSyntaxError(f"trailing input at token {pos}: {tokens[pos:]}")
     return formula

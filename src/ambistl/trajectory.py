@@ -49,11 +49,6 @@ class Box:
         return min(px - self.xmin, self.xmax - px, py - self.ymin, self.ymax - py)
 
 
-def region_margin(box: Box, point) -> float:
-    """Signed margin of ``point`` with respect to ``box``."""
-    return box.margin(point)
-
-
 @dataclass(frozen=True)
 class RegionMap:
     """Mapping from atom names to their grounding boxes."""
@@ -69,14 +64,6 @@ class RegionMap:
     def __contains__(self, name: str) -> bool:
         return name in self.boxes
 
-    def translated(self, dx: float, dy: float) -> "RegionMap":
-        return RegionMap(
-            {
-                name: Box(b.xmin + dx, b.ymin + dy, b.xmax + dx, b.ymax + dy)
-                for name, b in self.boxes.items()
-            }
-        )
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -88,6 +75,8 @@ class Trajectory:
         arr = np.asarray(self.states, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError("trajectory must be a non-empty (N, 2) array")
+        if not np.isfinite(arr).all():
+            raise ValueError("trajectory coordinates must be finite")
         object.__setattr__(self, "states", arr)
 
     def __len__(self) -> int:
@@ -100,9 +89,6 @@ class Trajectory:
 
     def point(self, t: int) -> np.ndarray:
         return self.states[t]
-
-    def translated(self, dx: float, dy: float) -> "Trajectory":
-        return Trajectory(self.states + np.array([dx, dy]))
 
 
 def _lines(source: TextSource) -> Iterable[str]:
@@ -149,7 +135,7 @@ def load_trajectory(source: TextSource) -> Trajectory:
     """Read a trajectory CSV with header ``t,x,y`` and t = 0, 1, 2, ...
 
     Raises :class:`TrajectoryFileError` on a missing or wrong header, a gap
-    or non-integer time column, or an empty file.
+    or non-integer time column, a non-finite coordinate, or an empty file.
     """
     if isinstance(source, str):
         rows = list(csv.reader(source.splitlines()))
@@ -181,7 +167,12 @@ def load_trajectory(source: TextSource) -> Trajectory:
             points.append((float(row[1]), float(row[2])))
         except ValueError:
             raise TrajectoryFileError(f"row {expected_t + 2}: non-numeric coordinate") from None
-    return Trajectory(np.array(points))
+    states = np.array(points)
+    try:
+        return Trajectory(states)
+    except ValueError:
+        first_bad = int(np.argmin(np.isfinite(states).all(axis=1)))
+        raise TrajectoryFileError(f"row {first_bad + 2}: non-finite coordinate") from None
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,20 @@ def test_eval_malformed_regions_exit_3(tmp_path, capsys, trajectory_file):
     ]) == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("t", [0, 1])
+def test_eval_non_finite_trajectory_exit_3(tmp_path, capsys, regions_file, t, bad):
+    rows = THROUGH_A_CSV.splitlines()
+    rows[t + 1] = f"{t},{bad},1.0"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert main([
+        "eval", "Reach B within 10 seconds.",
+        "--regions", regions_file, "--trajectory", str(path),
+    ]) == 3
+    assert f"row {t + 2}: non-finite" in capsys.readouterr().err
+
+
 def test_eval_json_output(capsys, regions_file, trajectory_file):
     assert main([
         "eval", "--format", "json", "Reach B within 10 seconds.",

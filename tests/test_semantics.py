@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ambistl.lexicon import load_default_lexicon
@@ -24,6 +26,8 @@ from ambistl.semantics import (
     parse_term,
     substitute,
 )
+
+from reduction_oracle import reduce_small_step
 
 I_0_10 = IntervalC(IntC(0), IntC(10))
 I_0_15 = IntervalC(IntC(0), IntC(15))
@@ -111,6 +115,12 @@ def test_parse_term_errors():
             parse_term(text)
 
 
+def test_parse_term_deep_nesting_is_a_syntax_error():
+    depth = 100_000
+    with pytest.raises(TemplateSyntaxError, match="nested too deeply"):
+        parse_term("(" * depth + "phi_a" + ")" * depth)
+
+
 def test_curried_application_sugar():
     assert parse_term("f(a, b)") == App(App(Var("f"), Var("a")), Var("b"))
     assert parse_term("f(a)(b)") == parse_term("f(a, b)")
@@ -156,23 +166,24 @@ def test_compose_avoiding_subtree(lex):
     assert alpha_equal(compose(derivs[0]), parse_term("lam i. G(i, NOT(phi_a))"))
 
 
-def test_compose_terminates_and_orders_agree_on_corpus(lex, corpus=None):
-    """Normal-order and applicative-order reduction agree on every corpus
-    derivation (confluence on the fragment the templates generate)."""
-    from importlib import resources
+def _kstep_sentence(k):
+    tasks = " and then ".join(f"reach {'BCD'[i % 3]} within {10 + i} seconds" for i in range(k))
+    return f"{tasks[0].upper()}{tasks[1:]} while avoiding A."
 
-    text = resources.files("ambistl.data").joinpath("corpus.tsv").read_text(encoding="utf-8")
-    sentences = [
-        line.partition("\t")[2] for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    assert len(sentences) == 12
+
+def test_compose_terminates_and_agrees_with_small_step_oracle(lex, corpus):
+    """The normalizer reaches the same normal form as the small-step
+    leftmost-outermost reference on every derivation, well-formed or not,
+    of the corpus and of the k-step sentences k=2..4 without truncation."""
+    sentences = list(corpus.values()) + [_kstep_sentence(k) for k in range(2, 5)]
+    assert len(sentences) == 15
+    checked = 0
     for sentence in sentences:
-        for derivation in parse_nbest(tokenize(sentence), lex):
+        for derivation in parse_nbest(tokenize(sentence), lex, n=sys.maxsize):
             raw = _raw_term(derivation.root)
-            normal = beta_reduce(raw, order="normal")
-            applicative = beta_reduce(raw, order="applicative")
-            assert alpha_equal(normal, applicative)
+            assert alpha_equal(beta_reduce(raw), reduce_small_step(raw))
+            checked += 1
+    assert checked > 100
 
 
 def _raw_term(node):

@@ -197,6 +197,11 @@ def test_parse_rejects_garbage():
             parse_formula(text)
 
 
+def test_parse_formula_deep_nesting_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse_formula("!" * 100_000 + "phi_a")
+
+
 # --- robustness -------------------------------------------------------------
 
 UNIT_REGIONS = RegionMap({"m": Box(0.0, 0.0, 10.0, 10.0)})

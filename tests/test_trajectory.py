@@ -14,7 +14,6 @@ from ambistl.trajectory import (
     evaluate_candidates,
     load_regions,
     load_trajectory,
-    region_margin,
 )
 
 from oracle import brute_force_robustness
@@ -27,15 +26,15 @@ UNIT_BOX = Box(0.0, 0.0, 1.0, 1.0)
 
 
 def test_margin_inside_center():
-    assert region_margin(UNIT_BOX, (0.5, 0.5)) == 0.5
+    assert UNIT_BOX.margin((0.5, 0.5)) == 0.5
 
 
 def test_margin_outside():
-    assert region_margin(UNIT_BOX, (2.0, 0.5)) == -1.0
+    assert UNIT_BOX.margin((2.0, 0.5)) == -1.0
 
 
 def test_margin_on_boundary():
-    assert region_margin(UNIT_BOX, (1.0, 0.5)) == 0.0
+    assert UNIT_BOX.margin((1.0, 0.5)) == 0.0
 
 
 def test_degenerate_box_rejected():
@@ -113,6 +112,27 @@ def test_trajectory_validation():
         Trajectory(np.zeros((3, 3)))
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("t", [0, 2])
+def test_trajectory_rejects_non_finite(t, bad):
+    states = np.zeros((4, 2))
+    states[t, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(states)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("t", [0, 2])
+def test_load_trajectory_rejects_non_finite(t, bad):
+    rows = [f"{i},0,0" for i in range(4)]
+    rows[t] = f"{t},{bad},0"
+    with pytest.raises(TrajectoryFileError, match=f"row {t + 2}: non-finite"):
+        load_trajectory("t,x,y\n" + "\n".join(rows) + "\n")
+
+
 # --- candidate evaluation ------------------------------------------------------------
 
 def test_discriminating_trajectory_separates_s8_readings(
@@ -181,15 +201,22 @@ def test_satisfied_flag_matches_sign(lexicon, demo_regions, through_a_trajectory
         assert row.satisfied == (row.robustness > 0)
 
 
+def _translated(x: Trajectory, regions: RegionMap, dx: float, dy: float):
+    """The trajectory and the regions, both shifted by (dx, dy)."""
+    boxes = {
+        name: Box(b.xmin + dx, b.ymin + dy, b.xmax + dx, b.ymax + dy)
+        for name, b in regions.boxes.items()
+    }
+    return Trajectory(x.states + np.array([dx, dy])), RegionMap(boxes)
+
+
 def test_translation_invariance(lexicon, demo_regions, through_a_trajectory):
     candidate_set = translate(
         "Within 10 seconds, reach B or reach C while avoiding A.", lexicon
     )
     base = evaluate_candidates(candidate_set, through_a_trajectory, demo_regions)
     shifted = evaluate_candidates(
-        candidate_set,
-        through_a_trajectory.translated(3.25, -1.5),
-        demo_regions.translated(3.25, -1.5),
+        candidate_set, *_translated(through_a_trajectory, demo_regions, 3.25, -1.5)
     )
     for row_a, row_b in zip(base.rows, shifted.rows):
         assert row_a.robustness == pytest.approx(row_b.robustness, abs=1e-12)
