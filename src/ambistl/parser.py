@@ -135,6 +135,7 @@ def score(tree: Union[DerivationTree, "Derivation"], lexicon: Lexicon) -> float:
     if isinstance(tree, Derivation):
         tree = tree.root
     total = 0.0
+    skipped = 0  # counted as an int so equal skip counts give equal scores
     stack: list[DerivationTree] = [tree]
     while stack:
         node = stack.pop()
@@ -143,11 +144,10 @@ def score(tree: Union[DerivationTree, "Derivation"], lexicon: Lexicon) -> float:
             continue
         total += lexicon.rule_weight(node.rule)
         if node.rule == "ba" and _modifier_head(node.right) in POST_MODIFIER_HEADS:
-            skipped = max(0, _task_verb_count(node.left) - 1)
-            total -= LOCALITY_PENALTY * skipped
+            skipped += max(0, _task_verb_count(node.left) - 1)
         stack.append(node.left)
         stack.append(node.right)
-    return total
+    return total - LOCALITY_PENALTY * skipped
 
 
 def _modifier_head(tree: DerivationTree) -> str:

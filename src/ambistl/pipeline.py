@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import semantics as sem
 from .lexicon import Lexicon, load_default_lexicon
 from .parser import DEFAULT_N_BEST, DerivationTree, parse_nbest, tokenize
-from .semantics import Term, beta_reduce, compose
+from .semantics import App, AtomC, Con, IntC, Lam, Term, Var, beta_reduce, compose
 from .stl import And, Atom, F, Formula, G, Interval, Not, Or, canonicalize, extent, format_formula
 
 
@@ -93,66 +92,66 @@ def to_stl(meaning: Term) -> Formula:
 
 
 def _resolve_root_interval(term: Term) -> Term:
-    if not isinstance(term, sem.App):
-        return term
-    if not isinstance(term.arg, sem.IntervalC):
-        raise IllFormedMeaningError("application argument is not a time interval")
-    return _distribute_interval(term.fn, term.arg)
+    match term:
+        case App(fn, Con("I") as interval):
+            return _distribute_interval(fn, interval)
+        case App():
+            raise IllFormedMeaningError("application argument is not a time interval")
+    return term
 
 
-def _distribute_interval(fn: Term, interval: sem.IntervalC) -> Term:
-    if isinstance(fn, sem.Lam):
-        return beta_reduce(sem.App(fn, interval))
-    if isinstance(fn, sem.OrC):
-        return sem.OrC(
-            _distribute_interval(fn.left, interval),
-            _distribute_interval(fn.right, interval),
-        )
-    raise IllFormedMeaningError(
-        f"sentence-level time bound cannot apply to {type(fn).__name__}"
-    )
+def _distribute_interval(fn: Term, interval: Con) -> Term:
+    match fn:
+        case Lam():
+            return beta_reduce(App(fn, interval))
+        case Con("OR", (left, right)):
+            return Con(
+                "OR",
+                (_distribute_interval(left, interval), _distribute_interval(right, interval)),
+            )
+    raise IllFormedMeaningError(f"sentence-level time bound cannot apply to {_kind(fn)}")
+
+
+def _kind(term: Term) -> str:
+    return term.name if isinstance(term, Con) else type(term).__name__
 
 
 def _interval_of(term: Term) -> Interval:
-    if (
-        isinstance(term, sem.IntervalC)
-        and isinstance(term.lo, sem.IntC)
-        and isinstance(term.hi, sem.IntC)
-    ):
-        try:
-            return Interval(term.lo.value, term.hi.value)
-        except ValueError as exc:
-            raise IllFormedMeaningError(str(exc)) from None
+    match term:
+        case Con("I", (IntC(lo), IntC(hi))):
+            try:
+                return Interval(lo, hi)
+            except ValueError as exc:
+                raise IllFormedMeaningError(str(exc)) from None
     raise IllFormedMeaningError(f"not a literal interval: {term}")
 
 
 def _convert(term: Term) -> Formula:
-    if isinstance(term, sem.AtomC):
-        return Atom(term.name)
-    if isinstance(term, sem.NotC):
-        return Not(_convert(term.body))
-    if isinstance(term, sem.AndC):
-        return And((_convert(term.left), _convert(term.right)))
-    if isinstance(term, sem.OrC):
-        return Or((_convert(term.left), _convert(term.right)))
-    if isinstance(term, sem.FC):
-        return F(_interval_of(term.interval), _convert(term.body))
-    if isinstance(term, sem.GC):
-        return G(_interval_of(term.interval), _convert(term.body))
-    if isinstance(term, sem.SeqC):
-        first = _convert(term.first)
-        second = _convert(term.second)
-        if not isinstance(first, F):
-            raise IllFormedMeaningError("sequence head is not an eventually task")
-        return F(first.interval, _seq_insert(first.child, second))
-    if isinstance(term, sem.ExtG):
-        anchor = _convert(term.anchor)
-        window = sem.IntervalC(sem.IntC(0), sem.IntC(extent(anchor)))
-        resolved = beta_reduce(sem.App(term.guard, window))
-        return _convert(resolved)
-    if isinstance(term, (sem.Lam, sem.Var, sem.App)):
-        raise IllFormedMeaningError(f"residual {type(term).__name__} in meaning: {term}")
-    raise IllFormedMeaningError(f"{type(term).__name__} is not a formula position")
+    match term:
+        case AtomC(name):
+            return Atom(name)
+        case Con("NOT", (body,)):
+            return Not(_convert(body))
+        case Con("AND", (left, right)):
+            return And((_convert(left), _convert(right)))
+        case Con("OR", (left, right)):
+            return Or((_convert(left), _convert(right)))
+        case Con("F", (interval, body)):
+            return F(_interval_of(interval), _convert(body))
+        case Con("G", (interval, body)):
+            return G(_interval_of(interval), _convert(body))
+        case Con("SEQ", (first, second)):
+            head = _convert(first)
+            tail = _convert(second)
+            if not isinstance(head, F):
+                raise IllFormedMeaningError("sequence head is not an eventually task")
+            return F(head.interval, _seq_insert(head.child, tail))
+        case Con("EXTG", (guard, anchor)):
+            window = Con("I", (IntC(0), IntC(extent(_convert(anchor)))))
+            return _convert(beta_reduce(App(guard, window)))
+        case Lam() | Var() | App():
+            raise IllFormedMeaningError(f"residual {type(term).__name__} in meaning: {term}")
+    raise IllFormedMeaningError(f"{_kind(term)} is not a formula position")
 
 
 def _seq_insert(chi: Formula, tail: Formula) -> Formula:

@@ -1,12 +1,14 @@
 """Meaning terms and their reduction.
 
-The intermediate meaning language is an untyped lambda calculus over a
-small set of first-order constructors: atoms, integer and interval
-literals, the temporal constructors F and G, the boolean constructors
-NOT/AND/OR, symbolic sequencing SEQ, and EXTG, the guard whose interval is
-anchored to the temporal extent of its sibling (resolved during conversion
-to STL).  Lexical templates are closed terms in this language; composition
-applies them along a derivation and beta-reduces the result with a single
+The intermediate meaning language is an untyped lambda calculus (``Var``,
+``Lam``, ``App``) over atoms ``phi_<name>`` (``AtomC``), integer literals
+(``IntC``) and one constructor node, ``Con(name, args)``.  The constructor
+names and arities are fixed by ``_CONSTRUCTORS``: the interval literal I,
+the temporal constructors F and G, the boolean constructors NOT/AND/OR,
+symbolic sequencing SEQ, and EXTG, the guard whose interval is anchored to
+the temporal extent of its sibling (resolved during conversion to STL).
+Lexical templates are closed terms in this language; composition applies
+them along a derivation and beta-reduces the result with a single
 normal-order normalizer, capped at ``REDUCTION_BUDGET`` beta contractions.
 
 Constructors are opaque to reduction: an application whose head is a
@@ -17,7 +19,6 @@ disjunction) or rejects the meaning as ill-formed.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
@@ -74,77 +75,23 @@ class IntC(Term):
 
 
 @dataclass(frozen=True)
-class IntervalC(Term):
-    lo: Term
-    hi: Term
+class Con(Term):
+    """A constructor applied to its arguments, e.g. ``F(I(0, 10), phi_b)``."""
+
+    name: str
+    args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class FC(Term):
-    interval: Term
-    body: Term
-
-
-@dataclass(frozen=True)
-class GC(Term):
-    interval: Term
-    body: Term
-
-
-@dataclass(frozen=True)
-class NotC(Term):
-    body: Term
-
-
-@dataclass(frozen=True)
-class AndC(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class OrC(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class SeqC(Term):
-    first: Term
-    second: Term
-
-
-@dataclass(frozen=True)
-class ExtG(Term):
-    guard: Term
-    anchor: Term
-
-
-_CONSTRUCTORS: dict[str, tuple[type, int]] = {
-    "F": (FC, 2),
-    "G": (GC, 2),
-    "NOT": (NotC, 1),
-    "AND": (AndC, 2),
-    "OR": (OrC, 2),
-    "SEQ": (SeqC, 2),
-    "I": (IntervalC, 2),
-    "EXTG": (ExtG, 2),
+_CONSTRUCTORS: dict[str, int] = {
+    "F": 2,
+    "G": 2,
+    "NOT": 1,
+    "AND": 2,
+    "OR": 2,
+    "SEQ": 2,
+    "I": 2,
+    "EXTG": 2,
 }
-_CONSTRUCTOR_NAMES = {cls: name for name, (cls, _) in _CONSTRUCTORS.items()}
-
-
-def _term_fields(t: Term) -> list[tuple[str, object]]:
-    return [(f.name, getattr(t, f.name)) for f in dataclasses.fields(t)]
-
-
-def _children(t: Term) -> list[Term]:
-    return [v for _, v in _term_fields(t) if isinstance(v, Term)]
-
-
-def _rebuild(t: Term, new_children: list[Term]) -> Term:
-    it = iter(new_children)
-    values = [next(it) if isinstance(v, Term) else v for _, v in _term_fields(t)]
-    return type(t)(*values)
 
 
 def free_vars(t: Term) -> set[str]:
@@ -152,10 +99,14 @@ def free_vars(t: Term) -> set[str]:
         return {t.name}
     if isinstance(t, Lam):
         return free_vars(t.body) - {t.var}
-    vs: set[str] = set()
-    for c in _children(t):
-        vs |= free_vars(c)
-    return vs
+    if isinstance(t, App):
+        return free_vars(t.fn) | free_vars(t.arg)
+    if isinstance(t, Con):
+        vs: set[str] = set()
+        for a in t.args:
+            vs |= free_vars(a)
+        return vs
+    return set()
 
 
 _fresh_counter = count()
@@ -180,10 +131,11 @@ def substitute(t: Term, var: str, repl: Term) -> Term:
             renamed = substitute(t.body, t.var, Var(fresh))
             return Lam(fresh, substitute(renamed, var, repl))
         return Lam(t.var, substitute(t.body, var, repl))
-    kids = _children(t)
-    if not kids:
-        return t
-    return _rebuild(t, [substitute(c, var, repl) for c in kids])
+    if isinstance(t, App):
+        return App(substitute(t.fn, var, repl), substitute(t.arg, var, repl))
+    if isinstance(t, Con):
+        return Con(t.name, tuple(substitute(a, var, repl) for a in t.args))
+    return t
 
 
 def beta_reduce(term: Term) -> Term:
@@ -218,37 +170,11 @@ def beta_reduce(term: Term) -> Term:
             return App(normalize(t.fn), normalize(t.arg))
         if isinstance(t, Lam):
             return Lam(t.var, normalize(t.body))
-        kids = _children(t)
-        return _rebuild(t, [normalize(c) for c in kids]) if kids else t
+        if isinstance(t, Con):
+            return Con(t.name, tuple(normalize(a) for a in t.args))
+        return t
 
     return normalize(term)
-
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    """Structural equality modulo renaming of bound variables."""
-
-    def go(x: Term, y: Term, env_x: dict[str, int], env_y: dict[str, int], depth: int) -> bool:
-        if isinstance(x, Var) and isinstance(y, Var):
-            bx, by = env_x.get(x.name), env_y.get(y.name)
-            if bx is None and by is None:
-                return x.name == y.name
-            return bx == by
-        if isinstance(x, Lam) and isinstance(y, Lam):
-            return go(
-                x.body, y.body, {**env_x, x.var: depth}, {**env_y, y.var: depth}, depth + 1
-            )
-        if type(x) is not type(y):
-            return False
-        fx, fy = _term_fields(x), _term_fields(y)
-        for (_, vx), (_, vy) in zip(fx, fy):
-            if isinstance(vx, Term):
-                if not go(vx, vy, env_x, env_y, depth):
-                    return False
-            elif vx != vy:
-                return False
-        return True
-
-    return go(a, b, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +202,8 @@ def format_term(t: Term) -> str:
         return f"phi_{t.name}"
     if isinstance(t, IntC):
         return str(t.value)
-    name = _CONSTRUCTOR_NAMES.get(type(t))
-    if name is not None:
-        kids = _children(t)
-        return f"{name}({', '.join(format_term(c) for c in kids)})"
+    if isinstance(t, Con):
+        return f"{t.name}({', '.join(format_term(a) for a in t.args)})"
     raise TypeError(f"not a term node: {t!r}")
 
 
@@ -372,7 +296,7 @@ def _parse_atom(tokens: list[str], pos: int) -> tuple[Term, int]:
     if tok.isdigit():
         return IntC(int(tok)), pos + 1
     if tok in _CONSTRUCTORS:
-        cls, arity = _CONSTRUCTORS[tok]
+        arity = _CONSTRUCTORS[tok]
         if pos + 1 >= len(tokens) or tokens[pos + 1] != "(":
             raise TemplateSyntaxError(f"constructor {tok} expects {arity} argument(s)")
         args, pos = _parse_args(tokens, pos + 1)
@@ -380,7 +304,7 @@ def _parse_atom(tokens: list[str], pos: int) -> tuple[Term, int]:
             raise TemplateSyntaxError(
                 f"constructor {tok} expects {arity} argument(s), got {len(args)}"
             )
-        return cls(*args), pos
+        return Con(tok, tuple(args)), pos
     if tok.startswith("phi_"):
         name = tok[len("phi_"):]
         if not name:

@@ -15,7 +15,7 @@ from typing import IO, Iterable, Union
 import numpy as np
 
 from .pipeline import CandidateSet
-from .stl import EmptyWindowError, UnknownAtomError, atoms_of, extent, robustness
+from .stl import UnknownAtomError, atoms_of, extent, robustness
 
 TextSource = Union[str, IO[str]]
 
@@ -253,19 +253,8 @@ def evaluate_candidates(
                 )
             )
             continue
-        try:
-            value = robustness(cand.formula, x, regions, 0)
-        except EmptyWindowError as exc:  # unreachable when extent fits, kept defensive
-            rows.append(
-                ReportRow(
-                    formula=str(cand.formula),
-                    probability=cand.probability,
-                    robustness=None,
-                    satisfied=None,
-                    error=str(exc),
-                )
-            )
-            continue
+        # extent <= horizon keeps every window robustness visits non-empty
+        value = robustness(cand.formula, x, regions, 0)
         rows.append(
             ReportRow(
                 formula=str(cand.formula),

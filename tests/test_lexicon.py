@@ -16,7 +16,9 @@ from ambistl.lexicon import (
     parse_category,
     validate_lexicon,
 )
-from ambistl.semantics import alpha_equal, beta_reduce, App, AtomC, IntC, parse_term
+from ambistl.semantics import beta_reduce, App, AtomC, IntC, parse_term
+
+from reduction_oracle import alpha_equal
 
 
 # --- categories ---------------------------------------------------------------

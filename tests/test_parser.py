@@ -1,9 +1,15 @@
+import sys
+from collections import defaultdict
+
 import pytest
 
 from ambistl.lexicon import Basic
 from ambistl.parser import (
+    POST_MODIFIER_HEADS,
+    TASK_VERBS,
     CoverageError,
     EmptySentenceError,
+    Leaf,
     NoParseError,
     Token,
     format_derivation,
@@ -142,6 +148,33 @@ def test_local_while_attachment_outranks_global(lexicon):
     # local guard reading has extent 25 via the inner reach, global has 25 too;
     # distinguish by score: the first recorded (highest) must be the local one
     assert formulas and max(formulas.values()) == 0.0
+
+
+def _skipped_verbs(tree) -> int:
+    """Task verbs skipped by the tree's post-modifier attachments."""
+    if isinstance(tree, Leaf):
+        return 0
+    own = 0
+    if tree.rule == "ba" and leaves(tree.right)[0].entry.surface[0] in POST_MODIFIER_HEADS:
+        verbs = sum(1 for leaf in leaves(tree.left) if leaf.entry.surface[0] in TASK_VERBS)
+        own = max(0, verbs - 1)
+    return own + _skipped_verbs(tree.left) + _skipped_verbs(tree.right)
+
+
+def test_equal_skip_counts_give_equal_scores(lexicon):
+    """With zero lexical and rule weights, derivations skipping the same
+    number of task verbs score exactly alike, so the documented tie-break
+    by derivation string decides their order."""
+    tasks = " and then ".join(f"reach {'BCD'[i % 3]} within {10 + i} seconds" for i in range(5))
+    derivations = parse_nbest(tokenize(f"{tasks} while avoiding A."), lexicon, n=sys.maxsize)
+    assert len(derivations) == 546
+    scores_by_skips = defaultdict(set)
+    for d in derivations:
+        scores_by_skips[_skipped_verbs(d.root)].add(d.score)
+    assert len(scores_by_skips) > 1
+    assert all(len(scores) == 1 for scores in scores_by_skips.values()), scores_by_skips
+    keys = [(-d.score, format_derivation(d.root)) for d in derivations]
+    assert keys == sorted(keys)
 
 
 def test_leaf_spans_partition_sentence(lexicon):

@@ -10,30 +10,15 @@ from ambistl.pipeline import (
     to_stl,
     translate,
 )
-from ambistl.semantics import (
-    AndC,
-    App,
-    AtomC,
-    ExtG,
-    FC,
-    GC,
-    IntC,
-    IntervalC,
-    Lam,
-    OrC,
-    SeqC,
-    Var,
-    parse_term,
-)
+from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, parse_term
 from ambistl.stl import And, Atom, F, G, Interval, Not, Or, canonicalize, format_formula
 
 from reference_formulas import REFERENCE
 
-I10 = IntervalC(IntC(0), IntC(10))
-I15 = IntervalC(IntC(0), IntC(15))
-I5 = IntervalC(IntC(0), IntC(5))
+I10 = Con("I", (IntC(0), IntC(10)))
+I15 = Con("I", (IntC(0), IntC(15)))
 
-B, C, D = AtomC("b"), AtomC("c"), AtomC("d")
+B = AtomC("b")
 
 
 def _canon_set(formulas):
@@ -43,13 +28,13 @@ def _canon_set(formulas):
 # --- conversion -----------------------------------------------------------------
 
 def test_sequence_becomes_tail_insertion():
-    meaning = SeqC(FC(I10, B), FC(I15, C))
+    meaning = parse_term("SEQ(F(I(0, 10), phi_b), F(I(0, 15), phi_c))")
     expected = F(Interval(0, 10), And((Atom("b"), F(Interval(0, 15), Atom("c")))))
     assert canonicalize(to_stl(meaning)) == canonicalize(expected)
 
 
 def test_nested_sequence_insertion_left_association():
-    meaning = SeqC(SeqC(FC(I10, B), FC(I15, C)), FC(I5, D))
+    meaning = parse_term("SEQ(SEQ(F(I(0, 10), phi_b), F(I(0, 15), phi_c)), F(I(0, 5), phi_d))")
     expected = F(
         Interval(0, 10),
         And((Atom("b"), F(Interval(0, 15), And((Atom("c"), F(Interval(0, 5), Atom("d"))))))),
@@ -58,35 +43,35 @@ def test_nested_sequence_insertion_left_association():
 
 
 def test_sequence_association_variants_converge():
-    left = SeqC(SeqC(FC(I10, B), FC(I15, C)), FC(I5, D))
-    right = SeqC(FC(I10, B), SeqC(FC(I15, C), FC(I5, D)))
+    left = parse_term("SEQ(SEQ(F(I(0, 10), phi_b), F(I(0, 15), phi_c)), F(I(0, 5), phi_d))")
+    right = parse_term("SEQ(F(I(0, 10), phi_b), SEQ(F(I(0, 15), phi_c), F(I(0, 5), phi_d)))")
     assert canonicalize(to_stl(left)) == canonicalize(to_stl(right))
 
 
 def test_residual_lambda_is_ill_formed():
     with pytest.raises(IllFormedMeaningError):
-        to_stl(Lam("i", FC(Var("i"), B)))
+        to_stl(Lam("i", Con("F", (Var("i"), B))))
 
 
 def test_residual_var_is_ill_formed():
     with pytest.raises(IllFormedMeaningError):
-        to_stl(FC(I10, Var("x")))
+        to_stl(Con("F", (I10, Var("x"))))
 
 
 def test_stuck_application_is_ill_formed():
     with pytest.raises(IllFormedMeaningError):
-        to_stl(AndC(App(OrC(Lam("i", FC(Var("i"), B)), Lam("i", FC(Var("i"), C))), I10), B))
+        to_stl(Con("AND", (App(parse_term("OR(lam i. F(i, phi_b), lam i. F(i, phi_c))"), I10), B)))
 
 
 def test_sequence_head_must_be_eventually():
     with pytest.raises(IllFormedMeaningError):
-        to_stl(SeqC(GC(I10, B), FC(I15, C)))
+        to_stl(parse_term("SEQ(G(I(0, 10), phi_b), F(I(0, 15), phi_c))"))
 
 
 def test_root_interval_distributes_over_disjunction():
     open_b = parse_term("lam i. F(i, phi_b)")
     open_guarded_c = parse_term("lam i. AND(F(i, phi_c), G(i, NOT(phi_a)))")
-    meaning = App(OrC(open_b, open_guarded_c), I10)
+    meaning = App(Con("OR", (open_b, open_guarded_c)), I10)
     got = canonicalize(to_stl(meaning))
     expected = canonicalize(
         Or(
@@ -101,15 +86,15 @@ def test_root_interval_distributes_over_disjunction():
 
 def test_root_interval_rejects_closed_branch():
     # a branch that already carries its own bound cannot absorb another one
-    meaning = App(OrC(FC(I10, B), Lam("i", FC(Var("i"), C))), I15)
+    meaning = App(parse_term("OR(F(I(0, 10), phi_b), lam i. F(i, phi_c))"), I15)
     with pytest.raises(IllFormedMeaningError):
         to_stl(meaning)
 
 
 def test_extent_anchored_guard_resolution():
     guard = parse_term("lam i. G(i, NOT(phi_a))")
-    anchor = SeqC(FC(I10, B), FC(I15, C))
-    meaning = AndC(anchor, ExtG(guard, anchor))
+    anchor = parse_term("SEQ(F(I(0, 10), phi_b), F(I(0, 15), phi_c))")
+    meaning = Con("AND", (anchor, Con("EXTG", (guard, anchor))))
     got = canonicalize(to_stl(meaning))
     expected = canonicalize(
         And(

@@ -5,20 +5,14 @@ import pytest
 from ambistl.lexicon import load_default_lexicon
 from ambistl.parser import parse_nbest, tokenize
 from ambistl.semantics import (
-    AndC,
     App,
     AtomC,
-    FC,
-    GC,
+    Con,
     IntC,
-    IntervalC,
     Lam,
-    NotC,
     ReductionBudgetError,
-    SeqC,
     TemplateSyntaxError,
     Var,
-    alpha_equal,
     beta_reduce,
     compose,
     format_term,
@@ -27,10 +21,10 @@ from ambistl.semantics import (
     substitute,
 )
 
-from reduction_oracle import reduce_small_step
+from reduction_oracle import alpha_equal, reduce_small_step
 
-I_0_10 = IntervalC(IntC(0), IntC(10))
-I_0_15 = IntervalC(IntC(0), IntC(15))
+I_0_10 = Con("I", (IntC(0), IntC(10)))
+I_0_15 = Con("I", (IntC(0), IntC(15)))
 
 
 def test_identity_application():
@@ -42,18 +36,18 @@ def test_interval_application_example():
     # lam p. p(I(0,10)) applied to lam i. F(i, phi_b)
     within = parse_term("lam p. p(I(0, 10))")
     reach = parse_term("lam i. F(i, phi_b)")
-    assert beta_reduce(App(within, reach)) == FC(I_0_10, AtomC("b"))
+    assert beta_reduce(App(within, reach)) == Con("F", (I_0_10, AtomC("b")))
 
 
 def test_two_argument_template_order():
     # lam q. lam p. AND(p, q): the second argument lands on the left
     conj = parse_term("lam q. lam p. AND(p, q)")
     m1, m2 = AtomC("x1"), AtomC("x2")
-    assert beta_reduce(App(App(conj, m1), m2)) == AndC(m2, m1)
+    assert beta_reduce(App(App(conj, m1), m2)) == Con("AND", (m2, m1))
 
 
 def test_constructor_headed_application_is_stuck():
-    stuck = App(FC(I_0_10, AtomC("b")), I_0_15)
+    stuck = App(Con("F", (I_0_10, AtomC("b"))), I_0_15)
     assert beta_reduce(stuck) == stuck
 
 
@@ -89,6 +83,8 @@ def test_alpha_equal_distinguishes_structure():
     assert alpha_equal(Lam("a", Var("a")), Lam("b", Var("b")))
     assert not alpha_equal(Lam("a", Var("a")), Lam("a", AtomC("a")))
     assert not alpha_equal(AtomC("a"), AtomC("b"))
+    assert not alpha_equal(parse_term("F(I(0, 1), phi_a)"), parse_term("G(I(0, 1), phi_a)"))
+    assert alpha_equal(parse_term("lam i. F(i, phi_a)"), parse_term("lam j. F(j, phi_a)"))
 
 
 # --- template mini-language ---------------------------------------------------
@@ -149,7 +145,7 @@ def _single_well_formed_meaning(sentence, lex):
 
 def test_compose_bounded_reach_with_guard(lex):
     meanings = _single_well_formed_meaning("Within 10 seconds, reach B while avoiding A.", lex)
-    expected = AndC(FC(I_0_10, AtomC("b")), GC(I_0_10, NotC(AtomC("a"))))
+    expected = parse_term("AND(F(I(0, 10), phi_b), G(I(0, 10), NOT(phi_a)))")
     assert any(m == expected for m in meanings)
 
 
@@ -157,7 +153,7 @@ def test_compose_sequence(lex):
     meanings = _single_well_formed_meaning(
         "Reach B within 10 seconds and then reach C within 15 seconds.", lex
     )
-    assert meanings == [SeqC(FC(I_0_10, AtomC("b")), FC(I_0_15, AtomC("c")))]
+    assert meanings == [parse_term("SEQ(F(I(0, 10), phi_b), F(I(0, 15), phi_c))")]
 
 
 def test_compose_avoiding_subtree(lex):

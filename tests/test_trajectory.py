@@ -1,10 +1,11 @@
 import io
+import random
 
 import numpy as np
 import pytest
 
-from ambistl.pipeline import translate
-from ambistl.stl import UnknownAtomError
+from ambistl.pipeline import aggregate, translate
+from ambistl.stl import UnknownAtomError, extent, robustness
 from ambistl.trajectory import (
     Box,
     RegionFileError,
@@ -16,6 +17,7 @@ from ambistl.trajectory import (
     load_trajectory,
 )
 
+from conftest import random_formula, random_trajectory
 from oracle import brute_force_robustness
 from reference_formulas import S8_GLOBAL, S8_LOCAL
 
@@ -182,6 +184,25 @@ def test_short_trajectory_reports_per_row_error(lexicon, demo_regions):
     row = report.rows[0]
     assert row.error is not None and "horizon-exceeded" in row.error
     assert row.robustness is None and row.satisfied is None
+
+
+def test_formula_within_horizon_never_hits_an_empty_window(demo_regions):
+    """The horizon pre-check of evaluate_candidates is sufficient: whenever
+    extent(f) <= T, every window robustness visits from t=0 is non-empty,
+    so the only per-row error is horizon-exceeded."""
+    rng = random.Random(20260)
+    fitting = exceeding = 0
+    for _ in range(300):
+        formula = random_formula(rng, depth=3)
+        x = random_trajectory(rng, min_len=1, max_len=8)
+        if extent(formula) > x.horizon:
+            exceeding += 1
+            continue
+        fitting += 1
+        robustness(formula, x, demo_regions, 0)
+        [row] = evaluate_candidates(aggregate([(formula, 0.0)]), x, demo_regions).rows
+        assert row.error is None
+    assert fitting > 100 and exceeding > 20
 
 
 def test_unknown_atom_aborts(lexicon):
