@@ -152,10 +152,20 @@ def _print_candidates(candidate_set: CandidateSet, output_format: str) -> None:
         print(candidate_set.format_table())
 
 
+def _warn_if_truncated(candidate_set: CandidateSet, n_best: int) -> None:
+    if candidate_set.truncated:
+        print(
+            f"warning: --n-best {n_best} cut some derivations; "
+            "readings may be missing (raise --n-best to keep them)",
+            file=sys.stderr,
+        )
+
+
 def cmd_translate(args: argparse.Namespace) -> int:
     sentence = _require_sentence(args)
     lexicon = _load_lexicon(args)
     candidate_set = translate(sentence, lexicon, args.n_best)
+    _warn_if_truncated(candidate_set, args.n_best)
     _print_candidates(candidate_set, args.format)
     return EXIT_OK
 
@@ -254,6 +264,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with open(args.trajectory, encoding="utf-8", newline="") as handle:
         trajectory = load_trajectory(handle)
     candidate_set = translate(sentence, lexicon, args.n_best)
+    _warn_if_truncated(candidate_set, args.n_best)
     report = evaluate_candidates(candidate_set, trajectory, regions)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -19,6 +19,7 @@ its integer value.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -204,6 +205,14 @@ def lookup(lexicon: Lexicon, tokens: Sequence, position: int) -> list[tuple[int,
     return matches
 
 
+def _finite_float(text: str) -> float:
+    """A weight; NaN or infinite scores would leave n-best without an order."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite weight {text!r}")
+    return value
+
+
 def load_lexicon(source: TextSource) -> Lexicon:
     """Parse a lexicon file or string.
 
@@ -224,7 +233,7 @@ def load_lexicon(source: TextSource) -> Lexicon:
             if len(parts) != 3:
                 raise LexiconSyntaxError(lineno, "expected '@rule <name> <weight>'")
             try:
-                rule_weights[parts[1]] = float(parts[2])
+                rule_weights[parts[1]] = _finite_float(parts[2])
             except ValueError:
                 raise LexiconSyntaxError(lineno, f"bad rule weight {parts[2]!r}") from None
             continue
@@ -239,7 +248,7 @@ def load_lexicon(source: TextSource) -> Lexicon:
         except CategorySyntaxError as exc:
             raise LexiconSyntaxError(lineno, f"bad category: {exc}") from None
         try:
-            weight = float(fields[2])
+            weight = _finite_float(fields[2])
         except ValueError:
             raise LexiconSyntaxError(lineno, f"bad weight {fields[2]!r}") from None
         try:

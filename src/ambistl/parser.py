@@ -5,7 +5,10 @@ application (coordination is lexical, via (X\\X)/X categories), enumerates
 every complete derivation whose root category is S over the whole
 sentence, scores them, and returns the top n in a deterministic order.
 Keeping more than one derivation is the point: attachment ambiguity must
-survive into semantic composition.
+survive into semantic composition.  Ties in score are broken by the
+canonical derivation string, which is rendered only for the derivations
+that score at or above the n-th best score: no other derivation can reach
+the top n.
 
 Scoring replaces a learned parser model with a declared structural
 preference: every post-modifier attachment (a while-clause or a trailing
@@ -18,6 +21,7 @@ with the amount of material the modifier takes scope over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .lexicon import Basic, Category, LexEntry, Lexicon, Slash, format_category, lookup
@@ -77,6 +81,10 @@ class Leaf:
     def category(self) -> Category:
         return self.entry.category
 
+    @cached_property
+    def task_verbs(self) -> int:
+        return int(self.entry.surface[0] in TASK_VERBS)
+
 
 @dataclass(frozen=True)
 class Node:
@@ -86,6 +94,12 @@ class Node:
     right: Union["Leaf", "Node"]
     start: int
     end: int
+
+    @cached_property
+    def task_verbs(self) -> int:
+        """Task verbs among the leaves; computed once per chart node, which
+        every derivation containing the node shares."""
+        return self.left.task_verbs + self.right.task_verbs
 
 
 DerivationTree = Union[Leaf, Node]
@@ -97,12 +111,6 @@ class Derivation:
 
     root: DerivationTree
     score: float
-
-
-def leaves(tree: DerivationTree) -> list[Leaf]:
-    if isinstance(tree, Leaf):
-        return [tree]
-    return leaves(tree.left) + leaves(tree.right)
 
 
 def format_derivation(tree: DerivationTree) -> str:
@@ -144,7 +152,7 @@ def score(tree: Union[DerivationTree, "Derivation"], lexicon: Lexicon) -> float:
             continue
         total += lexicon.rule_weight(node.rule)
         if node.rule == "ba" and _modifier_head(node.right) in POST_MODIFIER_HEADS:
-            skipped += max(0, _task_verb_count(node.left) - 1)
+            skipped += max(0, node.left.task_verbs - 1)
         stack.append(node.left)
         stack.append(node.right)
     return total - LOCALITY_PENALTY * skipped
@@ -157,20 +165,18 @@ def _modifier_head(tree: DerivationTree) -> str:
     return node.entry.surface[0]
 
 
-def _task_verb_count(tree: DerivationTree) -> int:
-    return sum(1 for leaf in leaves(tree) if leaf.entry.surface[0] in TASK_VERBS)
-
-
 def parse_nbest(
     tokens: list[Token], lexicon: Lexicon, n: int = DEFAULT_N_BEST
 ) -> list[Derivation]:
     """Enumerate all complete derivations, best-first, truncated to ``n``.
 
-    The chart is filled exhaustively with forward and backward application;
-    ties in score are broken by the canonical derivation string so results
-    are identical across runs.  Raises :class:`CoverageError` when a token
-    has no lexical entry and :class:`NoParseError` when no S covers the
-    whole sentence.
+    The chart is filled exhaustively with forward and backward application
+    and every complete derivation is scored.  Ties in score are broken by
+    the canonical derivation string so results are identical across runs;
+    that string is rendered only for the derivations tied with or above the
+    n-th score, since a derivation scoring below it cannot outrank n others.
+    Raises :class:`CoverageError` when a token has no lexical entry and
+    :class:`NoParseError` when no S covers the whole sentence.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -221,5 +227,9 @@ def parse_nbest(
             f"no complete parse for: {' '.join(t.text for t in tokens)!r}"
         )
     scored = [Derivation(root, score(root, lexicon)) for root in roots]
+    scored.sort(key=lambda d: -d.score)
+    if len(scored) > n:
+        cutoff = scored[n - 1].score
+        scored = [d for d in scored if d.score >= cutoff]
     scored.sort(key=lambda d: (-d.score, format_derivation(d.root)))
     return scored[:n]

@@ -58,6 +58,7 @@ class CandidateSet:
     candidates: tuple[Candidate, ...]
     n_derivations: int
     discarded_count: int
+    truncated: bool = False  # n-best cut some derivations before composition
 
     def formulas(self) -> list[str]:
         return [format_formula(c.formula) for c in self.candidates]
@@ -73,6 +74,7 @@ class CandidateSet:
             "sentence": self.sentence,
             "n_derivations": self.n_derivations,
             "n_discarded": self.discarded_count,
+            "truncated": self.truncated,
             "candidates": [
                 {
                     "formula": format_formula(c.formula),
@@ -178,6 +180,7 @@ def aggregate(
     n_derivations: Optional[int] = None,
     discarded_count: int = 0,
     derivation_ids: Optional[Sequence[int]] = None,
+    truncated: bool = False,
 ) -> CandidateSet:
     """Group formulas by canonical form and turn scores into probabilities.
 
@@ -219,6 +222,7 @@ def aggregate(
         candidates=tuple(candidates),
         n_derivations=n_derivations if n_derivations is not None else len(scored),
         discarded_count=discarded_count,
+        truncated=truncated,
     )
 
 
@@ -237,10 +241,16 @@ class DerivationReport:
 def analyze(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> tuple[CandidateSet, list[DerivationReport]]:
-    """Run the full pipeline and keep the per-derivation trace."""
+    """Run the full pipeline and keep the per-derivation trace.
+
+    One derivation beyond ``n`` is parsed so that the candidate set can say
+    whether n-best cut any derivations (``truncated``).
+    """
     lex = lexicon if lexicon is not None else load_default_lexicon()
     tokens = tokenize(sentence)
-    derivations = parse_nbest(tokens, lex, n)
+    derivations = parse_nbest(tokens, lex, n + 1)
+    truncated = len(derivations) > n
+    derivations = derivations[:n]
 
     reports: list[DerivationReport] = []
     scored: list[tuple[Formula, float]] = []
@@ -273,6 +283,7 @@ def analyze(
         n_derivations=len(derivations),
         discarded_count=discarded,
         derivation_ids=ids,
+        truncated=truncated,
     )
     return candidate_set, reports
 

@@ -121,21 +121,26 @@ def _fresh(base: str, avoid: set[str]) -> str:
 
 def substitute(t: Term, var: str, repl: Term) -> Term:
     """Capture-avoiding substitution of ``repl`` for ``var`` in ``t``."""
-    if isinstance(t, Var):
-        return repl if t.name == var else t
-    if isinstance(t, Lam):
-        if t.var == var:
-            return t
-        if t.var in free_vars(repl):
-            fresh = _fresh(t.var, free_vars(t.body) | free_vars(repl) | {var})
-            renamed = substitute(t.body, t.var, Var(fresh))
-            return Lam(fresh, substitute(renamed, var, repl))
-        return Lam(t.var, substitute(t.body, var, repl))
-    if isinstance(t, App):
-        return App(substitute(t.fn, var, repl), substitute(t.arg, var, repl))
-    if isinstance(t, Con):
-        return Con(t.name, tuple(substitute(a, var, repl) for a in t.args))
-    return t
+    repl_free = free_vars(repl)
+
+    def go(t: Term) -> Term:
+        if isinstance(t, Var):
+            return repl if t.name == var else t
+        if isinstance(t, Lam):
+            if t.var == var:
+                return t
+            if t.var in repl_free:
+                fresh = _fresh(t.var, free_vars(t.body) | repl_free | {var})
+                renamed = substitute(t.body, t.var, Var(fresh))
+                return Lam(fresh, go(renamed))
+            return Lam(t.var, go(t.body))
+        if isinstance(t, App):
+            return App(go(t.fn), go(t.arg))
+        if isinstance(t, Con):
+            return Con(t.name, tuple(go(a) for a in t.args))
+        return t
+
+    return go(t)
 
 
 def beta_reduce(term: Term) -> Term:

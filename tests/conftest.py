@@ -15,6 +15,12 @@ from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, TrueF, Unti
 from ambistl.trajectory import Box, RegionMap, Trajectory
 
 
+def kstep_sentence(k: int) -> str:
+    """'reach X within N seconds and then ... while avoiding A' with k tasks."""
+    tasks = " and then ".join(f"reach {'BCD'[i % 3]} within {10 + i} seconds" for i in range(k))
+    return f"{tasks} while avoiding A."
+
+
 @pytest.fixture(scope="session")
 def lexicon():
     return load_default_lexicon()

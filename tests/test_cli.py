@@ -5,6 +5,8 @@ import pytest
 from ambistl.cli import main
 from ambistl.lexicon import format_lexicon, load_default_lexicon
 
+from conftest import kstep_sentence
+
 REGIONS_TEXT = "a: 2 0 4 2\nb: 6 0 8 2\nc: 6 6 8 8\nd: 0 6 2 8\n"
 THROUGH_A_CSV = "t,x,y\n" + "\n".join(f"{t},{0.8 * t},1.0" for t in range(11)) + "\n"
 
@@ -87,6 +89,21 @@ def test_nbest_truncation_can_discard_every_retained_parse(capsys):
         assert code == 2 and "discarded" in captured.err
 
 
+def test_truncation_warns_on_stderr(capsys):
+    assert main(["translate", kstep_sentence(5)]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "warning" in err and "--n-best 40" in err
+    assert main(["translate", "--format", "json", kstep_sentence(5)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["truncated"] is True
+    assert "warning" in captured.err
+
+
+def test_no_truncation_warning_when_nothing_is_cut(capsys):
+    assert main(["translate", "Within 10 seconds, reach B or reach C while avoiding A."]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_custom_lexicon_flag(tmp_path, capsys):
     path = tmp_path / "lex.txt"
     path.write_text(format_lexicon(load_default_lexicon()))
@@ -167,6 +184,15 @@ def test_eval_discriminating_trajectory(capsys, regions_file, trajectory_file):
     assert len(rows) == 2
     flags = [row.split()[3] for row in rows]
     assert sorted(flags) == ["no", "yes"]
+
+
+def test_eval_warns_on_truncation(capsys, regions_file, trajectory_file):
+    assert main([
+        "eval", kstep_sentence(5), "--regions", regions_file, "--trajectory", trajectory_file,
+    ]) == 0
+    captured = capsys.readouterr()
+    assert "horizon-exceeded" in captured.out
+    assert len(captured.err.splitlines()) == 1 and "warning" in captured.err
 
 
 def test_eval_short_trajectory_marks_rows(tmp_path, capsys, regions_file):

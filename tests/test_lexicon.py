@@ -91,6 +91,14 @@ def test_malformed_category_and_template_errors():
         load_lexicon("a | NP | heavy | phi_a")
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_non_finite_weights_rejected(weight):
+    with pytest.raises(LexiconSyntaxError, match="weight"):
+        load_lexicon(f"a | NP | {weight} | phi_a")
+    with pytest.raises(LexiconSyntaxError, match="rule weight"):
+        load_lexicon(f"@rule fa {weight}\na | NP | 0.0 | phi_a")
+
+
 def test_open_template_rejected():
     with pytest.raises(LexiconSyntaxError, match="free variables"):
         load_lexicon("a | NP | 0.0 | lam x. y")

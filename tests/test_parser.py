@@ -13,12 +13,19 @@ from ambistl.parser import (
     NoParseError,
     Token,
     format_derivation,
-    leaves,
     parse_nbest,
     pretty_derivation,
     score,
     tokenize,
 )
+
+from conftest import kstep_sentence
+
+
+def leaves(tree) -> list[Leaf]:
+    if isinstance(tree, Leaf):
+        return [tree]
+    return leaves(tree.left) + leaves(tree.right)
 
 
 # --- tokenizer ------------------------------------------------------------------
@@ -165,8 +172,7 @@ def test_equal_skip_counts_give_equal_scores(lexicon):
     """With zero lexical and rule weights, derivations skipping the same
     number of task verbs score exactly alike, so the documented tie-break
     by derivation string decides their order."""
-    tasks = " and then ".join(f"reach {'BCD'[i % 3]} within {10 + i} seconds" for i in range(5))
-    derivations = parse_nbest(tokenize(f"{tasks} while avoiding A."), lexicon, n=sys.maxsize)
+    derivations = parse_nbest(tokenize(kstep_sentence(5)), lexicon, n=sys.maxsize)
     assert len(derivations) == 546
     scores_by_skips = defaultdict(set)
     for d in derivations:
@@ -175,6 +181,34 @@ def test_equal_skip_counts_give_equal_scores(lexicon):
     assert all(len(scores) == 1 for scores in scores_by_skips.values()), scores_by_skips
     keys = [(-d.score, format_derivation(d.root)) for d in derivations]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("n", [1, 10, 28, 29, 40, 68, 69, sys.maxsize])
+def test_nbest_equals_top_n_of_the_full_sort(lexicon, k, n):
+    """The score cutoff keeps every derivation tied with the n-th, so the
+    top n equal those of sorting every derivation.  At k=5 the tie groups
+    end at 28 and 68 derivations; at k=4 at 10, 22, 36 and 54."""
+    tokens = tokenize(kstep_sentence(k))
+    full = parse_nbest(tokens, lexicon, n=sys.maxsize)
+    expected = sorted(full, key=lambda d: (-d.score, format_derivation(d.root)))[:n]
+    got = parse_nbest(tokens, lexicon, n=n)
+    assert [(d.score, format_derivation(d.root)) for d in got] == [
+        (d.score, format_derivation(d.root)) for d in expected
+    ]
+
+
+def test_task_verbs_counts_task_verb_leaves(lexicon):
+    stack = [d.root for d in parse_nbest(tokenize(kstep_sentence(4)), lexicon, n=sys.maxsize)]
+    checked = 0
+    while stack:
+        node = stack.pop()
+        verbs = sum(1 for leaf in leaves(node) if leaf.entry.surface[0] in TASK_VERBS)
+        assert node.task_verbs == verbs
+        checked += 1
+        if not isinstance(node, Leaf):
+            stack += [node.left, node.right]
+    assert checked > 110
 
 
 def test_leaf_spans_partition_sentence(lexicon):

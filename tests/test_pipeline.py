@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from ambistl.pipeline import (
 from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, parse_term
 from ambistl.stl import And, Atom, F, G, Interval, Not, Or, canonicalize, format_formula
 
+from conftest import kstep_sentence
 from reference_formulas import REFERENCE
 
 I10 = Con("I", (IntC(0), IntC(10)))
@@ -225,9 +227,35 @@ def test_analyze_reports_align_with_candidates(lexicon):
 def test_to_dict_schema(lexicon):
     result = translate("Reach B within 10 seconds.", lexicon)
     payload = result.to_dict()
-    assert set(payload) == {"sentence", "n_derivations", "n_discarded", "candidates"}
+    assert set(payload) == {"sentence", "n_derivations", "n_discarded", "truncated", "candidates"}
+    assert payload["truncated"] is False
     assert set(payload["candidates"][0]) == {"formula", "score", "probability", "support_count"}
     json.dumps(payload)  # must be serialisable
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_truncation_is_flagged_on_long_sentences(lexicon, k):
+    result = translate(kstep_sentence(k), lexicon)
+    assert result.truncated and result.to_dict()["truncated"] is True
+    assert result.n_derivations == 40
+
+
+def test_corpus_is_never_truncated(lexicon, corpus):
+    for sentence in corpus.values():
+        assert not translate(sentence, lexicon).truncated
+
+
+def test_truncated_only_when_derivations_are_cut(lexicon):
+    sentence = "Within 10 seconds, reach B or reach C while avoiding A."
+    total = translate(sentence, lexicon, n=sys.maxsize).n_derivations
+    assert not translate(sentence, lexicon, n=total).truncated
+    cut = translate(sentence, lexicon, n=total - 1)
+    assert cut.truncated and cut.n_derivations == total - 1
+
+
+def test_aggregate_is_untruncated_by_default():
+    assert aggregate([(Atom("b"), 0.0)]).truncated is False
+    assert aggregate([(Atom("b"), 0.0)], truncated=True).truncated is True
 
 
 def test_translate_deterministic_output(lexicon, corpus):
