@@ -55,7 +55,7 @@ def part_two() -> None:
           f"diagnostics: {validate_lexicon(base) or 'none'}")
 
     extended = load_lexicon(
-        format_lexicon(base) + "visit | S/NP | 0.0 | lam x. lam i. F(i, x)\n"
+        format_lexicon(base) + "visit | T/NP | 0.0 | lam x. lam i. F(i, x)\n"
     )
     sentence = "Visit D within 5 seconds while avoiding A."
     result = translate(sentence, extended)

@@ -284,6 +284,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         f"{candidate_set.discarded_count} discarded, "
         f"{len(candidate_set.candidates)} candidate(s)"
     )
+    if candidate_set.truncated:
+        print(f"truncated: --n-best {args.n_best} cut further derivations")
     for rank, cand in enumerate(candidate_set.candidates, start=1):
         print()
         print(f"candidate {rank}  p={cand.probability:.6f}  {format_formula(cand.formula)}")

@@ -6,11 +6,19 @@ template.  Several entries per surface form are allowed; that multiplicity
 is the source of the ambiguity the parser preserves.  Rule weights for the
 combinatory rules live alongside the entries.
 
+The basic categories are NP (a region), NUM, UNIT and four sentence
+categories, in the spirit of CCGbank's feature-bearing ``S[dcl]``: S is a
+closed formula, T a task that still takes its time interval, D a
+disjunction of tasks sharing one interval, and R a time-bounded D.  A
+complete parse has a category in ``ROOT_CATEGORIES`` (S or R).  Typed
+this way, the bundled entries never put an open task where a formula is
+expected, so every complete parse composes to a well-formed meaning.
+
 The line-based file format is::
 
     # comment
     @rule fa 0.0
-    reach | S/NP | 0.0 | lam x. lam i. F(i, x)
+    reach | T/NP | 0.0 | lam x. lam i. F(i, x)
     and then | (S\\S)/S | 0.0 | lam q. lam p. SEQ(p, q)
 
 Numerals are not listed: any token of digits becomes a NUM leaf carrying
@@ -29,7 +37,10 @@ from .semantics import IntC, Term, free_vars, parse_term
 
 TextSource = Union[str, IO[str]]
 
-BASIC_CATEGORIES = ("S", "NP", "NUM", "UNIT")
+BASIC_CATEGORIES = ("S", "T", "D", "R", "NP", "NUM", "UNIT")
+# Categories a complete parse may have: a closed formula, or a time-bounded
+# disjunction of tasks.  T and D still take an interval and are never roots.
+ROOT_CATEGORIES = ("S", "R")
 FORWARD = "/"
 BACKWARD = "\\"
 

@@ -2,8 +2,9 @@
 
 The parser builds the full binary parse forest over forward and backward
 application (coordination is lexical, via (X\\X)/X categories), enumerates
-every complete derivation whose root category is S over the whole
-sentence, scores them, and returns the top n in a deterministic order.
+every complete derivation over the whole sentence whose root category is
+in ``ROOT_CATEGORIES`` (a closed formula S or a bounded task disjunction
+R), scores them, and returns the top n in a deterministic order.
 Keeping more than one derivation is the point: attachment ambiguity must
 survive into semantic composition.  Ties in score are broken by the
 canonical derivation string, which is rendered only for the derivations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .lexicon import Basic, Category, LexEntry, Lexicon, Slash, format_category, lookup
+from .lexicon import ROOT_CATEGORIES, Category, LexEntry, Lexicon, Slash, format_category, lookup
 
 LOCALITY_PENALTY = 0.7
 POST_MODIFIER_HEADS = ("while", "within")
@@ -176,7 +177,7 @@ def parse_nbest(
     that string is rendered only for the derivations tied with or above the
     n-th score, since a derivation scoring below it cannot outrank n others.
     Raises :class:`CoverageError` when a token has no lexical entry and
-    :class:`NoParseError` when no S covers the whole sentence.
+    :class:`NoParseError` when no root category covers the whole sentence.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -221,7 +222,7 @@ def parse_nbest(
                                 (cat_r.result, Node("ba", cat_r.result, tree_l, tree_r, i, j))
                             )
 
-    roots = [tree for cat, tree in chart[(0, length)] if cat == Basic("S")]
+    roots = [tree for cat, tree in chart[(0, length)] if format_category(cat) in ROOT_CATEGORIES]
     if not roots:
         raise NoParseError(
             f"no complete parse for: {' '.join(t.text for t in tokens)!r}"

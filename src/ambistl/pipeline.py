@@ -1,22 +1,22 @@
 """End-to-end translation: sentence -> deduplicated, ranked STL candidates.
 
 Conversion turns a beta-normal meaning term into an STL formula or rejects
-it as ill-formed.  Three symbolic devices are resolved here rather than
+it as ill-formed.  Two symbolic devices are resolved here rather than
 during reduction:
 
-* a root-level application of a sentence to a time interval distributes
-  the interval across a disjunction of open subtasks (each branch must
-  itself accept the interval, otherwise the meaning is ill-formed);
 * SEQ(P, Q) becomes temporal tail insertion: the converted Q is conjoined
   into the innermost reach of P's eventually-chain, so different
   bracketings of the same sequence converge on one formula;
 * EXTG(guard, anchor) applies the guard to the interval [0, extent(anchor)],
   yielding the avoidance condition that spans its sibling's full horizon.
 
-Anything still containing a lambda, a variable or a stuck application is
-discarded as ill-formed and only counted.  Surviving formulas are
-canonicalized and grouped; each group's score is the sum of exp(derivation
-score), normalised into probabilities over the whole set.
+The sentence categories of the bundled lexicon make every complete parse
+compose to a formula.  A custom lexicon can still build a meaning that
+contains a lambda, a variable or a stuck application, or a sequence whose
+head is not an eventually task; such a derivation is discarded as
+ill-formed and only counted.  Surviving formulas are canonicalized and
+grouped; each group's score is the sum of exp(derivation score),
+normalised into probabilities over the whole set.
 """
 
 from __future__ import annotations
@@ -87,37 +87,6 @@ class CandidateSet:
         }
 
 
-def to_stl(meaning: Term) -> Formula:
-    """Convert a beta-normal meaning term to STL, or raise
-    :class:`IllFormedMeaningError`."""
-    return _convert(_resolve_root_interval(meaning))
-
-
-def _resolve_root_interval(term: Term) -> Term:
-    match term:
-        case App(fn, Con("I") as interval):
-            return _distribute_interval(fn, interval)
-        case App():
-            raise IllFormedMeaningError("application argument is not a time interval")
-    return term
-
-
-def _distribute_interval(fn: Term, interval: Con) -> Term:
-    match fn:
-        case Lam():
-            return beta_reduce(App(fn, interval))
-        case Con("OR", (left, right)):
-            return Con(
-                "OR",
-                (_distribute_interval(left, interval), _distribute_interval(right, interval)),
-            )
-    raise IllFormedMeaningError(f"sentence-level time bound cannot apply to {_kind(fn)}")
-
-
-def _kind(term: Term) -> str:
-    return term.name if isinstance(term, Con) else type(term).__name__
-
-
 def _interval_of(term: Term) -> Interval:
     match term:
         case Con("I", (IntC(lo), IntC(hi))):
@@ -128,32 +97,35 @@ def _interval_of(term: Term) -> Interval:
     raise IllFormedMeaningError(f"not a literal interval: {term}")
 
 
-def _convert(term: Term) -> Formula:
+def to_stl(term: Term) -> Formula:
+    """Convert a beta-normal meaning term to STL, or raise
+    :class:`IllFormedMeaningError`."""
     match term:
         case AtomC(name):
             return Atom(name)
         case Con("NOT", (body,)):
-            return Not(_convert(body))
+            return Not(to_stl(body))
         case Con("AND", (left, right)):
-            return And((_convert(left), _convert(right)))
+            return And((to_stl(left), to_stl(right)))
         case Con("OR", (left, right)):
-            return Or((_convert(left), _convert(right)))
+            return Or((to_stl(left), to_stl(right)))
         case Con("F", (interval, body)):
-            return F(_interval_of(interval), _convert(body))
+            return F(_interval_of(interval), to_stl(body))
         case Con("G", (interval, body)):
-            return G(_interval_of(interval), _convert(body))
+            return G(_interval_of(interval), to_stl(body))
         case Con("SEQ", (first, second)):
-            head = _convert(first)
-            tail = _convert(second)
+            head = to_stl(first)
+            tail = to_stl(second)
             if not isinstance(head, F):
                 raise IllFormedMeaningError("sequence head is not an eventually task")
             return F(head.interval, _seq_insert(head.child, tail))
         case Con("EXTG", (guard, anchor)):
-            window = Con("I", (IntC(0), IntC(extent(_convert(anchor)))))
-            return _convert(beta_reduce(App(guard, window)))
+            window = Con("I", (IntC(0), IntC(extent(to_stl(anchor)))))
+            return to_stl(beta_reduce(App(guard, window)))
         case Lam() | Var() | App():
             raise IllFormedMeaningError(f"residual {type(term).__name__} in meaning: {term}")
-    raise IllFormedMeaningError(f"{_kind(term)} is not a formula position")
+    kind = term.name if isinstance(term, Con) else type(term).__name__
+    raise IllFormedMeaningError(f"{kind} is not a formula position")
 
 
 def _seq_insert(chi: Formula, tail: Formula) -> Formula:

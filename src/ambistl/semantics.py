@@ -13,8 +13,8 @@ normal-order normalizer, capped at ``REDUCTION_BUDGET`` beta contractions.
 
 Constructors are opaque to reduction: an application whose head is a
 constructor is stuck and survives into the normal form, where the
-conversion step either resolves it (a sentence-level time bound over a
-disjunction) or rejects the meaning as ill-formed.
+conversion step rejects the meaning as ill-formed.  The typed sentence
+categories of the bundled lexicon never build such an application.
 """
 
 from __future__ import annotations
@@ -329,9 +329,9 @@ def compose(derivation) -> Term:
 
     Leaves contribute their entry templates; a forward-application node
     applies the left meaning to the right one, a backward-application node
-    the right meaning to the left one.  The result is beta-normal but need
-    not be convertible to STL yet: stuck applications and leftover
-    abstractions are handled (or rejected) by the conversion step.
+    the right meaning to the left one.  The result is beta-normal; SEQ and
+    EXTG are resolved, and stuck applications and leftover abstractions
+    rejected, by the conversion step.
     """
     from .parser import Derivation, Leaf  # local import to avoid a cycle
 

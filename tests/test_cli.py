@@ -77,16 +77,13 @@ def test_nbest_must_be_positive(capsys):
 
 
 def test_nbest_truncation_can_discard_every_retained_parse(capsys):
-    # truncation works on parse scores alone; with n=1 the single retained
-    # tree may turn out ill-formed in conversion, which is a translation
-    # failure rather than a silent fallback
+    # truncation works on parse scores alone; with the typed sentence
+    # categories every retained tree converts, so even n=1 keeps a candidate
     code = main(["translate", "--n-best", "1",
                  "Within 10 seconds, reach B or reach C while avoiding A."])
     captured = capsys.readouterr()
-    if code == 0:
-        assert len(captured.out.strip().splitlines()) == 1
-    else:
-        assert code == 2 and "discarded" in captured.err
+    assert code == 0
+    assert len(captured.out.strip().splitlines()) == 1
 
 
 def test_truncation_warns_on_stderr(capsys):
@@ -195,6 +192,14 @@ def test_eval_warns_on_truncation(capsys, regions_file, trajectory_file):
     assert len(captured.err.splitlines()) == 1 and "warning" in captured.err
 
 
+def test_eval_json_says_when_derivations_were_cut(capsys, regions_file, trajectory_file):
+    argv = ["eval", "--format", "json", "--regions", regions_file, "--trajectory", trajectory_file]
+    assert main(argv + [kstep_sentence(6)]) == 0
+    assert json.loads(capsys.readouterr().out)["truncated"] is True
+    assert main(argv + ["Within 10 seconds, reach B or reach C while avoiding A."]) == 0
+    assert json.loads(capsys.readouterr().out)["truncated"] is False
+
+
 def test_eval_short_trajectory_marks_rows(tmp_path, capsys, regions_file):
     short = tmp_path / "short.csv"
     short.write_text("t,x,y\n0,0,0\n1,1,1\n2,2,2\n")
@@ -278,3 +283,37 @@ def test_explain_single_derivation(capsys):
 
 def test_explain_no_parse_exits_2(capsys):
     assert main(["explain", "b within 10 seconds"]) == 2
+
+
+def test_explain_says_when_derivations_were_cut(capsys):
+    assert main(["explain", kstep_sentence(6)]) == 0
+    out = capsys.readouterr().out
+    assert "40 derivation(s), 0 discarded" in out
+    assert "truncated: --n-best 40 cut further derivations" in out
+    assert main(["explain", "--n-best", "200", kstep_sentence(6)]) == 0
+    out = capsys.readouterr().out
+    assert "132 derivation(s), 0 discarded" in out and "truncated" not in out
+
+
+def test_corpus_sentences_are_not_reported_as_cut(capsys, corpus, regions_file, trajectory_file):
+    for sentence in corpus.values():
+        assert main(["explain", sentence]) == 0
+        assert "truncated" not in capsys.readouterr().out
+        assert main([
+            "eval", "--format", "json", sentence,
+            "--regions", regions_file, "--trajectory", trajectory_file,
+        ]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["truncated"] is False and captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["translate", "eval", "explain"])
+def test_sentence_without_a_reading_is_no_parse(capsys, command, regions_file, trajectory_file):
+    # a bound over an already bounded task: no derivation reaches a root
+    # category, so the parser rejects it before composition
+    argv = [command, "Within 20 seconds, reach B within 10 seconds while avoiding A."]
+    if command == "eval":
+        argv += ["--regions", regions_file, "--trajectory", trajectory_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no complete parse" in captured.err

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ambistl.lexicon import (
@@ -18,6 +20,7 @@ from ambistl.lexicon import (
 )
 from ambistl.semantics import beta_reduce, App, AtomC, IntC, parse_term
 
+from conftest import kstep_sentence
 from reduction_oracle import alpha_equal
 
 
@@ -221,3 +224,16 @@ def test_default_lexicon_core_templates(lexicon):
     within = templates(("within",))[0]
     applied = beta_reduce(App(App(within, IntC(10)), IntC(1)))
     assert alpha_equal(applied, parse_term("lam p. p(I(0, 10))"))
+
+
+def test_default_lexicon_builds_no_ill_formed_derivation(lexicon, corpus):
+    """The sentence categories keep open tasks out of formula positions, so
+    every complete parse converts: nothing is built only to be discarded."""
+    from ambistl.pipeline import translate
+
+    for sentence in corpus.values():
+        assert translate(sentence, lexicon, n=sys.maxsize).discarded_count == 0, sentence
+    results = {k: translate(kstep_sentence(k), lexicon, n=sys.maxsize) for k in range(2, 6)}
+    assert all(result.discarded_count == 0 for result in results.values())
+    assert [results[k].n_derivations for k in range(2, 6)] == [2, 5, 14, 42]
+    assert sorted(c.support_count for c in results[5].candidates) == [4, 5, 5, 14, 14]

@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from ambistl.lexicon import format_lexicon, load_lexicon
+from ambistl.parser import NoParseError
 from ambistl.pipeline import (
     EmptyCandidateSetError,
     IllFormedMeaningError,
@@ -70,20 +72,22 @@ def test_sequence_head_must_be_eventually():
         to_stl(parse_term("SEQ(G(I(0, 10), phi_b), F(I(0, 15), phi_c))"))
 
 
-def test_root_interval_distributes_over_disjunction():
+def test_root_interval_distributes_over_disjunction(lexicon):
+    # the time bound reaches each disjunct through the lexicon (category D),
+    # so conversion never sees a root application
     open_b = parse_term("lam i. F(i, phi_b)")
     open_guarded_c = parse_term("lam i. AND(F(i, phi_c), G(i, NOT(phi_a)))")
-    meaning = App(Con("OR", (open_b, open_guarded_c)), I10)
-    got = canonicalize(to_stl(meaning))
-    expected = canonicalize(
-        Or(
-            (
-                F(Interval(0, 10), Atom("b")),
-                And((F(Interval(0, 10), Atom("c")), G(Interval(0, 10), Not(Atom("a"))))),
-            )
+    with pytest.raises(IllFormedMeaningError, match="residual App"):
+        to_stl(App(Con("OR", (open_b, open_guarded_c)), I10))
+    result = translate("Within 10 seconds, reach B or reach C while avoiding A.", lexicon)
+    expected = Or(
+        (
+            F(Interval(0, 10), Atom("b")),
+            And((F(Interval(0, 10), Atom("c")), G(Interval(0, 10), Not(Atom("a"))))),
         )
     )
-    assert got == expected
+    assert format_formula(canonicalize(expected)) in result.formulas()
+    assert result.discarded_count == 0
 
 
 def test_root_interval_rejects_closed_branch():
@@ -183,11 +187,23 @@ def test_translate_five_way_ambiguity(lexicon):
 
 
 def test_translate_counts_discards(lexicon):
-    result = translate("Reach B within 10 seconds while avoiding A.", lexicon)
+    # the bundled lexicon builds no ill-formed derivation, so a custom entry
+    # whose category hides that its template still takes an interval forces one
+    sharing = "lam q. lam p. lam i. AND(p(i), q(i))"
+    custom = load_lexicon(format_lexicon(lexicon) + f"while | (S\\S)/T | 0.0 | {sharing}\n")
+    result = translate("Reach B within 10 seconds while avoiding A.", custom)
     assert result.n_derivations == result.discarded_count + sum(
         c.support_count for c in result.candidates
     )
     assert result.discarded_count >= 1
+    closed = load_lexicon(format_lexicon(lexicon) + f"while | (S\\S)/S | 0.0 | {sharing}\n")
+    with pytest.raises(EmptyCandidateSetError, match="all 1 derivations were discarded"):
+        translate("Reach B within 10 seconds while reach C within 15 seconds.", closed)
+
+
+def test_sentence_without_a_reading_fails_in_the_parser(lexicon):
+    with pytest.raises(NoParseError):
+        translate("Within 20 seconds, reach B within 10 seconds while avoiding A.", lexicon)
 
 
 def test_probabilities_sum_to_one(lexicon, corpus):

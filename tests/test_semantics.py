@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from ambistl.lexicon import load_default_lexicon
+from ambistl.lexicon import format_category, load_default_lexicon
 from ambistl.parser import parse_nbest, tokenize
 from ambistl.semantics import (
     App,
@@ -157,9 +157,13 @@ def test_compose_sequence(lex):
 
 
 def test_compose_avoiding_subtree(lex):
-    derivs = parse_nbest(tokenize("avoiding a"), lex)
+    # an open task is a T, never a root: compose it as a subtree of a sentence
+    derivs = parse_nbest(tokenize("Reach B within 10 seconds while avoiding A."), lex)
     assert len(derivs) == 1
-    assert alpha_equal(compose(derivs[0]), parse_term("lam i. G(i, NOT(phi_a))"))
+    guard = derivs[0].root.right.right
+    assert [leaf.entry.surface[0] for leaf in (guard.left, guard.right)] == ["avoiding", "a"]
+    assert format_category(guard.category) == "T"
+    assert alpha_equal(compose(guard), parse_term("lam i. G(i, NOT(phi_a))"))
 
 
 def _kstep_sentence(k):
@@ -170,9 +174,9 @@ def _kstep_sentence(k):
 def test_compose_terminates_and_agrees_with_small_step_oracle(lex, corpus):
     """The normalizer reaches the same normal form as the small-step
     leftmost-outermost reference on every derivation, well-formed or not,
-    of the corpus and of the k-step sentences k=2..4 without truncation."""
-    sentences = list(corpus.values()) + [_kstep_sentence(k) for k in range(2, 5)]
-    assert len(sentences) == 15
+    of the corpus and of the k-step sentences k=2..6 without truncation."""
+    sentences = list(corpus.values()) + [_kstep_sentence(k) for k in range(2, 7)]
+    assert len(sentences) == 17
     checked = 0
     for sentence in sentences:
         for derivation in parse_nbest(tokenize(sentence), lex, n=sys.maxsize):
