@@ -36,7 +36,7 @@ def part_one() -> None:
     for rank, cand in enumerate(candidate_set.candidates, start=1):
         print(f"candidate {rank}: p={cand.probability:.3f}  {cand.formula}")
         for report in reports:
-            if report.index in cand.derivation_ids:
+            if report.formula == cand.formula:
                 print(f"  from derivation {report.index} (score {report.score:+.2f}):")
                 print(pretty_derivation(report.root, indent=2))
                 print(f"    meaning term: {report.meaning}")

@@ -77,13 +77,6 @@ def _build_parser() -> _ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--lexicon", metavar="PATH", help="lexicon file (default: bundled)")
     common.add_argument(
-        "--n-best",
-        type=_positive_int,
-        default=DEFAULT_N_BEST,
-        metavar="N",
-        help=f"number of derivations to retain (default {DEFAULT_N_BEST})",
-    )
-    common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     common.add_argument("-v", "--verbose", action="count", default=0)
@@ -116,6 +109,13 @@ def _build_parser() -> _ArgumentParser:
         "explain", parents=[common], help="dump scored derivations per candidate"
     )
     p_explain.add_argument("sentence")
+    p_explain.add_argument(
+        "--n-best",
+        type=_positive_int,
+        default=DEFAULT_N_BEST,
+        metavar="N",
+        help=f"number of best derivations to list (default {DEFAULT_N_BEST})",
+    )
 
     return parser
 
@@ -152,20 +152,10 @@ def _print_candidates(candidate_set: CandidateSet, output_format: str) -> None:
         print(candidate_set.format_table())
 
 
-def _warn_if_truncated(candidate_set: CandidateSet, n_best: int) -> None:
-    if candidate_set.truncated:
-        print(
-            f"warning: --n-best {n_best} cut some derivations; "
-            "readings may be missing (raise --n-best to keep them)",
-            file=sys.stderr,
-        )
-
-
 def cmd_translate(args: argparse.Namespace) -> int:
     sentence = _require_sentence(args)
     lexicon = _load_lexicon(args)
-    candidate_set = translate(sentence, lexicon, args.n_best)
-    _warn_if_truncated(candidate_set, args.n_best)
+    candidate_set = translate(sentence, lexicon)
     _print_candidates(candidate_set, args.format)
     return EXIT_OK
 
@@ -219,7 +209,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     results: list[dict] = []
     mismatches: list[str] = []
     for sid, sentence in rows:
-        candidate_set = translate(sentence, lexicon, args.n_best)
+        candidate_set = translate(sentence, lexicon)
         formulas = candidate_set.formulas()
         results.append(
             {
@@ -263,8 +253,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         regions = load_regions(handle)
     with open(args.trajectory, encoding="utf-8", newline="") as handle:
         trajectory = load_trajectory(handle)
-    candidate_set = translate(sentence, lexicon, args.n_best)
-    _warn_if_truncated(candidate_set, args.n_best)
+    candidate_set = translate(sentence, lexicon)
     report = evaluate_candidates(candidate_set, trajectory, regions)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -284,13 +273,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
         f"{candidate_set.discarded_count} discarded, "
         f"{len(candidate_set.candidates)} candidate(s)"
     )
-    if candidate_set.truncated:
-        print(f"truncated: --n-best {args.n_best} cut further derivations")
+    if len(reports) < candidate_set.n_derivations:
+        print(f"listing the {len(reports)} best of {candidate_set.n_derivations} derivations")
     for rank, cand in enumerate(candidate_set.candidates, start=1):
         print()
         print(f"candidate {rank}  p={cand.probability:.6f}  {format_formula(cand.formula)}")
         for report in reports:
-            if report.index in cand.derivation_ids:
+            if report.formula == cand.formula:
                 print(f"  derivation {report.index}  score={report.score:.4f}")
                 print(pretty_derivation(report.root, indent=2))
                 print(f"    meaning: {format_term(report.meaning)}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import IO, Iterable, Sequence, Union
 
-from .semantics import IntC, Term, free_vars, parse_term
+from .semantics import IntC, Lam, Term, free_vars, parse_term
 
 TextSource = Union[str, IO[str]]
 
@@ -41,6 +41,8 @@ BASIC_CATEGORIES = ("S", "T", "D", "R", "NP", "NUM", "UNIT")
 # Categories a complete parse may have: a closed formula, or a time-bounded
 # disjunction of tasks.  T and D still take an interval and are never roots.
 ROOT_CATEGORIES = ("S", "R")
+# Categories whose meaning still takes its interval as one more argument.
+INTERVAL_CATEGORIES = ("T", "D")
 FORWARD = "/"
 BACKWARD = "\\"
 
@@ -300,11 +302,15 @@ def format_lexicon(lexicon: Lexicon) -> str:
 
 
 def validate_lexicon(lexicon: Lexicon) -> list[str]:
-    """Diagnostics: entries that can never combine, and defaulted rule weights.
+    """Diagnostics: entries that can never combine, templates that do not
+    fit their category, and defaulted rule weights.
 
     An entry is dead when some argument category along its curried spine
-    can never be produced by any entry (numerals always produce NUM).
-    Returns human-readable notes; an empty list means a clean lexicon.
+    can never be produced by any entry (numerals always produce NUM).  A
+    template fits its category when its leading lambdas number the
+    arguments along the spine, plus one for the interval when the final
+    result is in ``INTERVAL_CATEGORIES``.  Returns human-readable notes;
+    an empty list means a clean lexicon.
     """
     producible: set[Category] = {e.category for e in lexicon.all_entries()}
     producible.add(Basic("NUM"))
@@ -327,6 +333,18 @@ def validate_lexicon(lexicon: Lexicon) -> list[str]:
                 )
                 break
             cat = cat.result
+        arity, result = 0, entry.category
+        while isinstance(result, Slash):
+            arity, result = arity + 1, result.result
+        arity += result.name in INTERVAL_CATEGORIES
+        lams, template = 0, entry.template
+        while isinstance(template, Lam):
+            lams, template = lams + 1, template.body
+        if lams != arity:
+            diagnostics.append(
+                f"template of '{' '.join(entry.surface)}' ({format_category(entry.category)}) "
+                f"takes {lams} argument(s) but its category takes {arity}"
+            )
     for rule in KNOWN_RULES:
         if rule not in lexicon.rule_weights:
             diagnostics.append(f"rule weight for '{rule}' absent; defaulted to 0.0")

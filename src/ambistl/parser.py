@@ -1,31 +1,34 @@
-"""Tokenisation and exhaustive CKY chart parsing with n-best derivations.
+"""Tokenisation and CKY parsing into a packed chart, with n-best derivations.
 
-The parser builds the full binary parse forest over forward and backward
-application (coordination is lexical, via (X\\X)/X categories), enumerates
-every complete derivation over the whole sentence whose root category is
-in ``ROOT_CATEGORIES`` (a closed formula S or a bounded task disjunction
-R), scores them, and returns the top n in a deterministic order.
-Keeping more than one derivation is the point: attachment ambiguity must
-survive into semantic composition.  Ties in score are broken by the
-canonical derivation string, which is rendered only for the derivations
-that score at or above the n-th best score: no other derivation can reach
-the top n.
+The chart is filled once over forward and backward application
+(coordination is lexical, via (X\\X)/X categories).  It is packed: each
+span maps every category built over it to the backpointers that build it,
+so it stays small however many derivations it holds.  A complete
+derivation covers the whole sentence with a category in
+``ROOT_CATEGORIES`` (a closed formula S or a bounded task disjunction R).
+Two readers use the chart: the pipeline composes meanings over it
+directly, and :func:`parse_nbest` unpacks the trees, for callers that need
+them, and returns the top n in a deterministic order (ties in score are
+broken by the canonical derivation string).
 
 Scoring replaces a learned parser model with a declared structural
 preference: every post-modifier attachment (a while-clause or a trailing
-within-phrase, recognised by the head word of the backward functor) pays
-0.7 per task verb it skips inside its attachment site beyond the nearest
-one.  Local attachments are therefore preferred, and the penalty grows
-with the amount of material the modifier takes scope over.
+within-phrase, recognised by the token at the split of a backward
+application) pays 0.7 per task-verb token it skips inside its attachment
+site beyond the nearest one.  Local attachments are therefore preferred,
+and the penalty grows with the amount of material the modifier takes
+scope over.  What a node adds to the score depends only on its span and
+its split, so scores can be summed over the packed chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Union
+from typing import Sequence, Union
 
-from .lexicon import ROOT_CATEGORIES, Category, LexEntry, Lexicon, Slash, format_category, lookup
+from .lexicon import (
+    BACKWARD, FORWARD, ROOT_CATEGORIES, Category, LexEntry, Lexicon, Slash, format_category, lookup
+)
 
 LOCALITY_PENALTY = 0.7
 POST_MODIFIER_HEADS = ("while", "within")
@@ -82,10 +85,6 @@ class Leaf:
     def category(self) -> Category:
         return self.entry.category
 
-    @cached_property
-    def task_verbs(self) -> int:
-        return int(self.entry.surface[0] in TASK_VERBS)
-
 
 @dataclass(frozen=True)
 class Node:
@@ -95,12 +94,6 @@ class Node:
     right: Union["Leaf", "Node"]
     start: int
     end: int
-
-    @cached_property
-    def task_verbs(self) -> int:
-        """Task verbs among the leaves; computed once per chart node, which
-        every derivation containing the node shares."""
-        return self.left.task_verbs + self.right.task_verbs
 
 
 DerivationTree = Union[Leaf, Node]
@@ -139,8 +132,20 @@ def pretty_derivation(tree: DerivationTree, indent: int = 0) -> str:
     )
 
 
-def score(tree: Union[DerivationTree, "Derivation"], lexicon: Lexicon) -> float:
-    """Leaf weights plus rule weights plus attachment locality penalties."""
+def skipped_verbs(rule: str, words: Sequence[str], start: int, split: int) -> int:
+    """Task-verb tokens beyond the nearest one that a post-modifier skips
+    when a backward application starting at ``start`` attaches it at
+    ``split``; 0 unless the token at the split is a modifier head."""
+    if rule != "ba" or words[split] not in POST_MODIFIER_HEADS:
+        return 0
+    return max(0, sum(word in TASK_VERBS for word in words[start:split]) - 1)
+
+
+def score(
+    tree: Union[DerivationTree, "Derivation"], lexicon: Lexicon, words: Sequence[str]
+) -> float:
+    """Leaf weights plus rule weights plus attachment locality penalties;
+    ``words`` are the token texts of the sentence the tree spans."""
     if isinstance(tree, Derivation):
         tree = tree.root
     total = 0.0
@@ -152,46 +157,66 @@ def score(tree: Union[DerivationTree, "Derivation"], lexicon: Lexicon) -> float:
             total += node.entry.weight
             continue
         total += lexicon.rule_weight(node.rule)
-        if node.rule == "ba" and _modifier_head(node.right) in POST_MODIFIER_HEADS:
-            skipped += max(0, node.left.task_verbs - 1)
+        skipped += skipped_verbs(node.rule, words, node.start, node.left.end)
         stack.append(node.left)
         stack.append(node.right)
     return total - LOCALITY_PENALTY * skipped
 
 
-def _modifier_head(tree: DerivationTree) -> str:
-    node = tree
-    while isinstance(node, Node):
-        node = node.left
-    return node.entry.surface[0]
+# A backpointer is a lexical entry spanning the whole cell, or a binary rule
+# with the split point and the categories of its two daughters.
+Backpointer = Union[LexEntry, tuple[str, int, Category, Category]]
 
 
-def parse_nbest(
-    tokens: list[Token], lexicon: Lexicon, n: int = DEFAULT_N_BEST
-) -> list[Derivation]:
-    """Enumerate all complete derivations, best-first, truncated to ``n``.
+@dataclass(frozen=True)
+class Chart:
+    """Packed parse forest: for each span, every category built over it,
+    each with the backpointers that build it."""
 
-    The chart is filled exhaustively with forward and backward application
-    and every complete derivation is scored.  Ties in score are broken by
-    the canonical derivation string so results are identical across runs;
-    that string is rendered only for the derivations tied with or above the
-    n-th score, since a derivation scoring below it cannot outrank n others.
+    words: tuple[str, ...]
+    cells: dict[tuple[int, int], dict[Category, list[Backpointer]]]
+
+    @property
+    def roots(self) -> list[Category]:
+        """Categories in ``ROOT_CATEGORIES`` over the whole sentence."""
+        top = self.cells[(0, len(self.words))]
+        return [cat for cat in top if format_category(cat) in ROOT_CATEGORIES]
+
+    def items_under_roots(self) -> list[tuple[int, int, Category]]:
+        """Every ``(start, end, category)`` that some complete derivation
+        uses, shorter spans first, so daughters precede their mothers."""
+        length = len(self.words)
+        used = {(0, length, cat) for cat in self.roots}
+        for span in range(length, 1, -1):
+            for i in range(length - span + 1):
+                for cat, backs in self.cells[(i, i + span)].items():
+                    if (i, i + span, cat) not in used:
+                        continue
+                    for back in backs:
+                        if isinstance(back, tuple):
+                            _, k, cat_l, cat_r = back
+                            used.add((i, k, cat_l))
+                            used.add((k, i + span, cat_r))
+        return sorted(used, key=lambda item: item[1] - item[0])
+
+
+def fill_chart(tokens: list[Token], lexicon: Lexicon) -> Chart:
+    """CKY over forward and backward application into a packed chart.
+
     Raises :class:`CoverageError` when a token has no lexical entry and
     :class:`NoParseError` when no root category covers the whole sentence.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if not tokens:
         raise EmptySentenceError("empty token sequence")
     length = len(tokens)
-    chart: dict[tuple[int, int], list[tuple[Category, DerivationTree]]] = {
-        (i, j): [] for i in range(length) for j in range(i + 1, length + 1)
+    cells: dict[tuple[int, int], dict[Category, list[Backpointer]]] = {
+        (i, j): {} for i in range(length) for j in range(i + 1, length + 1)
     }
 
     covered = [False] * length
     for i in range(length):
         for span, entry in lookup(lexicon, tokens, i):
-            chart[(i, i + span)].append((entry.category, Leaf(entry, i, i + span)))
+            cells[(i, i + span)].setdefault(entry.category, []).append(entry)
             for k in range(i, i + span):
                 covered[k] = True
     for i, ok in enumerate(covered):
@@ -201,33 +226,53 @@ def parse_nbest(
     for span in range(2, length + 1):
         for i in range(0, length - span + 1):
             j = i + span
-            cell = chart[(i, j)]
+            cell = cells[(i, j)]
             for k in range(i + 1, j):
-                for cat_l, tree_l in chart[(i, k)]:
-                    for cat_r, tree_r in chart[(k, j)]:
-                        if (
-                            isinstance(cat_l, Slash)
-                            and cat_l.slash == "/"
-                            and cat_l.argument == cat_r
+                for cat_l in cells[(i, k)]:
+                    for cat_r in cells[(k, j)]:
+                        for rule, fn, arg, slash in (
+                            ("fa", cat_l, cat_r, FORWARD),
+                            ("ba", cat_r, cat_l, BACKWARD),
                         ):
-                            cell.append(
-                                (cat_l.result, Node("fa", cat_l.result, tree_l, tree_r, i, j))
-                            )
-                        if (
-                            isinstance(cat_r, Slash)
-                            and cat_r.slash == "\\"
-                            and cat_r.argument == cat_l
-                        ):
-                            cell.append(
-                                (cat_r.result, Node("ba", cat_r.result, tree_l, tree_r, i, j))
-                            )
+                            if isinstance(fn, Slash) and fn.slash == slash and fn.argument == arg:
+                                cell.setdefault(fn.result, []).append((rule, k, cat_l, cat_r))
 
-    roots = [tree for cat, tree in chart[(0, length)] if format_category(cat) in ROOT_CATEGORIES]
-    if not roots:
-        raise NoParseError(
-            f"no complete parse for: {' '.join(t.text for t in tokens)!r}"
-        )
-    scored = [Derivation(root, score(root, lexicon)) for root in roots]
+    chart = Chart(tuple(token.text for token in tokens), cells)
+    if not chart.roots:
+        raise NoParseError(f"no complete parse for: {' '.join(chart.words)!r}")
+    return chart
+
+
+def parse_nbest(
+    tokens: list[Token], lexicon: Lexicon, n: int = DEFAULT_N_BEST
+) -> list[Derivation]:
+    """The ``n`` best complete derivations, best-first, unpacked from the
+    packed chart of :func:`fill_chart`.
+
+    Ties in score are broken by the canonical derivation string, so results
+    are identical across runs; that string is rendered only for the
+    derivations tied with or above the n-th score, since a derivation
+    scoring below it cannot outrank n others.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    chart = fill_chart(tokens, lexicon)
+    trees: dict[tuple[int, int, Category], list[DerivationTree]] = {}
+    for i, j, cat in chart.items_under_roots():
+        built = trees[(i, j, cat)] = []
+        for back in chart.cells[(i, j)][cat]:
+            if isinstance(back, LexEntry):
+                built.append(Leaf(back, i, j))
+                continue
+            rule, k, cat_l, cat_r = back
+            built += [
+                Node(rule, cat, left, right, i, j)
+                for left in trees[(i, k, cat_l)]
+                for right in trees[(k, j, cat_r)]
+            ]
+    length = len(chart.words)
+    roots = [tree for cat in chart.roots for tree in trees[(0, length, cat)]]
+    scored = [Derivation(root, score(root, lexicon, chart.words)) for root in roots]
     scored.sort(key=lambda d: -d.score)
     if len(scored) > n:
         cutoff = scored[n - 1].score

@@ -10,11 +10,18 @@ during reduction:
 * EXTG(guard, anchor) applies the guard to the interval [0, extent(anchor)],
   yielding the avoidance condition that spans its sibling's full horizon.
 
-The sentence categories of the bundled lexicon make every complete parse
-compose to a formula.  A custom lexicon can still build a meaning that
-contains a lambda, a variable or a stuck application, or a sequence whose
-head is not an eventually task; such a derivation is discarded as
-ill-formed and only counted.  Surviving formulas are canonicalized and
+Translation composes meanings over the packed chart rather than over each
+derivation: per chart item, meanings that convert to the same formula (or
+are alpha-equivalent) are merged, carrying the sum of exp(score) and the
+count of the derivations behind them.  The candidate set therefore covers
+every derivation, however many the chart packs.
+
+The sentence categories of the bundled lexicon make nearly every complete
+parse compose to a formula; a while-clause inside an and-then chain can
+still put a guarded task at the head of a sequence.  A custom lexicon can
+also build a meaning that contains a lambda, a variable or a stuck
+application.  Such derivations are discarded as ill-formed and only
+counted.  Surviving formulas are canonicalized and
 grouped; each group's score is the sum of exp(derivation score),
 normalised into probabilities over the whole set.
 """
@@ -25,9 +32,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lexicon import Lexicon, load_default_lexicon
-from .parser import DEFAULT_N_BEST, DerivationTree, parse_nbest, tokenize
-from .semantics import App, AtomC, Con, IntC, Lam, Term, Var, beta_reduce, compose
+from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
+from .parser import (
+    DEFAULT_N_BEST, LOCALITY_PENALTY, DerivationTree, fill_chart, parse_nbest, skipped_verbs,
+    tokenize,
+)
+from .semantics import App, AtomC, Con, IntC, Lam, Term, Var, alpha_key, beta_reduce, compose
 from .stl import And, Atom, F, Formula, G, Interval, Not, Or, canonicalize, extent, format_formula
 
 
@@ -47,7 +57,6 @@ class Candidate:
     score: float
     probability: float
     support_count: int
-    derivation_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,6 @@ class CandidateSet:
     candidates: tuple[Candidate, ...]
     n_derivations: int
     discarded_count: int
-    truncated: bool = False  # n-best cut some derivations before composition
 
     def formulas(self) -> list[str]:
         return [format_formula(c.formula) for c in self.candidates]
@@ -74,7 +82,6 @@ class CandidateSet:
             "sentence": self.sentence,
             "n_derivations": self.n_derivations,
             "n_discarded": self.discarded_count,
-            "truncated": self.truncated,
             "candidates": [
                 {
                     "formula": format_formula(c.formula),
@@ -146,13 +153,35 @@ def _seq_insert(chi: Formula, tail: Formula) -> Formula:
     return And((chi, tail))
 
 
+def _rank(
+    weighted: Sequence[tuple[Formula, float, int]],
+    sentence: str,
+    n_derivations: int,
+    discarded_count: int,
+) -> CandidateSet:
+    """Group (formula, summed exp(score), derivation count) triples by
+    canonical form and normalise the group sums into probabilities."""
+    groups: dict[str, list] = {}
+    for formula, weight, count in weighted:
+        canonical = canonicalize(formula)
+        group = groups.setdefault(format_formula(canonical), [canonical, 0.0, 0])
+        group[1] += weight
+        group[2] += count
+    total = sum(weight for _, weight, _ in groups.values())
+    candidates = [
+        Candidate(formula, weight, weight / total, count)
+        for formula, weight, count in groups.values()
+    ]
+    candidates.sort(key=lambda c: (-c.probability, format_formula(c.formula)))
+    return CandidateSet(sentence, tuple(candidates), n_derivations, discarded_count)
+
+
 def aggregate(
     scored: Sequence[tuple[Formula, float]],
     sentence: str = "",
     n_derivations: Optional[int] = None,
     discarded_count: int = 0,
     derivation_ids: Optional[Sequence[int]] = None,
-    truncated: bool = False,
 ) -> CandidateSet:
     """Group formulas by canonical form and turn scores into probabilities.
 
@@ -160,42 +189,41 @@ def aggregate(
     derivations with equal scores count twice as much as one.  Probabilities
     are the group scores normalised to sum to one.  Candidates are sorted
     by descending probability with the formula rendering as tie-breaker.
+    ``derivation_ids`` is accepted for existing callers and ignored.
     """
     if not scored:
         raise EmptyCandidateSetError("no well-formed candidates to aggregate")
-    ids = list(derivation_ids) if derivation_ids is not None else list(range(len(scored)))
-    if len(ids) != len(scored):
-        raise ValueError("derivation_ids must align with scored formulas")
-
-    groups: dict[str, dict] = {}
-    for (formula, deriv_score), deriv_id in zip(scored, ids):
-        canonical = canonicalize(formula)
-        key = format_formula(canonical)
-        group = groups.setdefault(
-            key, {"formula": canonical, "score": 0.0, "ids": []}
-        )
-        group["score"] += math.exp(deriv_score)
-        group["ids"].append(deriv_id)
-
-    total = sum(g["score"] for g in groups.values())
-    candidates = [
-        Candidate(
-            formula=g["formula"],
-            score=g["score"],
-            probability=g["score"] / total,
-            support_count=len(g["ids"]),
-            derivation_ids=tuple(g["ids"]),
-        )
-        for g in groups.values()
-    ]
-    candidates.sort(key=lambda c: (-c.probability, format_formula(c.formula)))
-    return CandidateSet(
-        sentence=sentence,
-        candidates=tuple(candidates),
-        n_derivations=n_derivations if n_derivations is not None else len(scored),
-        discarded_count=discarded_count,
-        truncated=truncated,
+    return _rank(
+        [(formula, math.exp(deriv_score), 1) for formula, deriv_score in scored],
+        sentence,
+        n_derivations if n_derivations is not None else len(scored),
+        discarded_count,
     )
+
+
+def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
+    """Add ``count`` derivations of summed exp(score) ``weight`` and meaning
+    ``meaning`` to a chart item's merged meanings.
+
+    Meanings that convert to one raw formula are interchangeable in every
+    context, since conversion is compositional, so they share an entry;
+    any other meaning is keyed by its alpha-invariant form.  Keying by the
+    canonical formula would be unsound: sequence insertion reads the
+    unflattened conjunction shape.
+    """
+    formula = None
+    if not isinstance(meaning, Lam):
+        try:
+            formula = to_stl(meaning)
+        except IllFormedMeaningError:
+            pass
+    key = formula if formula is not None else alpha_key(meaning)
+    entry = merged.get(key)
+    if entry is None:
+        merged[key] = [meaning, weight, count, formula]
+    else:
+        entry[1] += weight
+        entry[2] += count
 
 
 @dataclass(frozen=True)
@@ -213,56 +241,64 @@ class DerivationReport:
 def analyze(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> tuple[CandidateSet, list[DerivationReport]]:
-    """Run the full pipeline and keep the per-derivation trace.
+    """The candidate set of :func:`translate`, and a trace of the ``n``
+    best derivations.
 
-    One derivation beyond ``n`` is parsed so that the candidate set can say
-    whether n-best cut any derivations (``truncated``).
+    Each report carries the canonical formula of its derivation, or the
+    reason it was discarded; it belongs to the candidate with that formula.
     """
     lex = lexicon if lexicon is not None else load_default_lexicon()
-    tokens = tokenize(sentence)
-    derivations = parse_nbest(tokens, lex, n + 1)
-    truncated = len(derivations) > n
-    derivations = derivations[:n]
-
     reports: list[DerivationReport] = []
-    scored: list[tuple[Formula, float]] = []
-    ids: list[int] = []
-    discarded = 0
-    for index, derivation in enumerate(derivations):
+    for index, derivation in enumerate(parse_nbest(tokenize(sentence), lex, n)):
         meaning = compose(derivation)
         try:
-            formula = to_stl(meaning)
+            formula, error = canonicalize(to_stl(meaning)), None
         except IllFormedMeaningError as exc:
-            discarded += 1
-            reports.append(
-                DerivationReport(index, derivation.score, derivation.root, meaning, None, str(exc))
-            )
-            continue
-        scored.append((formula, derivation.score))
-        ids.append(index)
+            formula, error = None, str(exc)
         reports.append(
-            DerivationReport(
-                index, derivation.score, derivation.root, meaning, canonicalize(formula), None
-            )
+            DerivationReport(index, derivation.score, derivation.root, meaning, formula, error)
         )
-    if not scored:
-        raise EmptyCandidateSetError(
-            f"all {len(derivations)} derivations were discarded as ill-formed"
-        )
-    candidate_set = aggregate(
-        scored,
-        sentence=sentence,
-        n_derivations=len(derivations),
-        discarded_count=discarded,
-        derivation_ids=ids,
-        truncated=truncated,
-    )
-    return candidate_set, reports
+    return translate(sentence, lex), reports
 
 
 def translate(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> CandidateSet:
-    """Translate a sentence into its ranked candidate set."""
-    candidate_set, _ = analyze(sentence, lexicon, n)
-    return candidate_set
+    """Translate a sentence into its ranked candidate set, over every
+    derivation; ``n`` has no effect and is accepted for existing callers.
+
+    Meanings are composed bottom-up over the packed chart items that lie
+    under a root, merging interchangeable meanings per item (see
+    :func:`_pack`).  Each merged meaning carries the sum of exp(score)
+    over its derivations and their count, so the result equals
+    aggregating every derivation.
+    """
+    lex = lexicon if lexicon is not None else load_default_lexicon()
+    chart = fill_chart(tokenize(sentence), lex)
+    packed: dict[tuple[int, int, Category], dict] = {}
+    for i, j, cat in chart.items_under_roots():
+        merged = packed[(i, j, cat)] = {}
+        for back in chart.cells[(i, j)][cat]:
+            if isinstance(back, LexEntry):
+                _pack(merged, beta_reduce(back.template), math.exp(back.weight), 1)
+                continue
+            rule, k, cat_l, cat_r = back
+            skipped = skipped_verbs(rule, chart.words, i, k)
+            factor = math.exp(lex.rule_weight(rule) - LOCALITY_PENALTY * skipped)
+            for left, weight_l, count_l, _ in packed[(i, k, cat_l)].values():
+                for right, weight_r, count_r, _ in packed[(k, j, cat_r)].values():
+                    meaning = beta_reduce(App(left, right) if rule == "fa" else App(right, left))
+                    _pack(merged, meaning, weight_l * weight_r * factor, count_l * count_r)
+
+    weighted: list[tuple[Formula, float, int]] = []
+    total = discarded = 0
+    for cat in chart.roots:
+        for _, weight, count, formula in packed[(0, len(chart.words), cat)].values():
+            total += count
+            if formula is None:
+                discarded += count
+            else:
+                weighted.append((formula, weight, count))
+    if not weighted:
+        raise EmptyCandidateSetError(f"all {total} derivations were discarded as ill-formed")
+    return _rank(weighted, sentence, total, discarded)

@@ -109,6 +109,20 @@ def free_vars(t: Term) -> set[str]:
     return set()
 
 
+def alpha_key(t: Term, bound: tuple[str, ...] = ()) -> object:
+    """A hashable key that is equal for alpha-equivalent terms: bound
+    variables become de Bruijn indices."""
+    if isinstance(t, Var):
+        return bound[::-1].index(t.name) if t.name in bound else t
+    if isinstance(t, Lam):
+        return ("lam", alpha_key(t.body, bound + (t.var,)))
+    if isinstance(t, App):
+        return ("app", alpha_key(t.fn, bound), alpha_key(t.arg, bound))
+    if isinstance(t, Con):
+        return (t.name, *(alpha_key(a, bound) for a in t.args))
+    return t
+
+
 _fresh_counter = count()
 
 

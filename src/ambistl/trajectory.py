@@ -192,7 +192,6 @@ class RobustnessReport:
 
     sentence: str
     rows: tuple[ReportRow, ...] = field(default_factory=tuple)
-    truncated: bool = False  # carried from the candidate set
 
     def format_table(self) -> str:
         lines = [f"{'rank':>4}  {'prob':>10}  {'robustness':>12}  {'sat':>3}  formula"]
@@ -210,7 +209,6 @@ class RobustnessReport:
     def to_dict(self) -> dict:
         return {
             "sentence": self.sentence,
-            "truncated": self.truncated,
             "candidates": [
                 {
                     "formula": row.formula,
@@ -265,6 +263,4 @@ def evaluate_candidates(
                 satisfied=value > 0,
             )
         )
-    return RobustnessReport(
-        sentence=candidate_set.sentence, rows=tuple(rows), truncated=candidate_set.truncated
-    )
+    return RobustnessReport(sentence=candidate_set.sentence, rows=tuple(rows))

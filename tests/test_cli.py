@@ -67,38 +67,37 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_nbest_flag(capsys):
-    assert main(["translate", "--n-best", "1", "Reach B within 10 seconds."]) == 0
-    assert len(capsys.readouterr().out.strip().splitlines()) == 1
+    # --n-best caps only the derivations explain lists; the totals stay exact
+    assert main(["explain", "--n-best", "1", kstep_sentence(3)]) == 0
+    out = capsys.readouterr().out
+    assert "5 derivation(s), 0 discarded, 3 candidate(s)" in out
+    assert "listing the 1 best of 5 derivations" in out
+    assert out.count("  derivation ") == 1 and out.count("candidate ") == 3
 
 
 def test_nbest_must_be_positive(capsys):
-    assert main(["translate", "--n-best", "0", "Reach B within 10 seconds."]) == 1
+    assert main(["explain", "--n-best", "0", "Reach B within 10 seconds."]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+    for command in ("translate", "corpus"):
+        assert main([command, "--n-best", "5", "Reach B within 10 seconds."]) == 1
 
 
-def test_nbest_truncation_can_discard_every_retained_parse(capsys):
-    # truncation works on parse scores alone; with the typed sentence
-    # categories every retained tree converts, so even n=1 keeps a candidate
-    code = main(["translate", "--n-best", "1",
-                 "Within 10 seconds, reach B or reach C while avoiding A."])
+@pytest.mark.parametrize("k", [6, 7])
+def test_translate_returns_every_reading_of_long_sentences(capsys, k):
+    assert main(["translate", kstep_sentence(k)]) == 0
     captured = capsys.readouterr()
-    assert code == 0
-    assert len(captured.out.strip().splitlines()) == 1
+    assert len(captured.out.strip().splitlines()) == k and captured.err == ""
 
 
-def test_truncation_warns_on_stderr(capsys):
-    assert main(["translate", kstep_sentence(5)]) == 0
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "warning" in err and "--n-best 40" in err
-    assert main(["translate", "--format", "json", kstep_sentence(5)]) == 0
+def test_no_truncation_warning_when_nothing_is_cut(capsys, regions_file, trajectory_file):
+    assert main(["translate", "--format", "json", kstep_sentence(6)]) == 0
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["truncated"] is True
-    assert "warning" in captured.err
-
-
-def test_no_truncation_warning_when_nothing_is_cut(capsys):
-    assert main(["translate", "Within 10 seconds, reach B or reach C while avoiding A."]) == 0
-    assert capsys.readouterr().err == ""
+    assert json.loads(captured.out)["n_derivations"] == 132 and captured.err == ""
+    assert main([
+        "eval", kstep_sentence(5), "--regions", regions_file, "--trajectory", trajectory_file,
+    ]) == 0
+    captured = capsys.readouterr()
+    assert "horizon-exceeded" in captured.out and captured.err == ""
 
 
 def test_custom_lexicon_flag(tmp_path, capsys):
@@ -181,23 +180,6 @@ def test_eval_discriminating_trajectory(capsys, regions_file, trajectory_file):
     assert len(rows) == 2
     flags = [row.split()[3] for row in rows]
     assert sorted(flags) == ["no", "yes"]
-
-
-def test_eval_warns_on_truncation(capsys, regions_file, trajectory_file):
-    assert main([
-        "eval", kstep_sentence(5), "--regions", regions_file, "--trajectory", trajectory_file,
-    ]) == 0
-    captured = capsys.readouterr()
-    assert "horizon-exceeded" in captured.out
-    assert len(captured.err.splitlines()) == 1 and "warning" in captured.err
-
-
-def test_eval_json_says_when_derivations_were_cut(capsys, regions_file, trajectory_file):
-    argv = ["eval", "--format", "json", "--regions", regions_file, "--trajectory", trajectory_file]
-    assert main(argv + [kstep_sentence(6)]) == 0
-    assert json.loads(capsys.readouterr().out)["truncated"] is True
-    assert main(argv + ["Within 10 seconds, reach B or reach C while avoiding A."]) == 0
-    assert json.loads(capsys.readouterr().out)["truncated"] is False
 
 
 def test_eval_short_trajectory_marks_rows(tmp_path, capsys, regions_file):
@@ -288,23 +270,26 @@ def test_explain_no_parse_exits_2(capsys):
 def test_explain_says_when_derivations_were_cut(capsys):
     assert main(["explain", kstep_sentence(6)]) == 0
     out = capsys.readouterr().out
-    assert "40 derivation(s), 0 discarded" in out
-    assert "truncated: --n-best 40 cut further derivations" in out
+    assert "132 derivation(s), 0 discarded, 6 candidate(s)" in out
+    assert "listing the 40 best of 132 derivations" in out
+    assert out.count("  derivation ") == 40
     assert main(["explain", "--n-best", "200", kstep_sentence(6)]) == 0
     out = capsys.readouterr().out
-    assert "132 derivation(s), 0 discarded" in out and "truncated" not in out
+    assert "132 derivation(s), 0 discarded" in out and "listing" not in out
+    assert out.count("  derivation ") == 132
 
 
 def test_corpus_sentences_are_not_reported_as_cut(capsys, corpus, regions_file, trajectory_file):
     for sentence in corpus.values():
         assert main(["explain", sentence]) == 0
-        assert "truncated" not in capsys.readouterr().out
+        assert "listing" not in capsys.readouterr().out
         assert main([
             "eval", "--format", "json", sentence,
             "--regions", regions_file, "--trajectory", trajectory_file,
         ]) == 0
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["truncated"] is False and captured.err == ""
+        assert set(json.loads(captured.out)) == {"sentence", "candidates"}
+        assert captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["translate", "eval", "explain"])

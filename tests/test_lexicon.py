@@ -175,6 +175,24 @@ def test_missing_unit_word_kills_within(lexicon):
     assert any("within" in note and "UNIT" in note for note in notes)
 
 
+@pytest.mark.parametrize(
+    "line, lams, arity",
+    [
+        ("visit | S/NP | 0.0 | lam x. lam i. F(i, x)", 2, 1),
+        ("while | (S\\S)/T | 0.0 | lam q. lam p. lam i. AND(p(i), q(i))", 3, 2),
+        ("visit | T/NP | 0.0 | lam x. F(I(0, 5), x)", 1, 2),
+    ],
+    ids=["formula-verb", "sharing-while-as-guard", "task-without-interval"],
+)
+def test_template_arity_must_fit_category(lexicon, line, lams, arity):
+    notes = validate_lexicon(load_lexicon(format_lexicon(lexicon) + line + "\n"))
+    surface = line.split(" |")[0]
+    assert notes == [
+        f"template of '{surface}' ({line.split(' | ')[1]}) takes {lams} argument(s)"
+        f" but its category takes {arity}"
+    ]
+
+
 def test_missing_rule_weight_noted(lexicon):
     text = "\n".join(
         line for line in format_lexicon(lexicon).splitlines() if not line.startswith("@rule ba")

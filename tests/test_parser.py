@@ -16,6 +16,7 @@ from ambistl.parser import (
     parse_nbest,
     pretty_derivation,
     score,
+    skipped_verbs,
     tokenize,
 )
 
@@ -116,8 +117,10 @@ def test_scores_sorted_descending(lexicon):
 
 def test_stored_score_equals_recomputed(lexicon, corpus):
     for sentence in corpus.values():
-        for derivation in parse_nbest(tokenize(sentence), lexicon):
-            assert score(derivation.root, lexicon) == derivation.score
+        tokens = tokenize(sentence)
+        words = [token.text for token in tokens]
+        for derivation in parse_nbest(tokens, lexicon):
+            assert score(derivation.root, lexicon, words) == derivation.score
 
 
 def test_determinism_across_runs(lexicon, corpus):
@@ -198,17 +201,22 @@ def test_nbest_equals_top_n_of_the_full_sort(lexicon, k, n):
     ]
 
 
-def test_task_verbs_counts_task_verb_leaves(lexicon):
-    stack = [d.root for d in parse_nbest(tokenize(kstep_sentence(4)), lexicon, n=sys.maxsize)]
+def test_skipped_verbs_counts_task_verb_leaves(lexicon):
+    """The skip count read off the tokens at a node's split equals the
+    count read off the leaves of the node's daughters."""
+    tokens = tokenize(kstep_sentence(4))
+    words = [token.text for token in tokens]
+    stack = [d.root for d in parse_nbest(tokens, lexicon, n=sys.maxsize)]
     checked = 0
     while stack:
         node = stack.pop()
-        verbs = sum(1 for leaf in leaves(node) if leaf.entry.surface[0] in TASK_VERBS)
-        assert node.task_verbs == verbs
+        if isinstance(node, Leaf):
+            continue
+        own = _skipped_verbs(node) - _skipped_verbs(node.left) - _skipped_verbs(node.right)
+        assert skipped_verbs(node.rule, words, node.start, node.left.end) == own
         checked += 1
-        if not isinstance(node, Leaf):
-            stack += [node.left, node.right]
-    assert checked > 110
+        stack += [node.left, node.right]
+    assert checked > 300
 
 
 def test_leaf_spans_partition_sentence(lexicon):

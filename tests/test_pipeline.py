@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from ambistl.lexicon import format_lexicon, load_lexicon
-from ambistl.parser import NoParseError
+from ambistl.parser import NoParseError, parse_nbest, tokenize
 from ambistl.pipeline import (
     EmptyCandidateSetError,
     IllFormedMeaningError,
@@ -13,7 +13,7 @@ from ambistl.pipeline import (
     to_stl,
     translate,
 )
-from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, parse_term
+from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, compose, parse_term
 from ambistl.stl import And, Atom, F, G, Interval, Not, Or, canonicalize, format_formula
 
 from conftest import kstep_sentence
@@ -124,7 +124,7 @@ def test_aggregate_exp_sum_normalisation():
         pytest.approx(1 / 3),
     ]
     assert result.candidates[0].support_count == 2
-    assert result.candidates[0].derivation_ids == (0, 1)
+    assert result.candidates[0].score == pytest.approx(2.0)
 
 
 def test_aggregate_single_formula():
@@ -186,17 +186,22 @@ def test_translate_five_way_ambiguity(lexicon):
     assert _canon_set(c.formula for c in result.candidates) == _canon_set(REFERENCE["S12"])
 
 
-def test_translate_counts_discards(lexicon):
-    # the bundled lexicon builds no ill-formed derivation, so a custom entry
-    # whose category hides that its template still takes an interval forces one
+def _with_while(lexicon, category):
+    """The bundled lexicon plus the interval-sharing while as ``category``."""
     sharing = "lam q. lam p. lam i. AND(p(i), q(i))"
-    custom = load_lexicon(format_lexicon(lexicon) + f"while | (S\\S)/T | 0.0 | {sharing}\n")
+    return load_lexicon(format_lexicon(lexicon) + f"while | {category} | 0.0 | {sharing}\n")
+
+
+def test_translate_counts_discards(lexicon):
+    # the bundled lexicon builds no ill-formed derivation here, so a custom entry
+    # whose category hides that its template still takes an interval forces one
+    custom = _with_while(lexicon, "(S\\S)/T")
     result = translate("Reach B within 10 seconds while avoiding A.", custom)
     assert result.n_derivations == result.discarded_count + sum(
         c.support_count for c in result.candidates
     )
     assert result.discarded_count >= 1
-    closed = load_lexicon(format_lexicon(lexicon) + f"while | (S\\S)/S | 0.0 | {sharing}\n")
+    closed = _with_while(lexicon, "(S\\S)/S")
     with pytest.raises(EmptyCandidateSetError, match="all 1 derivations were discarded"):
         translate("Reach B within 10 seconds while reach C within 15 seconds.", closed)
 
@@ -229,49 +234,95 @@ def test_sequence_dedup_many_derivations(lexicon):
 
 
 def test_analyze_reports_align_with_candidates(lexicon):
-    candidate_set, reports = analyze(
-        "Within 10 seconds, reach B or reach C while avoiding A.", lexicon
-    )
-    assert len(reports) == candidate_set.n_derivations
-    discarded = [r for r in reports if r.error is not None]
-    assert len(discarded) == candidate_set.discarded_count
-    reported_ids = {r.index for r in reports if r.error is None}
-    candidate_ids = {i for c in candidate_set.candidates for i in c.derivation_ids}
-    assert candidate_ids == reported_ids
+    sentence = kstep_sentence(3)
+    for n in (1, 2, 40):
+        candidate_set, reports = analyze(sentence, lexicon, n)
+        assert candidate_set == translate(sentence, lexicon)
+        assert len(reports) == min(n, candidate_set.n_derivations)
+        formulas = {c.formula for c in candidate_set.candidates}
+        assert all(r.error is None and r.formula in formulas for r in reports)
+        scores = [r.score for r in reports]
+        assert scores == sorted(scores, reverse=True)
 
 
 def test_to_dict_schema(lexicon):
     result = translate("Reach B within 10 seconds.", lexicon)
     payload = result.to_dict()
-    assert set(payload) == {"sentence", "n_derivations", "n_discarded", "truncated", "candidates"}
-    assert payload["truncated"] is False
+    assert set(payload) == {"sentence", "n_derivations", "n_discarded", "candidates"}
     assert set(payload["candidates"][0]) == {"formula", "score", "probability", "support_count"}
     json.dumps(payload)  # must be serialisable
 
 
-@pytest.mark.parametrize("k", [5, 6])
-def test_truncation_is_flagged_on_long_sentences(lexicon, k):
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_long_sentences_keep_every_reading(lexicon, k):
+    """Every derivation counts, whatever ``n`` says: k-step sentences keep
+    all k readings at the default and at n=1."""
     result = translate(kstep_sentence(k), lexicon)
-    assert result.truncated and result.to_dict()["truncated"] is True
-    assert result.n_derivations == 40
+    assert len(result.candidates) == k
+    assert result.n_derivations == {5: 42, 6: 132, 7: 429}[k]
+    assert sum(c.support_count for c in result.candidates) == result.n_derivations
+    assert translate(kstep_sentence(k), lexicon, n=1) == result
 
 
 def test_corpus_is_never_truncated(lexicon, corpus):
     for sentence in corpus.values():
-        assert not translate(sentence, lexicon).truncated
+        every = parse_nbest(tokenize(sentence), lexicon, n=sys.maxsize)
+        assert translate(sentence, lexicon).n_derivations == len(every)
 
 
-def test_truncated_only_when_derivations_are_cut(lexicon):
-    sentence = "Within 10 seconds, reach B or reach C while avoiding A."
-    total = translate(sentence, lexicon, n=sys.maxsize).n_derivations
-    assert not translate(sentence, lexicon, n=total).truncated
-    cut = translate(sentence, lexicon, n=total - 1)
-    assert cut.truncated and cut.n_derivations == total - 1
+def _enumerated(sentence, lexicon):
+    """Reference for translate: compose, convert and aggregate every
+    derivation one by one."""
+    derivations = parse_nbest(tokenize(sentence), lexicon, n=sys.maxsize)
+    scored = []
+    for derivation in derivations:
+        try:
+            scored.append((to_stl(compose(derivation)), derivation.score))
+        except IllFormedMeaningError:
+            continue
+    return aggregate(scored, sentence, len(derivations), len(derivations) - len(scored))
 
 
-def test_aggregate_is_untruncated_by_default():
-    assert aggregate([(Atom("b"), 0.0)]).truncated is False
-    assert aggregate([(Atom("b"), 0.0)], truncated=True).truncated is True
+MIDDLE_GUARD = (
+    "Reach B within 10 seconds and then reach C within 15 seconds while avoiding A "
+    "and then reach D within 5 seconds."
+)
+FOUR_WAY = "Within 20 seconds, reach B or reach C or reach D or reach A while avoiding A."
+
+
+@pytest.mark.parametrize("custom", [None, "(S\\S)/T", "(S\\S)/S"])
+def test_translate_equals_enumerating_every_derivation(lexicon, corpus, custom):
+    """The packed chart gives what enumerating every derivation gives:
+    formulas, their order, support counts, discards and derivation counts
+    exactly, probabilities within 1e-12."""
+    lex = lexicon if custom is None else _with_while(lexicon, custom)
+    sentences = list(corpus.values()) + [MIDDLE_GUARD, FOUR_WAY]
+    sentences += [kstep_sentence(k) for k in range(2, 7 if custom is None else 5)]
+    sentences += ["Reach B within 10 seconds while reach C within 15 seconds."]
+    compared = discards = 0
+    for sentence in sentences:
+        try:
+            want = _enumerated(sentence, lex)
+        except (NoParseError, EmptyCandidateSetError) as exc:
+            with pytest.raises(type(exc)):
+                translate(sentence, lex)
+            discards += isinstance(exc, EmptyCandidateSetError)
+            continue
+        discards += want.discarded_count
+        got = translate(sentence, lex)
+        assert got.formulas() == want.formulas(), sentence
+        assert [c.support_count for c in got.candidates] == [
+            c.support_count for c in want.candidates
+        ]
+        assert (got.n_derivations, got.discarded_count) == (
+            want.n_derivations,
+            want.discarded_count,
+        )
+        for cand, ref in zip(got.candidates, want.candidates):
+            assert abs(cand.probability - ref.probability) <= 1e-12
+        compared += 1
+    assert compared >= len(sentences) - 2
+    assert discards > 0  # the discard path is exercised
 
 
 def test_translate_deterministic_output(lexicon, corpus):

@@ -17,7 +17,7 @@ from ambistl.trajectory import (
     load_trajectory,
 )
 
-from conftest import kstep_sentence, random_formula, random_trajectory
+from conftest import random_formula, random_trajectory
 from oracle import brute_force_robustness
 from reference_formulas import S8_GLOBAL, S8_LOCAL
 
@@ -250,15 +250,7 @@ def test_report_table_and_dict(lexicon, demo_regions, through_a_trajectory):
     assert "formula" in table and "F[0,10] phi_b" in table
     payload = report.to_dict()
     assert payload["candidates"][0]["satisfied"] is True
-    assert set(payload) == {"sentence", "truncated", "candidates"}
-    assert payload["truncated"] is False
+    assert set(payload) == {"sentence", "candidates"}
     assert set(payload["candidates"][0]) == {
         "formula", "probability", "robustness", "satisfied", "error"
     }
-
-
-def test_report_carries_truncation(lexicon, demo_regions, through_a_trajectory):
-    cut = translate(kstep_sentence(6), lexicon)
-    assert cut.truncated
-    report = evaluate_candidates(cut, through_a_trajectory, demo_regions)
-    assert report.truncated and report.to_dict()["truncated"] is True
