@@ -37,6 +37,13 @@ class FormulaSyntaxError(StlError):
     """The canonical text rendering could not be parsed back."""
 
 
+class FormulaDepthError(StlError):
+    """A formula is nested deeper than the interpreter's recursion limit."""
+
+
+_TOO_DEEP = "formula nested deeper than the recursion limit"
+
+
 @dataclass(frozen=True)
 class Interval:
     """Discrete time interval [lo, hi] in steps, 0 <= lo <= hi."""
@@ -133,7 +140,10 @@ def atoms_of(formula: Formula) -> set[str]:
             walk(f.left)
             walk(f.right)
 
-    walk(formula)
+    try:
+        walk(formula)
+    except RecursionError:
+        raise FormulaDepthError(_TOO_DEEP) from None
     return found
 
 
@@ -144,26 +154,29 @@ def format_formula(formula: Formula) -> str:
     | F[a,b] f | G[a,b] f | U[a,b](f, f)``.  Conjunctions and disjunctions
     are always parenthesised, so every subterm is self-delimiting.
     """
-    if isinstance(formula, TrueF):
-        return "true"
-    if isinstance(formula, Atom):
-        return f"phi_{formula.name}"
-    if isinstance(formula, Not):
-        return "!" + format_formula(formula.child)
-    if isinstance(formula, And):
-        return "(" + " & ".join(format_formula(c) for c in formula.children) + ")"
-    if isinstance(formula, Or):
-        return "(" + " | ".join(format_formula(c) for c in formula.children) + ")"
-    if isinstance(formula, (F, G)):
-        op = "F" if isinstance(formula, F) else "G"
-        body = format_formula(formula.child)
-        sep = "" if body.startswith("(") else " "
-        return f"{op}{formula.interval}{sep}{body}"
-    if isinstance(formula, Until):
-        left = format_formula(formula.left)
-        right = format_formula(formula.right)
-        return f"U{formula.interval}({left}, {right})"
-    raise TypeError(f"not a formula node: {formula!r}")
+    try:
+        if isinstance(formula, TrueF):
+            return "true"
+        if isinstance(formula, Atom):
+            return f"phi_{formula.name}"
+        if isinstance(formula, Not):
+            return "!" + format_formula(formula.child)
+        if isinstance(formula, And):
+            return "(" + " & ".join(format_formula(c) for c in formula.children) + ")"
+        if isinstance(formula, Or):
+            return "(" + " | ".join(format_formula(c) for c in formula.children) + ")"
+        if isinstance(formula, (F, G)):
+            op = "F" if isinstance(formula, F) else "G"
+            body = format_formula(formula.child)
+            sep = "" if body.startswith("(") else " "
+            return f"{op}{formula.interval}{sep}{body}"
+        if isinstance(formula, Until):
+            left = format_formula(formula.left)
+            right = format_formula(formula.right)
+            return f"U{formula.interval}({left}, {right})"
+        raise TypeError(f"not a formula node: {formula!r}")
+    except RecursionError:
+        raise FormulaDepthError(_TOO_DEEP) from None
 
 
 def canonicalize(formula: Formula) -> Formula:
@@ -176,47 +189,53 @@ def canonicalize(formula: Formula) -> Formula:
     temporal operator, so e.g. an F over a disjunction is left as is.
     Idempotent.
     """
-    if isinstance(formula, Not):
-        child = canonicalize(formula.child)
-        if isinstance(child, Not):
-            return child.child
-        return Not(child)
-    if isinstance(formula, (And, Or)):
-        same = type(formula)
-        flat: list[Formula] = []
-        for item in formula.children:
-            c = canonicalize(item)
-            if isinstance(c, same):
-                flat.extend(c.children)
-            else:
-                flat.append(c)
-        seen: dict[str, Formula] = {}
-        for c in flat:
-            seen.setdefault(format_formula(c), c)
-        ordered = [seen[k] for k in sorted(seen)]
-        if len(ordered) == 1:
-            return ordered[0]
-        return same(tuple(ordered))
-    if isinstance(formula, (F, G)):
-        return type(formula)(formula.interval, canonicalize(formula.child))
-    if isinstance(formula, Until):
-        return Until(formula.interval, canonicalize(formula.left), canonicalize(formula.right))
-    return formula
+    try:
+        if isinstance(formula, Not):
+            child = canonicalize(formula.child)
+            if isinstance(child, Not):
+                return child.child
+            return Not(child)
+        if isinstance(formula, (And, Or)):
+            same = type(formula)
+            flat: list[Formula] = []
+            for item in formula.children:
+                c = canonicalize(item)
+                if isinstance(c, same):
+                    flat.extend(c.children)
+                else:
+                    flat.append(c)
+            seen: dict[str, Formula] = {}
+            for c in flat:
+                seen.setdefault(format_formula(c), c)
+            ordered = [seen[k] for k in sorted(seen)]
+            if len(ordered) == 1:
+                return ordered[0]
+            return same(tuple(ordered))
+        if isinstance(formula, (F, G)):
+            return type(formula)(formula.interval, canonicalize(formula.child))
+        if isinstance(formula, Until):
+            return Until(formula.interval, canonicalize(formula.left), canonicalize(formula.right))
+        return formula
+    except RecursionError:
+        raise FormulaDepthError(_TOO_DEEP) from None
 
 
 def extent(formula: Formula) -> int:
     """Temporal horizon: the farthest step the formula can look ahead."""
-    if isinstance(formula, (TrueF, Atom)):
-        return 0
-    if isinstance(formula, Not):
-        return extent(formula.child)
-    if isinstance(formula, (And, Or)):
-        return max(extent(c) for c in formula.children)
-    if isinstance(formula, (F, G)):
-        return formula.interval.hi + extent(formula.child)
-    if isinstance(formula, Until):
-        return formula.interval.hi + max(extent(formula.left), extent(formula.right))
-    raise TypeError(f"not a formula node: {formula!r}")
+    try:
+        if isinstance(formula, (TrueF, Atom)):
+            return 0
+        if isinstance(formula, Not):
+            return extent(formula.child)
+        if isinstance(formula, (And, Or)):
+            return max(extent(c) for c in formula.children)
+        if isinstance(formula, (F, G)):
+            return formula.interval.hi + extent(formula.child)
+        if isinstance(formula, Until):
+            return formula.interval.hi + max(extent(formula.left), extent(formula.right))
+        raise TypeError(f"not a formula node: {formula!r}")
+    except RecursionError:
+        raise FormulaDepthError(_TOO_DEEP) from None
 
 
 def robustness(formula: Formula, x: "Trajectory", regions: "RegionMap", t: int = 0) -> float:
@@ -228,11 +247,33 @@ def robustness(formula: Formula, x: "Trajectory", regions: "RegionMap", t: int =
     of the trajectory; U combines both.  A window whose intersection with
     the trajectory is empty raises :class:`EmptyWindowError`, signalling
     that the trajectory is too short to judge the formula at all.
+
+    An atom's margins up to step ``t + extent(formula)`` are computed in
+    one numpy pass on its first visit and dropped on return, so the first
+    error in evaluation order is raised, :class:`UnknownAtomError` included.
     """
     horizon = len(x) - 1
     if t < 0 or t > horizon:
         raise EmptyWindowError(f"time index {t} outside trajectory [0,{horizon}]")
-    return _rob(formula, x, regions, t, horizon)
+    signals = _MarginSignals(x.states[: min(t + extent(formula), horizon) + 1], regions)
+    try:
+        return _rob(formula, signals, t, horizon)
+    except RecursionError:
+        raise FormulaDepthError(_TOO_DEEP) from None
+
+
+class _MarginSignals(dict):
+    """Atom name -> margin at each step of ``states``, filled on first lookup."""
+
+    def __init__(self, states, regions: "RegionMap") -> None:
+        super().__init__()
+        self.states, self.regions = states, regions
+
+    def __missing__(self, name: str) -> list[float]:
+        if name not in self.regions:
+            raise UnknownAtomError(f"atom '{name}' has no region")
+        signal = self[name] = self.regions.boxes[name].margins(self.states).tolist()
+        return signal
 
 
 def _window(t: int, interval: Interval, horizon: int) -> range:
@@ -245,29 +286,26 @@ def _window(t: int, interval: Interval, horizon: int) -> range:
     return range(lo, hi + 1)
 
 
-def _rob(f: Formula, x: "Trajectory", regions: "RegionMap", t: int, horizon: int) -> float:
+def _rob(f: Formula, signals: _MarginSignals, t: int, horizon: int) -> float:
     if isinstance(f, TrueF):
         return math.inf
     if isinstance(f, Atom):
-        try:
-            return float(regions.margin(f.name, x.point(t)))
-        except KeyError:
-            raise UnknownAtomError(f"atom '{f.name}' has no region") from None
+        return signals[f.name][t]
     if isinstance(f, Not):
-        return -_rob(f.child, x, regions, t, horizon)
+        return -_rob(f.child, signals, t, horizon)
     if isinstance(f, And):
-        return min(_rob(c, x, regions, t, horizon) for c in f.children)
+        return min(_rob(c, signals, t, horizon) for c in f.children)
     if isinstance(f, Or):
-        return max(_rob(c, x, regions, t, horizon) for c in f.children)
+        return max(_rob(c, signals, t, horizon) for c in f.children)
     if isinstance(f, F):
-        return max(_rob(f.child, x, regions, t1, horizon) for t1 in _window(t, f.interval, horizon))
+        return max(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
     if isinstance(f, G):
-        return min(_rob(f.child, x, regions, t1, horizon) for t1 in _window(t, f.interval, horizon))
+        return min(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
     if isinstance(f, Until):
         best = -math.inf
         for t1 in _window(t, f.interval, horizon):
-            hold = min(_rob(f.left, x, regions, t2, horizon) for t2 in range(t, t1 + 1))
-            best = max(best, min(_rob(f.right, x, regions, t1, horizon), hold))
+            hold = min(_rob(f.left, signals, t2, horizon) for t2 in range(t, t1 + 1))
+            best = max(best, min(_rob(f.right, signals, t1, horizon), hold))
         return best
     raise TypeError(f"not a formula node: {f!r}")
 

@@ -43,10 +43,17 @@ class Box:
                 f"degenerate box [{self.xmin},{self.xmax}]x[{self.ymin},{self.ymax}]"
             )
 
+    def margins(self, points: np.ndarray) -> np.ndarray:
+        """Signed distance of each row of an (N, 2) array to the nearest face."""
+        px, py = points[:, 0], points[:, 1]
+        # np.minimum keeps its second argument on a tie, so passing the faces
+        # in reverse keeps the first of two equal zeros, as the builtin min does.
+        m = np.minimum(self.xmax - px, px - self.xmin)
+        return np.minimum(self.ymax - py, np.minimum(py - self.ymin, m))
+
     def margin(self, point) -> float:
         """Signed distance to the nearest face; positive strictly inside."""
-        px, py = float(point[0]), float(point[1])
-        return min(px - self.xmin, self.xmax - px, py - self.ymin, self.ymax - py)
+        return float(self.margins(np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,6 @@ class RegionMap:
     """Mapping from atom names to their grounding boxes."""
 
     boxes: dict[str, Box]
-
-    def margin(self, name: str, point) -> float:
-        return self.boxes[name].margin(point)
 
     def names(self) -> set[str]:
         return set(self.boxes)
@@ -86,9 +90,6 @@ class Trajectory:
     def horizon(self) -> int:
         """Last valid time index T."""
         return len(self) - 1
-
-    def point(self, t: int) -> np.ndarray:
-        return self.states[t]
 
 
 def _lines(source: TextSource) -> Iterable[str]:
@@ -136,12 +137,14 @@ def load_trajectory(source: TextSource) -> Trajectory:
 
     Raises :class:`TrajectoryFileError` on a missing or wrong header, a gap
     or non-integer time column, a non-finite coordinate, or an empty file.
+    The error names the first faulty row: a body that fails the check and
+    conversion of whole columns is read again row by row to find it.
     """
     if isinstance(source, str):
         rows = list(csv.reader(source.splitlines()))
     else:
         rows = list(csv.reader(source))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    rows = [row for row in rows if "".join(row).strip()]
     if not rows:
         raise TrajectoryFileError("empty trajectory file")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -150,6 +153,22 @@ def load_trajectory(source: TextSource) -> Trajectory:
     body = rows[1:]
     if not body:
         raise TrajectoryFileError("trajectory has a header but no states")
+    try:
+        ts, xs, ys = zip(*body)
+        if set(map(len, body)) != {3} or list(map(int, ts)) != list(range(len(body))):
+            raise ValueError("not 3 columns with t = 0, 1, 2, ...")
+        states = np.column_stack((list(map(float, xs)), list(map(float, ys))))
+    except ValueError:
+        states = np.array(_points_row_by_row(body))
+    try:
+        return Trajectory(states)
+    except ValueError:
+        first_bad = int(np.argmin(np.isfinite(states).all(axis=1)))
+        raise TrajectoryFileError(f"row {first_bad + 2}: non-finite coordinate") from None
+
+
+def _points_row_by_row(body: list[list[str]]) -> list[tuple[float, float]]:
+    """The body's points, or the error of its first faulty row (file row 2 on)."""
     points = []
     for expected_t, row in enumerate(body):
         if len(row) != 3:
@@ -167,12 +186,7 @@ def load_trajectory(source: TextSource) -> Trajectory:
             points.append((float(row[1]), float(row[2])))
         except ValueError:
             raise TrajectoryFileError(f"row {expected_t + 2}: non-numeric coordinate") from None
-    states = np.array(points)
-    try:
-        return Trajectory(states)
-    except ValueError:
-        first_bad = int(np.argmin(np.isfinite(states).all(axis=1)))
-        raise TrajectoryFileError(f"row {first_bad + 2}: non-finite coordinate") from None
+    return points
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ambistl.stl import (
     Atom,
     EmptyWindowError,
     F,
+    FormulaDepthError,
     FormulaSyntaxError,
     G,
     Interval,
@@ -263,6 +265,37 @@ def test_unknown_atom_error():
         robustness(Atom("ghost"), x, UNIT_REGIONS, 0)
 
 
+def test_first_error_in_evaluation_order_wins():
+    """An ungrounded atom and an empty window in one formula: whichever
+    the evaluation reaches first is raised."""
+    x = margins_trajectory([1.0] * 11)
+    window_first = parse_formula("(F[50,60] phi_m & phi_zz)")
+    with pytest.raises(EmptyWindowError, match=r"\[50,60\] has no overlap with \[0,10\]"):
+        robustness(window_first, x, UNIT_REGIONS, 0)
+    atom_first = parse_formula("(phi_zz & F[50,60] phi_m)")
+    with pytest.raises(UnknownAtomError, match="atom 'zz' has no region"):
+        robustness(atom_first, x, UNIT_REGIONS, 0)
+
+
+def test_over_deep_formula_is_a_typed_error():
+    deep = M
+    for _ in range(10_000):
+        deep = Not(deep)
+    x = Trajectory(np.array([(1.0, 5.0)]))
+    walks = [canonicalize, format_formula, str, extent, atoms_of,
+             lambda f: robustness(f, x, UNIT_REGIONS, 0)]
+    for walk in walks:
+        with pytest.raises(FormulaDepthError, match="recursion limit"):
+            walk(deep)
+    # The evaluator nests more frames per operator than extent does.
+    chain = M
+    for _ in range(sys.getrecursionlimit() // 2):
+        chain = G(Interval(0, 0), chain)
+    assert extent(chain) == 0
+    with pytest.raises(FormulaDepthError, match="recursion limit"):
+        robustness(chain, x, UNIT_REGIONS, 0)
+
+
 def test_true_is_top_element():
     x = margins_trajectory([1.0])
     assert robustness(TrueF(), x, UNIT_REGIONS, 0) == math.inf
@@ -306,13 +339,35 @@ def _close(u, v, tol=1e-12):
     return abs(u - v) <= tol
 
 
+def _agrees_with_oracle(f, x, t) -> str:
+    """Check robustness at ``t`` against the oracle; say which case it was.
+
+    Where a window is empty both evaluators must refuse: the library with
+    :class:`EmptyWindowError`, the oracle with ``ValueError``.
+    """
+    points = [tuple(p) for p in x.states.tolist()]
+    try:
+        expected = brute_force_robustness(f, points, DEMO_BOXES, t)
+    except ValueError:
+        with pytest.raises(EmptyWindowError):
+            robustness(f, x, DEMO_REGIONS, t)
+        return "empty"
+    assert _close(robustness(f, x, DEMO_REGIONS, t), expected)
+    return "clipped" if t + extent(f) > x.horizon else "inside"
+
+
 def test_recursive_evaluator_matches_oracle_sample():
+    """Every start time of each trajectory: windows inside it at t = 0 and
+    later, windows clipped at its end, and windows wholly past it."""
+    cases = {"inside": 0, "clipped": 0, "empty": 0}
+    late_t = late_lo = 0
     for f, x in _random_pairs(seed=7, count=50):
-        points = [tuple(p) for p in x.states]
-        assert _close(
-            robustness(f, x, DEMO_REGIONS, 0),
-            brute_force_robustness(f, points, DEMO_BOXES, 0),
-        )
+        for t in range(len(x)):
+            case = _agrees_with_oracle(f, x, t)
+            cases[case] += 1
+            late_t += case == "inside" and t > 0 and t + extent(f) < x.horizon
+        late_lo += "[1," in str(f) or "[2," in str(f)
+    assert min(cases.values()) > 10 and late_t > 100 and late_lo > 20, (cases, late_t, late_lo)
 
 
 def test_always_eventually_duality_sample():
@@ -331,16 +386,14 @@ def test_eventually_as_until_sample():
         assert _close(lhs, rhs)
 
 
-@settings(max_examples=60)
-@given(formulas, st.integers(0, 5))
-def test_oracle_agreement_property(f, t):
+@settings(max_examples=100)
+@given(formulas, st.integers(0, 5), st.integers(-6, 4))
+def test_oracle_agreement_property(f, t, spare):
+    """The trajectory ends ``spare`` steps after the formula's reach
+    ``t + extent(f)``, or before it when ``spare`` is negative."""
     import random
 
     rng = random.Random(t * 1000 + 17)
-    needed = t + extent(f)
-    points = [(rng.uniform(-1, 9), rng.uniform(-1, 9)) for _ in range(needed + 1)]
-    x = Trajectory(np.array(points))
-    assert _close(
-        robustness(f, x, DEMO_REGIONS, t),
-        brute_force_robustness(f, points, DEMO_BOXES, t),
-    )
+    length = max(t + 1, t + extent(f) + 1 + spare)
+    points = [(rng.uniform(-1, 9), rng.uniform(-1, 9)) for _ in range(length)]
+    _agrees_with_oracle(f, Trajectory(np.array(points)), t)

@@ -18,6 +18,7 @@ from ambistl.trajectory import (
 )
 
 from conftest import random_formula, random_trajectory
+from loader_oracle import reference_load_trajectory
 from oracle import brute_force_robustness
 from reference_formulas import S8_GLOBAL, S8_LOCAL
 
@@ -37,6 +38,20 @@ def test_margin_outside():
 
 def test_margin_on_boundary():
     assert UNIT_BOX.margin((1.0, 0.5)) == 0.0
+
+
+def test_margins_equal_the_builtin_min_over_faces():
+    """Box.margins and Box.margin equal min() over the four face distances
+    in the order left, right, bottom, top, down to the sign of a zero where
+    two faces meet."""
+    box = Box(0.0, -1.0, 2.0, 0.0)
+    coords = [-0.0, 0.0, 0.5, 1.0, 2.0, -1.0, 3.0]
+    points = [(px, py) for px in coords for py in coords]
+    expected = [
+        repr(min(px - box.xmin, box.xmax - px, py - box.ymin, box.ymax - py)) for px, py in points
+    ]
+    assert [repr(m) for m in box.margins(np.array(points)).tolist()] == expected
+    assert [repr(box.margin(p)) for p in points] == expected
 
 
 def test_degenerate_box_rejected():
@@ -82,7 +97,7 @@ def test_load_trajectory_happy_path():
     x = load_trajectory("t,x,y\n0,0,0\n1,1,1\n")
     assert len(x) == 2
     assert x.horizon == 1
-    assert tuple(x.point(1)) == (1.0, 1.0)
+    assert tuple(x.states[1]) == (1.0, 1.0)
 
 
 def test_load_trajectory_gap():
@@ -105,6 +120,56 @@ def test_load_trajectory_empty_and_bad_header():
         load_trajectory("")
     with pytest.raises(TrajectoryFileError, match="header"):
         load_trajectory("time,x,y\n0,0,0\n")
+
+
+LOADER_CASES = {
+    "plain": "t,x,y\n0,0,0\n1,1.5,-2\n2,3e2,4\n",
+    "quoted fields": '"t","x","y"\n"0","1.5"," 2"\n1,"3",4\n',
+    "quoted comma": 't,x,y\n0,0,0\n1,"3,5",4\n',
+    "whitespace-only and comma-only rows": "t,x,y\n0,0,0\n   \n,,\n , ,\t\n1,1,1\n,\n",
+    "signed and padded t": "t,x,y\n 0,0,0\n+1,1,1\n 2 ,2,2\n",
+    "padded t out of order": "t,x,y\n0,0,0\n 7,1,1\n",
+    "t with other whitespace": "t,x,y\n\x1f0\xa0,0,0\n1,1,1\n",
+    "crlf": "t,x,y\r\n0,1,2\r\n1,3,4\r\n",
+    "four columns": "t,x,y\n0,0,0\n1,1,1,1\n",
+    "two columns only": "t,x,y\n0,0\n1,1\n",
+    "non-numeric then gap": "t,x,y\n0,0,0\n1,abc,3\n3,1,1\n",
+    "gap then non-numeric": "t,x,y\n0,0,0\n2,1,1\n2,abc,3\n",
+    "non-integer t then four columns": "t,x,y\n0,0,0\n1.0,1,1\n2,1,1,1\n",
+    "nan then non-numeric": "t,x,y\n0,nan,0\n1,x,0\n",
+    "nan": "t,x,y\n0,0,0\n1,nan,0\n",
+    "inf": "t,x,y\n0,0,inf\n1,0,0\n",
+    "-inf and NaN": "t,x,y\n0,0,0\n1,0,0\n2,-Infinity,NaN\n",
+    "header only": "t,x,y\n",
+    "bad header": "time,x,y\n0,0,0\n",
+    "empty": "\n \n",
+}
+
+
+def _load_outcome(loader, source):
+    try:
+        return loader(source).states
+    except TrajectoryFileError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CASES))
+def test_load_trajectory_matches_row_loop_reference(name, tmp_path):
+    """Equal arrays or the identical error text, from a str, a text stream
+    and a file opened as the CLI opens it."""
+    text = LOADER_CASES[name]
+    path = tmp_path / "trajectory.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    outcomes = []
+    for loader in (load_trajectory, reference_load_trajectory):
+        with open(path, encoding="utf-8", newline="") as handle:
+            outcomes.append([_load_outcome(loader, src) for src in (text, io.StringIO(text), handle)])
+    for got, want in zip(*outcomes):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+            assert got.dtype == want.dtype and got.shape == want.shape
 
 
 def test_trajectory_validation():
