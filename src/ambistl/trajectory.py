@@ -9,8 +9,11 @@ atom holds at a state exactly when its margin is positive.
 from __future__ import annotations
 
 import csv
+import io
+import math
+import warnings
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -38,6 +41,8 @@ class Box:
     ymax: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.xmin, self.ymin, self.xmax, self.ymax))):
+            raise ValueError("non-finite coordinate")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError(
                 f"degenerate box [{self.xmin},{self.xmax}]x[{self.ymin},{self.ymax}]"
@@ -92,18 +97,18 @@ class Trajectory:
         return len(self) - 1
 
 
-def _lines(source: TextSource) -> Iterable[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return source.read().splitlines()
+def _lines(source: TextSource) -> io.StringIO:
+    """The source's lines, broken at ``\\n``, ``\\r`` and ``\\r\\n`` only, as in a
+    file opened with ``newline=""``."""
+    return io.StringIO(source if isinstance(source, str) else source.read(), newline="")
 
 
 def load_regions(source: TextSource) -> RegionMap:
     """Read a regions file: one ``name: xmin ymin xmax ymax`` per line.
 
     Blank lines and ``#`` comments are ignored.  Raises
-    :class:`RegionFileError` on malformed lines, degenerate boxes or
-    duplicate names.
+    :class:`RegionFileError` on malformed lines, non-finite or degenerate
+    boxes, or duplicate names.
     """
     boxes: dict[str, Box] = {}
     for lineno, raw in enumerate(_lines(source), start=1):
@@ -136,15 +141,61 @@ def load_trajectory(source: TextSource) -> Trajectory:
     """Read a trajectory CSV with header ``t,x,y`` and t = 0, 1, 2, ...
 
     Raises :class:`TrajectoryFileError` on a missing or wrong header, a gap
-    or non-integer time column, a non-finite coordinate, or an empty file.
-    The error names the first faulty row: a body that fails the check and
-    conversion of whole columns is read again row by row to find it.
+    or non-integer time column, a non-finite coordinate, or an empty file,
+    naming the first faulty row.
+
+    Text whose first line is exactly ``t,x,y`` and whose body holds only
+    ASCII digits, ``.``, ``,``, ``+``, ``-``, ``e``, ``E`` and ``\\n`` is read by
+    numpy's C parser in one call; on that alphabet numpy reads a cell as
+    ``int()`` and ``float()`` do.  All other text, and any the C parser
+    refuses, goes through the CSV row loop, which returns the same array and
+    is the source of every error text.  Every source is read whole and broken
+    into lines as a file opened with ``newline=""`` is.
     """
-    if isinstance(source, str):
-        rows = list(csv.reader(source.splitlines()))
-    else:
-        rows = list(csv.reader(source))
-    rows = [row for row in rows if "".join(row).strip()]
+    text = source if isinstance(source, str) else source.read()
+    states = _canonical_states(text)
+    if states is None:
+        states = _states_row_by_row(text)
+    try:
+        return Trajectory(states)
+    except ValueError:
+        first_bad = int(np.argmin(np.isfinite(states).all(axis=1)))
+        raise TrajectoryFileError(f"row {first_bad + 2}: non-finite coordinate") from None
+
+
+_CANONICAL_HEADER = "t,x,y\n"
+_CANONICAL_BODY_BYTES = b"0123456789.,+-eE\n"
+_CANONICAL_ROW = np.dtype([("t", np.int64), ("x", np.float64), ("y", np.float64)])
+
+
+def _canonical_states(text: str) -> np.ndarray | None:
+    """The states of canonical text with t = 0, 1, 2, ..., else None."""
+    body = text[len(_CANONICAL_HEADER):]
+    if not (
+        text.startswith(_CANONICAL_HEADER)
+        and body.isascii()
+        and not body.encode().translate(None, _CANONICAL_BODY_BYTES)
+    ):
+        return None
+    try:
+        # As errors, numpy < 2's warning on parsing "1.0" as int 1 and the
+        # warning on an empty body both send the text to the row loop.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                io.StringIO(body), dtype=_CANONICAL_ROW, delimiter=",",
+                comments=None, quotechar=None, ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    if not np.array_equal(rows["t"], np.arange(len(rows))):
+        return None
+    return np.column_stack((rows["x"], rows["y"]))
+
+
+def _states_row_by_row(text: str) -> np.ndarray:
+    """The states of any CSV text, or the error of its first faulty row."""
+    rows = [row for row in csv.reader(_lines(text)) if "".join(row).strip()]
     if not rows:
         raise TrajectoryFileError("empty trajectory file")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -153,22 +204,6 @@ def load_trajectory(source: TextSource) -> Trajectory:
     body = rows[1:]
     if not body:
         raise TrajectoryFileError("trajectory has a header but no states")
-    try:
-        ts, xs, ys = zip(*body)
-        if set(map(len, body)) != {3} or list(map(int, ts)) != list(range(len(body))):
-            raise ValueError("not 3 columns with t = 0, 1, 2, ...")
-        states = np.column_stack((list(map(float, xs)), list(map(float, ys))))
-    except ValueError:
-        states = np.array(_points_row_by_row(body))
-    try:
-        return Trajectory(states)
-    except ValueError:
-        first_bad = int(np.argmin(np.isfinite(states).all(axis=1)))
-        raise TrajectoryFileError(f"row {first_bad + 2}: non-finite coordinate") from None
-
-
-def _points_row_by_row(body: list[list[str]]) -> list[tuple[float, float]]:
-    """The body's points, or the error of its first faulty row (file row 2 on)."""
     points = []
     for expected_t, row in enumerate(body):
         if len(row) != 3:
@@ -186,7 +221,7 @@ def _points_row_by_row(body: list[list[str]]) -> list[tuple[float, float]]:
             points.append((float(row[1]), float(row[2])))
         except ValueError:
             raise TrajectoryFileError(f"row {expected_t + 2}: non-numeric coordinate") from None
-    return points
+    return np.array(points)
 
 
 @dataclass(frozen=True)

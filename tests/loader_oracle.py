@@ -1,14 +1,16 @@
 """Reference trajectory loader: one row at a time, every check per row.
 
 This is the loader as it was before :func:`ambistl.trajectory.load_trajectory`
-learned to validate and convert whole columns at once.  Tests require the
+learned to read canonical text with numpy's C parser.  Tests require the
 library loader to return an equal array, or to raise the same
-:class:`TrajectoryFileError` text, on every input.
+:class:`TrajectoryFileError` text, on every input.  Every source is read
+whole and broken into lines as a file opened with ``newline=""`` is.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
@@ -17,10 +19,8 @@ from ambistl.trajectory import TextSource, Trajectory, TrajectoryFileError
 
 def reference_load_trajectory(source: TextSource) -> Trajectory:
     """Read a trajectory CSV with header ``t,x,y`` and t = 0, 1, 2, ..."""
-    if isinstance(source, str):
-        rows = list(csv.reader(source.splitlines()))
-    else:
-        rows = list(csv.reader(source))
+    text = source if isinstance(source, str) else source.read()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise TrajectoryFileError("empty trajectory file")

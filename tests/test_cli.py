@@ -223,6 +223,17 @@ def test_eval_malformed_regions_exit_3(tmp_path, capsys, trajectory_file):
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_eval_non_finite_regions_exit_3(tmp_path, capsys, trajectory_file, bad):
+    path = tmp_path / "regions.txt"
+    path.write_text(f"b: 6 0 8 2\nc: 0 6 {bad} 8\n")
+    assert main([
+        "eval", "Reach B within 10 seconds.",
+        "--regions", str(path), "--trajectory", trajectory_file,
+    ]) == 3
+    assert "line 2: non-finite coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("t", [0, 1])
 def test_eval_non_finite_trajectory_exit_3(tmp_path, capsys, regions_file, t, bad):
     rows = THROUGH_A_CSV.splitlines()

@@ -1,9 +1,15 @@
 import io
 import random
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambistl import trajectory as trajectory_module
 from ambistl.pipeline import aggregate, translate
 from ambistl.stl import UnknownAtomError, extent, robustness
 from ambistl.trajectory import (
@@ -91,6 +97,20 @@ def test_load_regions_from_stream():
     assert regions.names() == {"a"}
 
 
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e999"])
+def test_load_regions_rejects_non_finite_bounds(bad):
+    with pytest.raises(RegionFileError, match="^line 2: non-finite coordinate$"):
+        load_regions(f"a: 0 0 1 1\nb: 0 0 {bad} 1\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        Box(0.0, float(bad), 1.0, 1.0)
+
+
+def test_load_regions_breaks_lines_as_a_file_does():
+    """A form feed inside a line is whitespace, not a line break."""
+    for source in ("a: 0 0 1\x0c 1\nb: 2 2 3 3\n", io.StringIO("a: 0 0 1\x0c 1\rb: 2 2 3 3")):
+        assert load_regions(source).boxes == {"a": Box(0, 0, 1, 1), "b": Box(2, 2, 3, 3)}
+
+
 # --- trajectory file ---------------------------------------------------------------
 
 def test_load_trajectory_happy_path():
@@ -122,6 +142,15 @@ def test_load_trajectory_empty_and_bad_header():
         load_trajectory("time,x,y\n0,0,0\n")
 
 
+def test_str_source_breaks_lines_as_a_file_does(tmp_path):
+    text = "t,x,y\n0,0\x0c,0\n1,1,1\n"
+    path = tmp_path / "trajectory.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8", newline="") as handle:
+        from_file = load_trajectory(handle).states
+    assert load_trajectory(text).states.tolist() == from_file.tolist() == [[0, 0], [1, 1]]
+
+
 LOADER_CASES = {
     "plain": "t,x,y\n0,0,0\n1,1.5,-2\n2,3e2,4\n",
     "quoted fields": '"t","x","y"\n"0","1.5"," 2"\n1,"3",4\n',
@@ -131,6 +160,32 @@ LOADER_CASES = {
     "padded t out of order": "t,x,y\n0,0,0\n 7,1,1\n",
     "t with other whitespace": "t,x,y\n\x1f0\xa0,0,0\n1,1,1\n",
     "crlf": "t,x,y\r\n0,1,2\r\n1,3,4\r\n",
+    "lone cr": "t,x,y\r0,1,2\r1,3,4\r",
+    "leading blank lines": "\n\n  \nt,x,y\n0,1,2\n1,3,4\n",
+    "space-padded header": " t , x , y \n0,1,2\n1,3,4\n",
+    "upper-case header": "T,X,Y\n0,1,2\n",
+    "t 1.0": "t,x,y\n0,0,0\n1.0,1,1\n",
+    "t 1e0": "t,x,y\n0,0,0\n1e0,1,1\n",
+    "t +1": "t,x,y\n0,0,0\n+1,1,1\n",
+    "t 01": "t,x,y\n0,0,0\n01,1,1\n",
+    "t -0": "t,x,y\n-0,0,0\n",
+    "t 1_0 where 10 is due": "t,x,y\n" + "".join(f"{t},0,0\n" for t in range(10)) + "1_0,1,1\n",
+    "t past int64": "t,x,y\n0,0,0\n18446744073709551617,1,1\n",
+    "empty t": "t,x,y\n0,0,0\n,1,1\n",
+    "x 1.5 with unit separator": "t,x,y\n0,1.5\x1f,0\n",
+    "x 1_0": "t,x,y\n0,1_0,0\n",
+    "x Arabic-Indic digit": "t,x,y\n0,\u0661,0\n",
+    "x 1e999": "t,x,y\n0,0,0\n1,1e999,0\n",
+    "y -1e999": "t,x,y\n0,0,-1e999\n",
+    "x 1e": "t,x,y\n0,1e,0\n",
+    "empty x": "t,x,y\n0,,0\n",
+    "signs, exponents and bare points": "t,x,y\n0,+.5,5.\n1,-0.0,1E-400\n2,1e+3,-2E5\n",
+    "one row": "t,x,y\n0,1,2\n",
+    "no final newline": "t,x,y\n0,1,2\n1,3,4",
+    "blank lines in canonical body": "t,x,y\n0,1,2\n\n\n1,3,4\n\n",
+    "comma-only row in canonical body": "t,x,y\n0,1,2\n,,\n1,3,4\n",
+    "trailing comma": "t,x,y\n0,1,2,\n",
+    "canonical header, empty body": "t,x,y\n\n\n",
     "four columns": "t,x,y\n0,0,0\n1,1,1,1\n",
     "two columns only": "t,x,y\n0,0\n1,1\n",
     "non-numeric then gap": "t,x,y\n0,0,0\n1,abc,3\n3,1,1\n",
@@ -149,16 +204,14 @@ LOADER_CASES = {
 def _load_outcome(loader, source):
     try:
         return loader(source).states
-    except TrajectoryFileError as exc:
-        return str(exc)
+    except Exception as exc:  # any error, compared by its type and text
+        return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("name", sorted(LOADER_CASES))
-def test_load_trajectory_matches_row_loop_reference(name, tmp_path):
-    """Equal arrays or the identical error text, from a str, a text stream
-    and a file opened as the CLI opens it."""
-    text = LOADER_CASES[name]
-    path = tmp_path / "trajectory.csv"
+def _assert_loaders_agree(text: str, directory: Path) -> None:
+    """Equal arrays (bit for bit, with dtype and shape) or the identical
+    error, from a str, a text stream and a file opened as the CLI opens it."""
+    path = directory / "trajectory.csv"
     path.write_text(text, encoding="utf-8", newline="")
     outcomes = []
     for loader in (load_trajectory, reference_load_trajectory):
@@ -168,8 +221,103 @@ def test_load_trajectory_matches_row_loop_reference(name, tmp_path):
         if isinstance(want, str):
             assert got == want
         else:
-            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+            assert isinstance(got, np.ndarray), got
             assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CASES))
+def test_load_trajectory_matches_row_loop_reference(name, tmp_path):
+    _assert_loaders_agree(LOADER_CASES[name], tmp_path)
+
+
+# Cells mostly from the alphabet of canonical text, so that much of what is
+# drawn reaches numpy's parser, mixed with characters on which numpy's and
+# Python's number parsers are known to disagree or that break the CSV
+# structure, and with numbers whose conversion is exact, overflows or is not
+# finite.  Headers and line breaks lean to the canonical ones for the same
+# reason.
+_canonical_chars = st.sampled_from(list("0123456789.eE+-"))
+_adversarial_chars = st.sampled_from(list("_ \t\x1f\xa0\u0661\",\r"))
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1e999", "-1e999", "-0.0", "+.5", "7.", "1E-400", "1.0", "01", "+1"]),
+)
+_cells = st.one_of(
+    st.text(_canonical_chars, max_size=5),
+    st.tuples(st.text(_canonical_chars, max_size=3), _adversarial_chars, st.text(_canonical_chars, max_size=2))
+    .map("".join),
+    st.sampled_from(["nan", "inf", "-inf", "1e0", "1_0", "\u0661"]),
+    _numbers,
+)
+_header_and_newline = st.one_of(
+    st.just(("t,x,y", "\n")),
+    st.tuples(
+        st.sampled_from(["t,x,y", " t , x , y", "T,X,Y", "t,x", "time,x,y", "", ",,"]),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    ),
+)
+
+
+@st.composite
+def _trajectory_csvs(draw) -> str:
+    header, newline = draw(_header_and_newline)
+    lines = [header]
+    for t in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["numbers"] * 8 + ["cells", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "", ",,", " ", ",", " , ,\t"])))
+        elif kind == "numbers":
+            lines.append(f"{t},{draw(_numbers)},{draw(_numbers)}")
+        else:
+            lines.append(",".join(draw(st.tuples(_cells, _cells, _cells))))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trajectory_csvs())
+def test_load_trajectory_matches_reference_on_adversarial_text(text):
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_loaders_agree(text, Path(directory))
+
+
+def test_canonical_text_skips_the_row_loop(monkeypatch):
+    text = "t,x,y\n0,1.5,-2\n\n1,+.5,3E2\n2,-0.0,7.\n"
+    want = reference_load_trajectory(text).states.tobytes()
+
+    def no_row_loop(text):
+        raise AssertionError("row loop reached")
+
+    monkeypatch.setattr(trajectory_module, "_states_row_by_row", no_row_loop)
+    assert load_trajectory(text).states.tobytes() == want
+    with pytest.raises(TrajectoryFileError, match="^row 3: non-finite coordinate$"):
+        load_trajectory("t,x,y\n0,0,0\n1,1e999,0\n")
+
+
+def test_c_tier_falls_back_when_numpy_parses_ints_via_floats(monkeypatch):
+    """numpy < 2 reads an int64 cell "1.0" as 1 with a DeprecationWarning;
+    the loader must neither accept it nor let the warning out."""
+    real_loadtxt = np.loadtxt
+
+    def loadtxt_numpy1(fname, dtype, **kwargs):
+        text = fname.read()
+        if any(not line.split(",")[0].lstrip("+-").isdigit() for line in text.splitlines() if line):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        as_floats = [(name, np.float64) for name in dtype.names]
+        return real_loadtxt(io.StringIO(text), dtype=as_floats, **kwargs).astype(dtype)
+
+    text = "t,x,y\n0,0,0\n1.0,1,1\n"
+    with pytest.warns(DeprecationWarning):
+        assert loadtxt_numpy1(io.StringIO(text[6:]), trajectory_module._CANONICAL_ROW,
+                              delimiter=",")["t"].tolist() == [0, 1]
+    monkeypatch.setattr(np, "loadtxt", loadtxt_numpy1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryFileError, match="^row 3: non-integer t '1.0'$"):
+            load_trajectory(text)
+        assert load_trajectory("t,x,y\n0,0,0\n1,1,1\n").states.tolist() == [[0, 0], [1, 1]]
 
 
 def test_trajectory_validation():
