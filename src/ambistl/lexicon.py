@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import IO, Iterable, Sequence, Union
 
-from .semantics import IntC, Lam, Term, free_vars, parse_term
+from .semantics import IntC, Lam, Term, format_term, free_vars, parse_term
 
 TextSource = Union[str, IO[str]]
 
@@ -84,6 +85,8 @@ class Slash:
 
 
 Category = Union[Basic, Slash]
+# A task verb takes a region and yields a task awaiting its interval.
+TASK_VERB_CATEGORY = Slash(FORWARD, Basic("T"), Basic("NP"))
 
 
 def parse_category(text: str) -> Category:
@@ -191,19 +194,27 @@ class Lexicon:
     def max_surface_len(self) -> int:
         return max((len(k) for k in self.entries), default=1)
 
+    @cached_property
+    def task_verbs(self) -> frozenset[str]:
+        """Words with a one-token entry of category T/NP, the tokens that
+        attachment locality counts."""
+        return frozenset(
+            entry.surface[0]
+            for entry in self.all_entries()
+            if len(entry.surface) == 1 and entry.category == TASK_VERB_CATEGORY
+        )
+
 
 def numeral_entry(token: str) -> LexEntry:
     """Synthesised NUM leaf for a digit token; its value rides in the template."""
     return LexEntry((token,), Basic("NUM"), 0.0, IntC(int(token)))
 
 
-def lookup(lexicon: Lexicon, tokens: Sequence, position: int) -> list[tuple[int, LexEntry]]:
+def lookup(lexicon: Lexicon, words: Sequence[str], position: int) -> list[tuple[int, LexEntry]]:
     """All entries whose surface matches at ``position``, longest spans first.
 
-    ``tokens`` may be plain strings or objects with a ``text`` attribute.
     An empty result means a coverage gap, not an error.
     """
-    words = [getattr(t, "text", t) for t in tokens]
     if position >= len(words):
         raise IndexError(f"position {position} beyond token count {len(words)}")
     matches: list[tuple[int, LexEntry]] = []
@@ -290,8 +301,6 @@ def load_lexicon(source: TextSource) -> Lexicon:
 def format_lexicon(lexicon: Lexicon) -> str:
     """Writer for the line format; ``load_lexicon(format_lexicon(lex))``
     round-trips to an equal lexicon."""
-    from .semantics import format_term
-
     lines = [f"@rule {name} {weight}" for name, weight in sorted(lexicon.rule_weights.items())]
     for entry in lexicon.all_entries():
         lines.append(

@@ -14,11 +14,12 @@ broken by the canonical derivation string).
 Scoring replaces a learned parser model with a declared structural
 preference: every post-modifier attachment (a while-clause or a trailing
 within-phrase, recognised by the token at the split of a backward
-application) pays 0.7 per task-verb token it skips inside its attachment
-site beyond the nearest one.  Local attachments are therefore preferred,
-and the penalty grows with the amount of material the modifier takes
-scope over.  What a node adds to the score depends only on its span and
-its split, so scores can be summed over the packed chart.
+application) pays 0.7 per task-verb token (a word the lexicon lists as a
+one-token T/NP entry) it skips inside its attachment site beyond the
+nearest one.  Local attachments are therefore preferred, and the penalty
+grows with the amount of material the modifier takes scope over.  What a
+node adds to the score depends only on its span and its split, so scores
+can be summed over the packed chart.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import Sequence, Union
 from .lexicon import (
     BACKWARD, FORWARD, ROOT_CATEGORIES, Category, LexEntry, Lexicon, Slash, format_category, lookup
 )
+from .semantics import format_term
 
 LOCALITY_PENALTY = 0.7
 POST_MODIFIER_HEADS = ("while", "within")
-TASK_VERBS = ("reach", "avoid", "avoiding")
 DEFAULT_N_BEST = 40
 
 
@@ -57,22 +58,15 @@ class NoParseError(ParserError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    position: int
-
-
-def tokenize(sentence: str) -> list[Token]:
+def tokenize(sentence: str) -> list[str]:
     """Lowercase, strip a terminal period, drop commas, split on whitespace."""
     text = sentence.strip().lower()
     if text.endswith("."):
         text = text[:-1]
-    text = text.replace(",", " ")
-    words = text.split()
+    words = text.replace(",", " ").split()
     if not words:
         raise EmptySentenceError("empty sentence")
-    return [Token(word, i) for i, word in enumerate(words)]
+    return words
 
 
 @dataclass(frozen=True)
@@ -114,8 +108,6 @@ def format_derivation(tree: DerivationTree) -> str:
     not identify an entry when a word has several readings in one category.
     """
     if isinstance(tree, Leaf):
-        from .semantics import format_term
-
         surface = "_".join(tree.entry.surface)
         return f"{surface}:{format_category(tree.category)}:{format_term(tree.entry.template)}"
     return f"({tree.rule} {format_derivation(tree.left)} {format_derivation(tree.right)})"
@@ -132,22 +124,26 @@ def pretty_derivation(tree: DerivationTree, indent: int = 0) -> str:
     )
 
 
-def skipped_verbs(rule: str, words: Sequence[str], start: int, split: int) -> int:
-    """Task-verb tokens beyond the nearest one that a post-modifier skips
-    when a backward application starting at ``start`` attaches it at
-    ``split``; 0 unless the token at the split is a modifier head."""
+def skipped_verbs(
+    rule: str, words: Sequence[str], start: int, split: int, verbs: frozenset[str]
+) -> int:
+    """Task-verb tokens (members of ``verbs``) beyond the nearest one that a
+    post-modifier skips when a backward application starting at ``start``
+    attaches it at ``split``; 0 unless the token at the split is a modifier
+    head."""
     if rule != "ba" or words[split] not in POST_MODIFIER_HEADS:
         return 0
-    return max(0, sum(word in TASK_VERBS for word in words[start:split]) - 1)
+    return max(0, sum(word in verbs for word in words[start:split]) - 1)
 
 
 def score(
     tree: Union[DerivationTree, "Derivation"], lexicon: Lexicon, words: Sequence[str]
 ) -> float:
     """Leaf weights plus rule weights plus attachment locality penalties;
-    ``words`` are the token texts of the sentence the tree spans."""
+    ``words`` are the tokens of the sentence the tree spans."""
     if isinstance(tree, Derivation):
         tree = tree.root
+    verbs = lexicon.task_verbs
     total = 0.0
     skipped = 0  # counted as an int so equal skip counts give equal scores
     stack: list[DerivationTree] = [tree]
@@ -157,7 +153,7 @@ def score(
             total += node.entry.weight
             continue
         total += lexicon.rule_weight(node.rule)
-        skipped += skipped_verbs(node.rule, words, node.start, node.left.end)
+        skipped += skipped_verbs(node.rule, words, node.start, node.left.end, verbs)
         stack.append(node.left)
         stack.append(node.right)
     return total - LOCALITY_PENALTY * skipped
@@ -200,28 +196,28 @@ class Chart:
         return sorted(used, key=lambda item: item[1] - item[0])
 
 
-def fill_chart(tokens: list[Token], lexicon: Lexicon) -> Chart:
+def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     """CKY over forward and backward application into a packed chart.
 
-    Raises :class:`CoverageError` when a token has no lexical entry and
+    Raises :class:`CoverageError` when a word has no lexical entry and
     :class:`NoParseError` when no root category covers the whole sentence.
     """
-    if not tokens:
+    if not words:
         raise EmptySentenceError("empty token sequence")
-    length = len(tokens)
+    length = len(words)
     cells: dict[tuple[int, int], dict[Category, list[Backpointer]]] = {
         (i, j): {} for i in range(length) for j in range(i + 1, length + 1)
     }
 
     covered = [False] * length
     for i in range(length):
-        for span, entry in lookup(lexicon, tokens, i):
+        for span, entry in lookup(lexicon, words, i):
             cells[(i, i + span)].setdefault(entry.category, []).append(entry)
             for k in range(i, i + span):
                 covered[k] = True
     for i, ok in enumerate(covered):
         if not ok:
-            raise CoverageError(tokens[i].text, i)
+            raise CoverageError(words[i], i)
 
     for span in range(2, length + 1):
         for i in range(0, length - span + 1):
@@ -237,14 +233,14 @@ def fill_chart(tokens: list[Token], lexicon: Lexicon) -> Chart:
                             if isinstance(fn, Slash) and fn.slash == slash and fn.argument == arg:
                                 cell.setdefault(fn.result, []).append((rule, k, cat_l, cat_r))
 
-    chart = Chart(tuple(token.text for token in tokens), cells)
+    chart = Chart(tuple(words), cells)
     if not chart.roots:
         raise NoParseError(f"no complete parse for: {' '.join(chart.words)!r}")
     return chart
 
 
 def parse_nbest(
-    tokens: list[Token], lexicon: Lexicon, n: int = DEFAULT_N_BEST
+    words: Sequence[str], lexicon: Lexicon, n: int = DEFAULT_N_BEST
 ) -> list[Derivation]:
     """The ``n`` best complete derivations, best-first, unpacked from the
     packed chart of :func:`fill_chart`.
@@ -256,7 +252,7 @@ def parse_nbest(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    chart = fill_chart(tokens, lexicon)
+    chart = fill_chart(words, lexicon)
     trees: dict[tuple[int, int, Category], list[DerivationTree]] = {}
     for i, j, cat in chart.items_under_roots():
         built = trees[(i, j, cat)] = []

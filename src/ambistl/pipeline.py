@@ -6,38 +6,38 @@ during reduction:
 
 * SEQ(P, Q) becomes temporal tail insertion: the converted Q is conjoined
   into the innermost reach of P's eventually-chain, so different
-  bracketings of the same sequence converge on one formula;
+  bracketings of the same sequence converge on one formula.  The chain is
+  followed through nested conjunctions, so P may be a guarded task such
+  as ``F(...) & G(...)`` as long as it holds exactly one eventually task;
 * EXTG(guard, anchor) applies the guard to the interval [0, extent(anchor)],
   yielding the avoidance condition that spans its sibling's full horizon.
 
 Translation composes meanings over the packed chart rather than over each
-derivation: per chart item, meanings that convert to the same formula (or
-are alpha-equivalent) are merged, carrying the sum of exp(score) and the
-count of the derivations behind them.  The candidate set therefore covers
-every derivation, however many the chart packs.
+derivation: per chart item, meanings that convert to the same formula are
+merged, carrying the sum of exp(score) and the count of the derivations
+behind them.  The candidate set therefore covers every derivation, however
+many the chart packs.
 
-The sentence categories of the bundled lexicon make nearly every complete
-parse compose to a formula; a while-clause inside an and-then chain can
-still put a guarded task at the head of a sequence.  A custom lexicon can
-also build a meaning that contains a lambda, a variable or a stuck
-application.  Such derivations are discarded as ill-formed and only
-counted.  Surviving formulas are canonicalized and
-grouped; each group's score is the sum of exp(derivation score),
-normalised into probabilities over the whole set.
+A sequence whose head holds no eventually task (``avoid A ... and then
+...``) has no reading, and a custom lexicon can build a meaning that
+contains a lambda, a variable or a stuck application.  Such derivations
+are discarded as ill-formed and only counted.  Surviving formulas are
+canonicalized and grouped; each group's score is the sum of
+exp(derivation score), normalised into probabilities over the whole set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
 from .parser import (
-    DEFAULT_N_BEST, LOCALITY_PENALTY, DerivationTree, fill_chart, parse_nbest, skipped_verbs,
-    tokenize,
+    DEFAULT_N_BEST, LOCALITY_PENALTY, Derivation, DerivationTree, Leaf, fill_chart, parse_nbest,
+    skipped_verbs, tokenize,
 )
-from .semantics import App, AtomC, Con, IntC, Lam, Term, Var, alpha_key, beta_reduce, compose
+from .semantics import App, AtomC, Con, IntC, Lam, Term, Var, beta_reduce
 from .stl import And, Atom, F, Formula, G, Interval, Not, Or, canonicalize, extent, format_formula
 
 
@@ -122,10 +122,9 @@ def to_stl(term: Term) -> Formula:
             return G(_interval_of(interval), to_stl(body))
         case Con("SEQ", (first, second)):
             head = to_stl(first)
-            tail = to_stl(second)
-            if not isinstance(head, F):
+            if _chains(head) != 1:
                 raise IllFormedMeaningError("sequence head is not an eventually task")
-            return F(head.interval, _seq_insert(head.child, tail))
+            return _seq_insert(head, to_stl(second))
         case Con("EXTG", (guard, anchor)):
             window = Con("I", (IntC(0), IntC(extent(to_stl(anchor)))))
             return to_stl(beta_reduce(App(guard, window)))
@@ -135,20 +134,28 @@ def to_stl(term: Term) -> Formula:
     raise IllFormedMeaningError(f"{kind} is not a formula position")
 
 
+def _chains(chi: Formula) -> int:
+    """Eventually tasks conjoined at the top of ``chi``, counted through
+    nested conjunctions."""
+    if isinstance(chi, F):
+        return 1
+    if isinstance(chi, And):
+        return sum(_chains(c) for c in chi.children)
+    return 0
+
+
 def _seq_insert(chi: Formula, tail: Formula) -> Formula:
-    """Conjoin ``tail`` into the unique eventually-conjunct of ``chi``,
-    recursively, or directly at ``chi`` when there is none (or several)."""
+    """Conjoin ``tail`` into the unique eventually-conjunct of ``chi``
+    (found through nested conjunctions), recursively, or directly at
+    ``chi`` when there is none (or several)."""
     if isinstance(chi, F):
         return F(chi.interval, _seq_insert(chi.child, tail))
     if isinstance(chi, And):
-        temporal = [i for i, c in enumerate(chi.children) if isinstance(c, F)]
-        if len(temporal) == 1:
-            idx = temporal[0]
-            inner = chi.children[idx]
-            assert isinstance(inner, F)
-            updated = F(inner.interval, _seq_insert(inner.child, tail))
-            children = chi.children[:idx] + (updated,) + chi.children[idx + 1 :]
-            return And(children)
+        counts = [_chains(c) for c in chi.children]
+        if sum(counts) == 1:
+            idx = counts.index(1)
+            updated = _seq_insert(chi.children[idx], tail)
+            return And(chi.children[:idx] + (updated,) + chi.children[idx + 1 :])
         return And(chi.children + (tail,))
     return And((chi, tail))
 
@@ -207,9 +214,9 @@ def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
 
     Meanings that convert to one raw formula are interchangeable in every
     context, since conversion is compositional, so they share an entry;
-    any other meaning is keyed by its alpha-invariant form.  Keying by the
-    canonical formula would be unsound: sequence insertion reads the
-    unflattened conjunction shape.
+    every other meaning gets an entry of its own.  Keying by the canonical
+    formula would be unsound: sequence insertion reads the unflattened
+    conjunction shape.
     """
     formula = None
     if not isinstance(meaning, Lam):
@@ -217,13 +224,38 @@ def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
             formula = to_stl(meaning)
         except IllFormedMeaningError:
             pass
-    key = formula if formula is not None else alpha_key(meaning)
+    key = formula if formula is not None else object()
     entry = merged.get(key)
     if entry is None:
         merged[key] = [meaning, weight, count, formula]
     else:
         entry[1] += weight
         entry[2] += count
+
+
+def compose(derivation: Union[Derivation, DerivationTree]) -> Term:
+    """Compose lexical templates along a derivation and beta-reduce.
+
+    Leaves contribute their entry templates; a forward-application node
+    applies the left meaning to the right one, a backward-application node
+    the right meaning to the left one.  The result is beta-normal; SEQ and
+    EXTG are resolved, and stuck applications and leftover abstractions
+    rejected, by :func:`to_stl`.
+    """
+    if isinstance(derivation, Derivation):
+        derivation = derivation.root
+
+    def raw(node: DerivationTree) -> Term:
+        if isinstance(node, Leaf):
+            return node.entry.template
+        left, right = raw(node.left), raw(node.right)
+        if node.rule == "fa":
+            return App(left, right)
+        if node.rule == "ba":
+            return App(right, left)
+        raise ValueError(f"unknown combinatory rule {node.rule!r}")
+
+    return beta_reduce(raw(derivation))
 
 
 @dataclass(frozen=True)
@@ -283,7 +315,7 @@ def translate(
                 _pack(merged, beta_reduce(back.template), math.exp(back.weight), 1)
                 continue
             rule, k, cat_l, cat_r = back
-            skipped = skipped_verbs(rule, chart.words, i, k)
+            skipped = skipped_verbs(rule, chart.words, i, k, lex.task_verbs)
             factor = math.exp(lex.rule_weight(rule) - LOCALITY_PENALTY * skipped)
             for left, weight_l, count_l, _ in packed[(i, k, cat_l)].values():
                 for right, weight_r, count_r, _ in packed[(k, j, cat_r)].values():

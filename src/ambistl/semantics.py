@@ -7,9 +7,10 @@ names and arities are fixed by ``_CONSTRUCTORS``: the interval literal I,
 the temporal constructors F and G, the boolean constructors NOT/AND/OR,
 symbolic sequencing SEQ, and EXTG, the guard whose interval is anchored to
 the temporal extent of its sibling (resolved during conversion to STL).
-Lexical templates are closed terms in this language; composition applies
-them along a derivation and beta-reduces the result with a single
-normal-order normalizer, capped at ``REDUCTION_BUDGET`` beta contractions.
+Lexical templates are closed terms in this language; composition (in
+``pipeline``) applies them along a derivation and beta-reduces the result
+with a single normal-order normalizer, capped at ``REDUCTION_BUDGET`` beta
+contractions.
 
 Constructors are opaque to reduction: an application whose head is a
 constructor is stuck and survives into the normal form, where the
@@ -107,20 +108,6 @@ def free_vars(t: Term) -> set[str]:
             vs |= free_vars(a)
         return vs
     return set()
-
-
-def alpha_key(t: Term, bound: tuple[str, ...] = ()) -> object:
-    """A hashable key that is equal for alpha-equivalent terms: bound
-    variables become de Bruijn indices."""
-    if isinstance(t, Var):
-        return bound[::-1].index(t.name) if t.name in bound else t
-    if isinstance(t, Lam):
-        return ("lam", alpha_key(t.body, bound + (t.var,)))
-    if isinstance(t, App):
-        return ("app", alpha_key(t.fn, bound), alpha_key(t.arg, bound))
-    if isinstance(t, Con):
-        return (t.name, *(alpha_key(a, bound) for a in t.args))
-    return t
 
 
 _fresh_counter = count()
@@ -332,34 +319,3 @@ def _parse_atom(tokens: list[str], pos: int) -> tuple[Term, int]:
     if tok.isidentifier():
         return Var(tok), pos + 1
     raise TemplateSyntaxError(f"unexpected token {tok!r}")
-
-
-# ---------------------------------------------------------------------------
-# Composition along a derivation.
-
-
-def compose(derivation) -> Term:
-    """Compose lexical templates along a derivation and beta-reduce.
-
-    Leaves contribute their entry templates; a forward-application node
-    applies the left meaning to the right one, a backward-application node
-    the right meaning to the left one.  The result is beta-normal; SEQ and
-    EXTG are resolved, and stuck applications and leftover abstractions
-    rejected, by the conversion step.
-    """
-    from .parser import Derivation, Leaf  # local import to avoid a cycle
-
-    if isinstance(derivation, Derivation):
-        derivation = derivation.root
-
-    def raw(node) -> Term:
-        if isinstance(node, Leaf):
-            return node.entry.template
-        left, right = raw(node.left), raw(node.right)
-        if node.rule == "fa":
-            return App(left, right)
-        if node.rule == "ba":
-            return App(right, left)
-        raise ValueError(f"unknown combinatory rule {node.rule!r}")
-
-    return beta_reduce(raw(derivation))

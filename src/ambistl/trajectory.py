@@ -142,7 +142,7 @@ def load_trajectory(source: TextSource) -> Trajectory:
 
     Raises :class:`TrajectoryFileError` on a missing or wrong header, a gap
     or non-integer time column, a non-finite coordinate, or an empty file,
-    naming the first faulty row.
+    naming the first faulty row, and on text the CSV reader rejects.
 
     Text whose first line is exactly ``t,x,y`` and whose body holds only
     ASCII digits, ``.``, ``,``, ``+``, ``-``, ``e``, ``E`` and ``\\n`` is read by
@@ -195,7 +195,10 @@ def _canonical_states(text: str) -> np.ndarray | None:
 
 def _states_row_by_row(text: str) -> np.ndarray:
     """The states of any CSV text, or the error of its first faulty row."""
-    rows = [row for row in csv.reader(_lines(text)) if "".join(row).strip()]
+    try:
+        rows = [row for row in csv.reader(_lines(text)) if "".join(row).strip()]
+    except csv.Error as exc:  # e.g. an unclosed quote swallowing the rest of the file
+        raise TrajectoryFileError(f"malformed CSV: {exc}") from None
     if not rows:
         raise TrajectoryFileError("empty trajectory file")
     header = [cell.strip().lower() for cell in rows[0]]

@@ -233,6 +233,16 @@ def test_eval_non_finite_regions_exit_3(tmp_path, capsys, trajectory_file, bad):
     assert "line 2: non-finite coordinate" in capsys.readouterr().err
 
 
+def test_eval_unclosed_quote_exit_3(tmp_path, capsys, regions_file):
+    path = tmp_path / "unclosed.csv"
+    path.write_text('t,x,y\n0,1,2\n1,"' + "1,2\n" * 40_000)
+    assert main([
+        "eval", "Reach B within 10 seconds.",
+        "--regions", regions_file, "--trajectory", str(path),
+    ]) == 3
+    assert "input error: malformed CSV" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("t", [0, 1])
 def test_eval_non_finite_trajectory_exit_3(tmp_path, capsys, regions_file, t, bad):

@@ -10,10 +10,11 @@ from ambistl.pipeline import (
     IllFormedMeaningError,
     aggregate,
     analyze,
+    compose,
     to_stl,
     translate,
 )
-from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, compose, parse_term
+from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, parse_term
 from ambistl.stl import And, Atom, F, G, Interval, Not, Or, canonicalize, format_formula
 
 from conftest import kstep_sentence
@@ -70,6 +71,27 @@ def test_stuck_application_is_ill_formed():
 def test_sequence_head_must_be_eventually():
     with pytest.raises(IllFormedMeaningError):
         to_stl(parse_term("SEQ(G(I(0, 10), phi_b), F(I(0, 15), phi_c))"))
+    # two eventually tasks leave the tail's anchor ambiguous
+    with pytest.raises(IllFormedMeaningError):
+        to_stl(parse_term("SEQ(AND(F(I(0, 10), phi_b), F(I(0, 15), phi_c)), F(I(0, 5), phi_d))"))
+
+
+def test_sequence_head_may_be_a_guarded_task():
+    """A head that is a conjunction holding one eventually task, found
+    through nested conjunctions, takes the tail into that task."""
+    guarded = "AND(F(I(0, 15), phi_c), G(I(0, 15), NOT(phi_a)))"
+    got = to_stl(parse_term(f"SEQ({guarded}, F(I(0, 5), phi_d))"))
+    expected = And(
+        (
+            F(Interval(0, 15), And((Atom("c"), F(Interval(0, 5), Atom("d"))))),
+            G(Interval(0, 15), Not(Atom("a"))),
+        )
+    )
+    assert got == expected
+    nested = to_stl(
+        parse_term(f"SEQ(SEQ(F(I(0, 10), phi_b), {guarded}), F(I(0, 5), phi_d))")
+    )
+    assert nested == F(Interval(0, 10), And((Atom("b"), expected)))
 
 
 def test_root_interval_distributes_over_disjunction(lexicon):
@@ -290,13 +312,49 @@ MIDDLE_GUARD = (
 FOUR_WAY = "Within 20 seconds, reach B or reach C or reach D or reach A while avoiding A."
 
 
-@pytest.mark.parametrize("custom", [None, "(S\\S)/T", "(S\\S)/S"])
+UNGUARDED_HEAD = "Avoid A within 10 seconds and then reach B within 5 seconds."
+# A second reach with the bundled template and another weight: its meanings
+# equal the first reach's without being the same derivations.
+REACH_TWICE = "reach | T/NP | -0.5 | lam x. lam i. F(i, x)\n"
+
+
+def test_while_clause_inside_a_chain_keeps_the_sequence(lexicon):
+    """D's deadline runs from reaching C, whichever task the guard covers."""
+    result = translate(MIDDLE_GUARD, lexicon)
+    assert (result.n_derivations, result.discarded_count) == (3, 0)
+    assert result.formulas() == [
+        "F[0,10](F[0,15](F[0,5] phi_d & phi_c) & G[0,15] !phi_a & phi_b)",
+        "(F[0,10](F[0,15](F[0,5] phi_d & phi_c) & phi_b) & G[0,25] !phi_a)",
+    ]
+    assert [c.support_count for c in result.candidates] == [2, 1]
+    assert result.candidates[0].probability == pytest.approx(0.801, abs=1e-3)
+
+
+def test_task_verbs_come_from_the_lexicon(lexicon):
+    """A verb added as a one-token T/NP entry is counted by attachment
+    locality as the bundled ones are."""
+    visit = load_lexicon(format_lexicon(lexicon) + "visit | T/NP | 0.0 | lam x. lam i. F(i, x)\n")
+    chain = "{0} B within 10 seconds and then {0} C within 15 seconds while avoiding A."
+    reached = translate(chain.format("Reach"), visit)
+    visited = translate(chain.format("Visit"), visit)
+    assert visited.formulas() == reached.formulas()
+    probabilities = [c.probability for c in visited.candidates]
+    assert probabilities == [c.probability for c in reached.candidates]
+    assert probabilities[0] > probabilities[1]
+
+
+@pytest.mark.parametrize("custom", [None, "(S\\S)/T", "(S\\S)/S", "reach-twice"])
 def test_translate_equals_enumerating_every_derivation(lexicon, corpus, custom):
     """The packed chart gives what enumerating every derivation gives:
     formulas, their order, support counts, discards and derivation counts
     exactly, probabilities within 1e-12."""
-    lex = lexicon if custom is None else _with_while(lexicon, custom)
-    sentences = list(corpus.values()) + [MIDDLE_GUARD, FOUR_WAY]
+    if custom is None:
+        lex = lexicon
+    elif custom == "reach-twice":
+        lex = load_lexicon(format_lexicon(lexicon) + REACH_TWICE)
+    else:
+        lex = _with_while(lexicon, custom)
+    sentences = list(corpus.values()) + [MIDDLE_GUARD, FOUR_WAY, UNGUARDED_HEAD]
     sentences += [kstep_sentence(k) for k in range(2, 7 if custom is None else 5)]
     sentences += ["Reach B within 10 seconds while reach C within 15 seconds."]
     compared = discards = 0

@@ -4,6 +4,7 @@ import pytest
 
 from ambistl.lexicon import format_category, load_default_lexicon
 from ambistl.parser import parse_nbest, tokenize
+from ambistl.pipeline import compose
 from ambistl.semantics import (
     App,
     AtomC,
@@ -14,7 +15,6 @@ from ambistl.semantics import (
     TemplateSyntaxError,
     Var,
     beta_reduce,
-    compose,
     format_term,
     free_vars,
     parse_term,

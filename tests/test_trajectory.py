@@ -142,6 +142,13 @@ def test_load_trajectory_empty_and_bad_header():
         load_trajectory("time,x,y\n0,0,0\n")
 
 
+def test_load_trajectory_unclosed_quote_is_a_file_error():
+    # the open quote runs to the end of the text, past the CSV field size limit
+    text = 't,x,y\n0,1,2\n1,"' + "1,2\n" * 40_000
+    with pytest.raises(TrajectoryFileError, match="^malformed CSV: field larger than field limit"):
+        load_trajectory(text)
+
+
 def test_str_source_breaks_lines_as_a_file_does(tmp_path):
     text = "t,x,y\n0,0\x0c,0\n1,1,1\n"
     path = tmp_path / "trajectory.csv"
