@@ -4,7 +4,8 @@ Subcommands: ``translate`` (sentence -> ranked candidates), ``corpus``
 (batch translation with an optional expectations gate), ``eval``
 (candidate robustness on a trajectory), ``explain`` (derivation dump).
 
-Exit codes: 0 success, 1 usage error, 2 translation failure or unknown
+Exit codes: 0 success, 1 usage error, 2 translation failure (including a
+template with no normal form and scores outside float range) or unknown
 atom, 3 I/O or file-format error, 4 corpus expectation mismatch.
 """
 
@@ -29,10 +30,11 @@ from .parser import (
 from .pipeline import (
     CandidateSet,
     EmptyCandidateSetError,
+    ScoreRangeError,
     analyze,
     translate,
 )
-from .semantics import format_term
+from .semantics import TermError, format_term
 from .stl import UnknownAtomError, format_formula
 from .trajectory import (
     RegionFileError,
@@ -238,6 +240,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             print(f"{r['id']:<{width}}  {r['count']}  {r['formulas'][0]}")
 
     if expected is not None:
+        listed = {sid for sid, _ in rows}
+        mismatches += [
+            f"{sid}: expected, but not in the corpus" for sid in expected if sid not in listed
+        ]
         if mismatches:
             for line in mismatches:
                 print(f"MISMATCH {line}", file=sys.stderr)
@@ -319,7 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except (EmptySentenceError, CoverageError, NoParseError, EmptyCandidateSetError,
-            UnknownAtomError) as exc:
+            ScoreRangeError, TermError, UnknownAtomError) as exc:
         print(f"translation failed: {exc}", file=sys.stderr)
         return EXIT_TRANSLATION
     except (RegionFileError, TrajectoryFileError, LexiconError, ValueError) as exc:

@@ -21,8 +21,9 @@ The line-based file format is::
     reach | T/NP | 0.0 | lam x. lam i. F(i, x)
     and then | (S\\S)/S | 0.0 | lam q. lam p. SEQ(p, q)
 
-Numerals are not listed: any token of digits becomes a NUM leaf carrying
-its integer value.
+Numerals are not listed: any token of decimal digits (``str.isdecimal``,
+exactly the digits ``int`` reads) becomes a NUM leaf carrying its integer
+value.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def lookup(lexicon: Lexicon, words: Sequence[str], position: int) -> list[tuple[
         for entry in lexicon.entries.get(key, ()):
             matches.append((span, entry))
     word = words[position]
-    if word.isdigit():
+    if word.isdecimal():
         matches.append((1, numeral_entry(word)))
     return matches
 

@@ -6,10 +6,11 @@ span maps every category built over it to the backpointers that build it,
 so it stays small however many derivations it holds.  A complete
 derivation covers the whole sentence with a category in
 ``ROOT_CATEGORIES`` (a closed formula S or a bounded task disjunction R).
-Two readers use the chart: the pipeline composes meanings over it
-directly, and :func:`parse_nbest` unpacks the trees, for callers that need
-them, and returns the top n in a deterministic order (ties in score are
-broken by the canonical derivation string).
+Two readers use a filled chart: the pipeline packs meanings over it
+directly, and :func:`unpack_nbest` unpacks the trees, summing each one's
+score as it builds it (no finished tree is walked), and returns the top n
+in a deterministic order (ties in score are broken by the canonical
+derivation string).
 
 Scoring replaces a learned parser model with a declared structural
 preference: every post-modifier attachment (a while-clause or a trailing
@@ -18,8 +19,8 @@ application) pays 0.7 per task-verb token (a word the lexicon lists as a
 one-token T/NP entry) it skips inside its attachment site beyond the
 nearest one.  Local attachments are therefore preferred, and the penalty
 grows with the amount of material the modifier takes scope over.  What a
-node adds to the score depends only on its span and its split, so scores
-can be summed over the packed chart.
+backpointer adds to the score (:func:`increment`) depends only on its span
+and its split, so scores can be summed over the packed chart.
 """
 
 from __future__ import annotations
@@ -124,39 +125,23 @@ def pretty_derivation(tree: DerivationTree, indent: int = 0) -> str:
     )
 
 
-def skipped_verbs(
-    rule: str, words: Sequence[str], start: int, split: int, verbs: frozenset[str]
-) -> int:
-    """Task-verb tokens (members of ``verbs``) beyond the nearest one that a
-    post-modifier skips when a backward application starting at ``start``
-    attaches it at ``split``; 0 unless the token at the split is a modifier
-    head."""
-    if rule != "ba" or words[split] not in POST_MODIFIER_HEADS:
-        return 0
-    return max(0, sum(word in verbs for word in words[start:split]) - 1)
+def increment(
+    lexicon: Lexicon, words: Sequence[str], rule: str, start: int, split: int
+) -> tuple[float, int]:
+    """What a binary rule over ``start`` split at ``split`` adds to the score
+    of every derivation through it: its weight, and the task verbs beyond the
+    nearest one that a modifier head at the split skips under ``ba``."""
+    skipped = 0
+    if rule == "ba" and words[split] in POST_MODIFIER_HEADS:
+        skipped = max(0, sum(word in lexicon.task_verbs for word in words[start:split]) - 1)
+    return lexicon.rule_weight(rule), skipped
 
 
-def score(
-    tree: Union[DerivationTree, "Derivation"], lexicon: Lexicon, words: Sequence[str]
-) -> float:
-    """Leaf weights plus rule weights plus attachment locality penalties;
-    ``words`` are the tokens of the sentence the tree spans."""
-    if isinstance(tree, Derivation):
-        tree = tree.root
-    verbs = lexicon.task_verbs
-    total = 0.0
-    skipped = 0  # counted as an int so equal skip counts give equal scores
-    stack: list[DerivationTree] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            total += node.entry.weight
-            continue
-        total += lexicon.rule_weight(node.rule)
-        skipped += skipped_verbs(node.rule, words, node.start, node.left.end, verbs)
-        stack.append(node.left)
-        stack.append(node.right)
-    return total - LOCALITY_PENALTY * skipped
+def score_of(weight: float, skipped: int) -> float:
+    """The score of summed leaf and rule weights less the locality penalty
+    of ``skipped`` task verbs.  Skips are counted as an int up to here, so
+    equal skip counts give bit-equal scores."""
+    return weight - LOCALITY_PENALTY * skipped
 
 
 # A backpointer is a lexical entry spanning the whole cell, or a binary rule
@@ -239,11 +224,8 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     return chart
 
 
-def parse_nbest(
-    words: Sequence[str], lexicon: Lexicon, n: int = DEFAULT_N_BEST
-) -> list[Derivation]:
-    """The ``n`` best complete derivations, best-first, unpacked from the
-    packed chart of :func:`fill_chart`.
+def unpack_nbest(chart: Chart, lexicon: Lexicon, n: int = DEFAULT_N_BEST) -> list[Derivation]:
+    """The ``n`` best complete derivations of a filled chart, best-first.
 
     Ties in score are broken by the canonical derivation string, so results
     are identical across runs; that string is rendered only for the
@@ -252,26 +234,32 @@ def parse_nbest(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    chart = fill_chart(words, lexicon)
-    trees: dict[tuple[int, int, Category], list[DerivationTree]] = {}
+    trees: dict[tuple[int, int, Category], list[tuple[DerivationTree, float, int]]] = {}
     for i, j, cat in chart.items_under_roots():
         built = trees[(i, j, cat)] = []
         for back in chart.cells[(i, j)][cat]:
             if isinstance(back, LexEntry):
-                built.append(Leaf(back, i, j))
+                built.append((Leaf(back, i, j), back.weight, 0))
                 continue
             rule, k, cat_l, cat_r = back
+            weight, skipped = increment(lexicon, chart.words, rule, i, k)
             built += [
-                Node(rule, cat, left, right, i, j)
-                for left in trees[(i, k, cat_l)]
-                for right in trees[(k, j, cat_r)]
+                (Node(rule, cat, left, right, i, j), weight + w_l + w_r, skipped + s_l + s_r)
+                for left, w_l, s_l in trees[(i, k, cat_l)]
+                for right, w_r, s_r in trees[(k, j, cat_r)]
             ]
-    length = len(chart.words)
-    roots = [tree for cat in chart.roots for tree in trees[(0, length, cat)]]
-    scored = [Derivation(root, score(root, lexicon, chart.words)) for root in roots]
+    roots = [entry for cat in chart.roots for entry in trees[(0, len(chart.words), cat)]]
+    scored = [Derivation(root, score_of(weight, skipped)) for root, weight, skipped in roots]
     scored.sort(key=lambda d: -d.score)
     if len(scored) > n:
         cutoff = scored[n - 1].score
         scored = [d for d in scored if d.score >= cutoff]
     scored.sort(key=lambda d: (-d.score, format_derivation(d.root)))
     return scored[:n]
+
+
+def parse_nbest(
+    words: Sequence[str], lexicon: Lexicon, n: int = DEFAULT_N_BEST
+) -> list[Derivation]:
+    """The ``n`` best derivations of ``words``: :func:`unpack_nbest` of :func:`fill_chart`."""
+    return unpack_nbest(fill_chart(words, lexicon), lexicon, n)

@@ -12,30 +12,34 @@ during reduction:
 * EXTG(guard, anchor) applies the guard to the interval [0, extent(anchor)],
   yielding the avoidance condition that spans its sibling's full horizon.
 
-Translation composes meanings over the packed chart rather than over each
-derivation: per chart item, meanings that convert to the same formula are
+Translation is :func:`fill_chart`, a packing pass (:func:`pack_meanings`)
+and ranking.  The packing pass composes meanings over the packed chart, not
+over trees: per chart item, meanings that convert to the same formula are
 merged, carrying the sum of exp(score) and the count of the derivations
-behind them.  The candidate set therefore covers every derivation, however
-many the chart packs.
+behind them, so the candidate set covers every derivation and no tree is
+built or walked.  Only :func:`analyze` unpacks trees, for those it lists.
 
 A sequence whose head holds no eventually task (``avoid A ... and then
 ...``) has no reading, and a custom lexicon can build a meaning that
 contains a lambda, a variable or a stuck application.  Such derivations
 are discarded as ill-formed and only counted.  Surviving formulas are
 canonicalized and grouped; each group's score is the sum of
-exp(derivation score), normalised into probabilities over the whole set.
+exp(derivation score), normalised into probabilities over the whole set;
+a lexicon whose weights push a sum out of the normal float range raises
+:class:`ScoreRangeError`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
 from .parser import (
-    DEFAULT_N_BEST, LOCALITY_PENALTY, Derivation, DerivationTree, Leaf, fill_chart, parse_nbest,
-    skipped_verbs, tokenize,
+    DEFAULT_N_BEST, Chart, Derivation, DerivationTree, Leaf, fill_chart, increment, score_of,
+    tokenize, unpack_nbest,
 )
 from .semantics import App, AtomC, Con, IntC, Lam, Term, Var, beta_reduce
 from .stl import And, Atom, F, Formula, G, Interval, Not, Or, canonicalize, extent, format_formula
@@ -47,6 +51,10 @@ class IllFormedMeaningError(Exception):
 
 class EmptyCandidateSetError(Exception):
     """Every derivation's meaning was discarded as ill-formed."""
+
+
+class ScoreRangeError(ArithmeticError):
+    """A candidate's summed exp(score) lies outside the normal float range."""
 
 
 @dataclass(frozen=True)
@@ -160,14 +168,27 @@ def _seq_insert(chi: Formula, tail: Formula) -> Formula:
     return And((chi, tail))
 
 
+def _exp(score: float) -> float:
+    """exp(score), or inf where it overflows; :func:`_rank` rejects both."""
+    try:
+        return math.exp(score)
+    except OverflowError:
+        return math.inf
+
+
 def _rank(
-    weighted: Sequence[tuple[Formula, float, int]],
     sentence: str,
+    weighted: Sequence[tuple[Formula, float, int]],
     n_derivations: int,
     discarded_count: int,
 ) -> CandidateSet:
     """Group (formula, summed exp(score), derivation count) triples by
-    canonical form and normalise the group sums into probabilities."""
+    canonical form and normalise the group sums into probabilities.
+
+    Raises :class:`ScoreRangeError` when a group sum or their total under-
+    or overflows the normal float range, which would make the probabilities
+    zero, NaN or a division by zero.
+    """
     groups: dict[str, list] = {}
     for formula, weight, count in weighted:
         canonical = canonicalize(formula)
@@ -175,6 +196,13 @@ def _rank(
         group[1] += weight
         group[2] += count
     total = sum(weight for _, weight, _ in groups.values())
+    sums = [(name, weight) for name, (_, weight, _) in groups.items()] + [("all candidates", total)]
+    for name, weight in sums:
+        if not sys.float_info.min <= weight <= sys.float_info.max:
+            raise ScoreRangeError(
+                f"summed exp(score) of {name} is {weight!r}, outside the float range: "
+                "the lexicon weights are too large in magnitude"
+            )
     candidates = [
         Candidate(formula, weight, weight / total, count)
         for formula, weight, count in groups.values()
@@ -196,13 +224,14 @@ def aggregate(
     derivations with equal scores count twice as much as one.  Probabilities
     are the group scores normalised to sum to one.  Candidates are sorted
     by descending probability with the formula rendering as tie-breaker.
+    Scores whose exp leaves the float range raise :class:`ScoreRangeError`.
     ``derivation_ids`` is accepted for existing callers and ignored.
     """
     if not scored:
         raise EmptyCandidateSetError("no well-formed candidates to aggregate")
     return _rank(
-        [(formula, math.exp(deriv_score), 1) for formula, deriv_score in scored],
         sentence,
+        [(formula, _exp(deriv_score), 1) for formula, deriv_score in scored],
         n_derivations if n_derivations is not None else len(scored),
         discarded_count,
     )
@@ -274,14 +303,15 @@ def analyze(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> tuple[CandidateSet, list[DerivationReport]]:
     """The candidate set of :func:`translate`, and a trace of the ``n``
-    best derivations.
+    best derivations, both read off one filled chart.
 
     Each report carries the canonical formula of its derivation, or the
     reason it was discarded; it belongs to the candidate with that formula.
     """
     lex = lexicon if lexicon is not None else load_default_lexicon()
+    chart = fill_chart(tokenize(sentence), lex)
     reports: list[DerivationReport] = []
-    for index, derivation in enumerate(parse_nbest(tokenize(sentence), lex, n)):
+    for index, derivation in enumerate(unpack_nbest(chart, lex, n)):
         meaning = compose(derivation)
         try:
             formula, error = canonicalize(to_stl(meaning)), None
@@ -290,33 +320,31 @@ def analyze(
         reports.append(
             DerivationReport(index, derivation.score, derivation.root, meaning, formula, error)
         )
-    return translate(sentence, lex), reports
+    return _rank(sentence, *pack_meanings(chart, lex)), reports
 
 
-def translate(
-    sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
-) -> CandidateSet:
-    """Translate a sentence into its ranked candidate set, over every
-    derivation; ``n`` has no effect and is accepted for existing callers.
+def pack_meanings(
+    chart: Chart, lexicon: Lexicon
+) -> tuple[list[tuple[Formula, float, int]], int, int]:
+    """The packing pass over a filled chart: every well-formed root reading
+    as (raw formula, summed exp(score), derivation count), with the number
+    of derivations and of those discarded as ill-formed.
 
-    Meanings are composed bottom-up over the packed chart items that lie
-    under a root, merging interchangeable meanings per item (see
-    :func:`_pack`).  Each merged meaning carries the sum of exp(score)
-    over its derivations and their count, so the result equals
-    aggregating every derivation.
+    Meanings are composed bottom-up over the chart items that lie under a
+    root, merging interchangeable meanings per item (see :func:`_pack`).
+    Each merged meaning carries the sum of exp(score) over its derivations
+    and their count, so ranking the result equals aggregating every
+    derivation.
     """
-    lex = lexicon if lexicon is not None else load_default_lexicon()
-    chart = fill_chart(tokenize(sentence), lex)
     packed: dict[tuple[int, int, Category], dict] = {}
     for i, j, cat in chart.items_under_roots():
         merged = packed[(i, j, cat)] = {}
         for back in chart.cells[(i, j)][cat]:
             if isinstance(back, LexEntry):
-                _pack(merged, beta_reduce(back.template), math.exp(back.weight), 1)
+                _pack(merged, beta_reduce(back.template), _exp(back.weight), 1)
                 continue
             rule, k, cat_l, cat_r = back
-            skipped = skipped_verbs(rule, chart.words, i, k, lex.task_verbs)
-            factor = math.exp(lex.rule_weight(rule) - LOCALITY_PENALTY * skipped)
+            factor = _exp(score_of(*increment(lexicon, chart.words, rule, i, k)))
             for left, weight_l, count_l, _ in packed[(i, k, cat_l)].values():
                 for right, weight_r, count_r, _ in packed[(k, j, cat_r)].values():
                     meaning = beta_reduce(App(left, right) if rule == "fa" else App(right, left))
@@ -333,4 +361,15 @@ def translate(
                 weighted.append((formula, weight, count))
     if not weighted:
         raise EmptyCandidateSetError(f"all {total} derivations were discarded as ill-formed")
-    return _rank(weighted, sentence, total, discarded)
+    return weighted, total, discarded
+
+
+def translate(
+    sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
+) -> CandidateSet:
+    """Translate a sentence into its ranked candidate set, over every
+    derivation: :func:`fill_chart`, :func:`pack_meanings`, then ranking;
+    ``n`` has no effect and is accepted for existing callers."""
+    lex = lexicon if lexicon is not None else load_default_lexicon()
+    chart = fill_chart(tokenize(sentence), lex)
+    return _rank(sentence, *pack_meanings(chart, lex))

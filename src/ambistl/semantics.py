@@ -222,9 +222,9 @@ def _lex_template(text: str) -> Iterator[str]:
         elif ch in "().,":
             yield ch
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             yield text[i:j]
             i = j
@@ -299,7 +299,7 @@ def _parse_atom(tokens: list[str], pos: int) -> tuple[Term, int]:
         if pos >= len(tokens) or tokens[pos] != ")":
             raise TemplateSyntaxError("unclosed parenthesis")
         return term, pos + 1
-    if tok.isdigit():
+    if tok.isdecimal():
         return IntC(int(tok)), pos + 1
     if tok in _CONSTRUCTORS:
         arity = _CONSTRUCTORS[tok]

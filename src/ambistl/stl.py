@@ -336,9 +336,9 @@ def _lex(text: str) -> Iterator[str]:
         elif ch in "()[],&|!":
             yield ch
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             yield text[i:j]
             i = j

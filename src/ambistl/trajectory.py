@@ -49,16 +49,13 @@ class Box:
             )
 
     def margins(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance of each row of an (N, 2) array to the nearest face."""
+        """Signed distance of each row of an (N, 2) array to the nearest face;
+        positive strictly inside."""
         px, py = points[:, 0], points[:, 1]
         # np.minimum keeps its second argument on a tie, so passing the faces
         # in reverse keeps the first of two equal zeros, as the builtin min does.
         m = np.minimum(self.xmax - px, px - self.xmin)
         return np.minimum(self.ymax - py, np.minimum(py - self.ymin, m))
-
-    def margin(self, point) -> float:
-        """Signed distance to the nearest face; positive strictly inside."""
-        return float(self.margins(np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
 @dataclass(frozen=True)

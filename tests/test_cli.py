@@ -43,6 +43,12 @@ def test_translate_coverage_failure(capsys):
     assert "zebra" in capsys.readouterr().err
 
 
+def test_translate_superscript_digit_is_a_coverage_gap(capsys):
+    """'²' is a digit to str.isdigit but not to int()."""
+    assert main(["translate", "reach b within ² seconds"]) == 2
+    assert "'²'" in capsys.readouterr().err
+
+
 def test_translate_json_schema(capsys):
     assert main(["translate", "--format", "json",
                  "Within 10 seconds, reach B or reach C while avoiding A."]) == 0
@@ -107,6 +113,24 @@ def test_custom_lexicon_flag(tmp_path, capsys):
     assert "F[0,10] phi_b" in capsys.readouterr().out
 
 
+def test_template_without_normal_form_exits_2(tmp_path, capsys):
+    path = tmp_path / "lex.txt"
+    path.write_text(
+        format_lexicon(load_default_lexicon()) + "zz | NP | 0.0 | (lam x. x(x))(lam x. x(x))\n"
+    )
+    assert main(["translate", "--lexicon", str(path), "reach zz within 10 seconds"]) == 2
+    assert "no normal form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", [800.0, -800.0])
+def test_scores_outside_float_range_exit_2(tmp_path, capsys, weight):
+    path = tmp_path / "lex.txt"
+    text = format_lexicon(load_default_lexicon())
+    path.write_text(text.replace("seconds | UNIT | 0.0", f"seconds | UNIT | {weight}"))
+    assert main(["translate", "--lexicon", str(path), "Reach B within 10 seconds."]) == 2
+    assert "outside the float range" in capsys.readouterr().err
+
+
 def test_lexicon_env_var(tmp_path, capsys, monkeypatch):
     path = tmp_path / "lex.txt"
     # a lexicon where b maps to a differently named proposition
@@ -148,6 +172,19 @@ def test_corpus_mismatch_names_sentence(tmp_path, capsys):
     edited.write_text(text.replace("S8\t2", "S8\t3"))
     assert main(["corpus", "--expect", str(edited)]) == 4
     assert "S8" in capsys.readouterr().err
+
+
+def test_corpus_gate_notices_a_dropped_sentence(tmp_path, capsys):
+    from importlib import resources
+
+    text = resources.files("ambistl.data").joinpath("corpus.tsv").read_text()
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(l for l in text.splitlines(True) if not l.startswith("S12\t")))
+    expect = resources.files("ambistl.data").joinpath("expectations.tsv")
+    assert main(["corpus", str(corpus), "--expect", str(expect)]) == 4
+    captured = capsys.readouterr()
+    assert "MISMATCH S12: expected, but not in the corpus" in captured.err
+    assert "match expectations" not in captured.out
 
 
 def test_corpus_missing_file_is_io_error(capsys):

@@ -18,6 +18,8 @@ from ambistl.lexicon import (
     parse_category,
     validate_lexicon,
 )
+from ambistl.parser import CoverageError
+from ambistl.pipeline import translate
 from ambistl.semantics import beta_reduce, App, AtomC, IntC, parse_term
 
 from conftest import kstep_sentence
@@ -149,6 +151,13 @@ def test_lookup_numeral_synthesised(lexicon):
     matches = lookup(lexicon, ["10"], 0)
     assert matches == [(1, numeral_entry("10"))]
     assert matches[0][1].template == IntC(10)
+
+
+def test_lookup_numerals_are_decimal_digits_only(lexicon):
+    """'²' is a digit to str.isdigit but not to int(): a coverage gap."""
+    assert lookup(lexicon, ["²"], 0) == []
+    with pytest.raises(CoverageError):
+        translate("reach b within ² seconds", lexicon)
 
 
 def test_lookup_out_of_vocabulary(lexicon):

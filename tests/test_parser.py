@@ -3,18 +3,18 @@ from collections import defaultdict
 
 import pytest
 
-from ambistl.lexicon import Basic
+from ambistl.lexicon import Basic, format_lexicon, load_lexicon
 from ambistl.parser import (
+    LOCALITY_PENALTY,
     POST_MODIFIER_HEADS,
     CoverageError,
     EmptySentenceError,
     Leaf,
     NoParseError,
     format_derivation,
+    increment,
     parse_nbest,
     pretty_derivation,
-    score,
-    skipped_verbs,
     tokenize,
 )
 
@@ -25,6 +25,25 @@ def leaves(tree) -> list[Leaf]:
     if isinstance(tree, Leaf):
         return [tree]
     return leaves(tree.left) + leaves(tree.right)
+
+
+def reference_score(tree, lexicon, words) -> float:
+    """Leaf weights plus rule weights plus attachment locality penalties,
+    by one walk over a finished tree; ``words`` are the tokens it spans."""
+    total = 0.0
+    skipped = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            total += node.entry.weight
+            continue
+        weight, node_skipped = increment(lexicon, words, node.rule, node.start, node.left.end)
+        total += weight
+        skipped += node_skipped
+        stack.append(node.left)
+        stack.append(node.right)
+    return total - LOCALITY_PENALTY * skipped
 
 
 # --- tokenizer ------------------------------------------------------------------
@@ -113,7 +132,22 @@ def test_stored_score_equals_recomputed(lexicon, corpus):
     for sentence in corpus.values():
         words = tokenize(sentence)
         for derivation in parse_nbest(words, lexicon):
-            assert score(derivation.root, lexicon, words) == derivation.score
+            assert reference_score(derivation.root, lexicon, words) == derivation.score
+
+
+def test_scores_summed_while_unpacking_count_every_weight(lexicon):
+    """Leaf and rule weights (dyadic, so any summation order is exact) and
+    locality penalties all reach the scores summed while unpacking."""
+    weighted = "\n".join(
+        line.replace("| 0.0 |", "| -0.25 |") if line.startswith(("reach", "while")) else line
+        for line in format_lexicon(lexicon).splitlines()
+    )
+    weighted = load_lexicon(weighted.replace("@rule ba 0.0", "@rule ba 0.5"))
+    words = tokenize(kstep_sentence(4))
+    derivations = parse_nbest(words, weighted, n=sys.maxsize)
+    assert len({d.score for d in derivations}) > 1
+    for derivation in derivations:
+        assert reference_score(derivation.root, weighted, words) == derivation.score
 
 
 def test_determinism_across_runs(lexicon, corpus):
@@ -207,7 +241,7 @@ def test_skipped_verbs_counts_task_verb_leaves(lexicon):
         if isinstance(node, Leaf):
             continue
         own = _skipped_verbs(node) - _skipped_verbs(node.left) - _skipped_verbs(node.right)
-        assert skipped_verbs(node.rule, words, node.start, node.left.end, lexicon.task_verbs) == own
+        assert increment(lexicon, words, node.rule, node.start, node.left.end)[1] == own
         checked += 1
         stack += [node.left, node.right]
     assert checked > 300

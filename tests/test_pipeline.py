@@ -3,11 +3,14 @@ import sys
 
 import pytest
 
+import ambistl.parser as parser
+import ambistl.pipeline as pipeline
 from ambistl.lexicon import format_lexicon, load_lexicon
 from ambistl.parser import NoParseError, parse_nbest, tokenize
 from ambistl.pipeline import (
     EmptyCandidateSetError,
     IllFormedMeaningError,
+    ScoreRangeError,
     aggregate,
     analyze,
     compose,
@@ -160,6 +163,16 @@ def test_aggregate_empty_is_an_error():
         aggregate([])
 
 
+@pytest.mark.parametrize(
+    "scored", [{"b": 800.0}, {"b": -800.0}, {"b": 709.0, "c": 709.0, "d": 709.0}]
+)
+def test_aggregate_scores_outside_float_range(scored):
+    """exp(800) overflows, exp(-800) underflows to 0, and three exp(709),
+    each a float, sum past the largest float."""
+    with pytest.raises(ScoreRangeError):
+        aggregate([(Atom(name), score) for name, score in scored.items()])
+
+
 def test_aggregate_groups_by_canonical_form():
     one = And((Atom("b"), Atom("c")))
     other = And((Atom("c"), Atom("b")))
@@ -265,6 +278,41 @@ def test_analyze_reports_align_with_candidates(lexicon):
         assert all(r.error is None and r.formula in formulas for r in reports)
         scores = [r.score for r in reports]
         assert scores == sorted(scores, reverse=True)
+
+
+def test_analyze_fills_one_chart(lexicon, monkeypatch):
+    """Both readers, the trace and the candidate set, read one chart."""
+    calls = []
+
+    def counting_fill_chart(*args):
+        calls.append(args)
+        return fill_chart(*args)
+
+    fill_chart = parser.fill_chart
+    for module in (parser, pipeline):
+        monkeypatch.setattr(module, "fill_chart", counting_fill_chart)
+    analyze(kstep_sentence(3), lexicon, 5)
+    assert len(calls) == 1
+
+
+THREE_TASKS = (
+    "Reach B within 10 seconds and then reach C within 15 seconds "
+    "and then reach D within 5 seconds."
+)
+
+
+@pytest.mark.parametrize(
+    "weight, sentence",
+    [
+        (800.0, "Reach B within 10 seconds."),  # exp(800) overflows
+        (-300.0, THREE_TASKS),  # exp(-900) underflows to 0: a zero total
+        (300.0, THREE_TASKS),  # exp(900) is inf: inf / inf would be NaN
+    ],
+)
+def test_translate_scores_outside_float_range(lexicon, weight, sentence):
+    text = format_lexicon(lexicon).replace("seconds | UNIT | 0.0", f"seconds | UNIT | {weight}")
+    with pytest.raises(ScoreRangeError, match="outside the float range"):
+        translate(sentence, load_lexicon(text))
 
 
 def test_to_dict_schema(lexicon):

@@ -111,6 +111,12 @@ def test_parse_term_errors():
             parse_term(text)
 
 
+def test_parse_term_reads_only_decimal_digits():
+    """'²' is a digit to str.isdigit but not to int()."""
+    with pytest.raises(TemplateSyntaxError):
+        parse_term("F(I(0, ²), phi_a)")
+
+
 def test_parse_term_deep_nesting_is_a_syntax_error():
     depth = 100_000
     with pytest.raises(TemplateSyntaxError, match="nested too deeply"):

@@ -199,6 +199,12 @@ def test_parse_rejects_garbage():
             parse_formula(text)
 
 
+def test_parse_formula_reads_only_decimal_digits():
+    """'²' is a digit to str.isdigit but not to int()."""
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("F[²,3] phi_a")
+
+
 def test_parse_formula_deep_nesting_is_a_syntax_error():
     with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
         parse_formula("!" * 100_000 + "phi_a")

@@ -34,22 +34,27 @@ from reference_formulas import S8_GLOBAL, S8_LOCAL
 UNIT_BOX = Box(0.0, 0.0, 1.0, 1.0)
 
 
+def margin(box: Box, point) -> float:
+    """Box.margins on a one-row array."""
+    return float(box.margins(np.array([point], dtype=float))[0])
+
+
 def test_margin_inside_center():
-    assert UNIT_BOX.margin((0.5, 0.5)) == 0.5
+    assert margin(UNIT_BOX, (0.5, 0.5)) == 0.5
 
 
 def test_margin_outside():
-    assert UNIT_BOX.margin((2.0, 0.5)) == -1.0
+    assert margin(UNIT_BOX, (2.0, 0.5)) == -1.0
 
 
 def test_margin_on_boundary():
-    assert UNIT_BOX.margin((1.0, 0.5)) == 0.0
+    assert margin(UNIT_BOX, (1.0, 0.5)) == 0.0
 
 
 def test_margins_equal_the_builtin_min_over_faces():
-    """Box.margins and Box.margin equal min() over the four face distances
-    in the order left, right, bottom, top, down to the sign of a zero where
-    two faces meet."""
+    """Box.margins, on the whole array and on one-row arrays, equals min()
+    over the four face distances in the order left, right, bottom, top,
+    down to the sign of a zero where two faces meet."""
     box = Box(0.0, -1.0, 2.0, 0.0)
     coords = [-0.0, 0.0, 0.5, 1.0, 2.0, -1.0, 3.0]
     points = [(px, py) for px in coords for py in coords]
@@ -57,7 +62,7 @@ def test_margins_equal_the_builtin_min_over_faces():
         repr(min(px - box.xmin, box.xmax - px, py - box.ymin, box.ymax - py)) for px, py in points
     ]
     assert [repr(m) for m in box.margins(np.array(points)).tolist()] == expected
-    assert [repr(box.margin(p)) for p in points] == expected
+    assert [repr(margin(box, p)) for p in points] == expected
 
 
 def test_degenerate_box_rejected():
