@@ -78,20 +78,21 @@ def _build_parser() -> _ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--lexicon", metavar="PATH", help="lexicon file (default: bundled)")
-    common.add_argument(
+    common.add_argument("-v", "--verbose", action="count", default=0)
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument("-v", "--verbose", action="count", default=0)
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p_translate = sub.add_parser(
-        "translate", parents=[common], help="translate one sentence"
+        "translate", parents=[formatted], help="translate one sentence"
     )
     p_translate.add_argument("sentence")
 
     p_corpus = sub.add_parser(
-        "corpus", parents=[common], help="translate a corpus file, optionally gated"
+        "corpus", parents=[formatted], help="translate a corpus file, optionally gated"
     )
     p_corpus.add_argument("corpus_file", nargs="?", default=None,
                           help="TSV of 'id<TAB>sentence' (default: bundled corpus)")
@@ -99,7 +100,7 @@ def _build_parser() -> _ArgumentParser:
                           help="expectations TSV: 'id<TAB>count<TAB>formula;...'")
 
     p_eval = sub.add_parser(
-        "eval", parents=[common], help="evaluate candidate robustness on a trajectory"
+        "eval", parents=[formatted], help="evaluate candidate robustness on a trajectory"
     )
     p_eval.add_argument("sentence")
     p_eval.add_argument("--trajectory", metavar="PATH", required=True,
@@ -194,7 +195,14 @@ def _read_expectations(path: str) -> dict[str, tuple[int, set[str]]]:
         if len(parts) != 3:
             raise ValueError(f"expectations line {lineno}: expected 'id<TAB>count<TAB>formulas'")
         sid, count_text, formulas = parts
-        expected[sid.strip()] = (
+        sid, count_text = sid.strip(), count_text.strip()
+        if sid in expected:
+            raise ValueError(f"expectations line {lineno}: duplicate id {sid!r}")
+        if not count_text.isdecimal():
+            raise ValueError(
+                f"expectations line {lineno}: count {count_text!r} is not a non-negative integer"
+            )
+        expected[sid] = (
             int(count_text),
             {f.strip() for f in formulas.split(";") if f.strip()},
         )

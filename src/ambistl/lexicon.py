@@ -35,7 +35,9 @@ from functools import cached_property
 from importlib import resources
 from typing import IO, Iterable, Sequence, Union
 
-from .semantics import IntC, Lam, Term, format_term, free_vars, parse_term
+from .semantics import (
+    IntC, Lam, ReductionBudgetError, Term, beta_reduce, format_term, free_vars, parse_term
+)
 
 TextSource = Union[str, IO[str]]
 
@@ -313,7 +315,8 @@ def format_lexicon(lexicon: Lexicon) -> str:
 
 def validate_lexicon(lexicon: Lexicon) -> list[str]:
     """Diagnostics: entries that can never combine, templates that do not
-    fit their category, and defaulted rule weights.
+    fit their category or have no normal form, and rule weights that are
+    defaulted or name no rule the parser applies.
 
     An entry is dead when some argument category along its curried spine
     can never be produced by any entry (numerals always produce NUM).  A
@@ -343,6 +346,13 @@ def validate_lexicon(lexicon: Lexicon) -> list[str]:
                 )
                 break
             cat = cat.result
+        try:
+            beta_reduce(entry.template)
+        except ReductionBudgetError as exc:
+            diagnostics.append(
+                f"template of '{' '.join(entry.surface)}' ({format_category(entry.category)}) "
+                f"has no normal form: {exc}"
+            )
         arity, result = 0, entry.category
         while isinstance(result, Slash):
             arity, result = arity + 1, result.result
@@ -358,6 +368,9 @@ def validate_lexicon(lexicon: Lexicon) -> list[str]:
     for rule in KNOWN_RULES:
         if rule not in lexicon.rule_weights:
             diagnostics.append(f"rule weight for '{rule}' absent; defaulted to 0.0")
+    for rule in lexicon.rule_weights:
+        if rule not in KNOWN_RULES:
+            diagnostics.append(f"rule weight for unknown rule '{rule}' is never used")
     return diagnostics
 
 

@@ -9,8 +9,9 @@ derivation covers the whole sentence with a category in
 Two readers use a filled chart: the pipeline packs meanings over it
 directly, and :func:`unpack_nbest` unpacks the trees, summing each one's
 score as it builds it (no finished tree is walked), and returns the top n
-in a deterministic order (ties in score are broken by the canonical
-derivation string).
+by score.  Ties in score keep chart order: root categories as the top cell
+holds them, then each item's backpointers in cell order, then left trees
+before right trees.
 
 Scoring replaces a learned parser model with a declared structural
 preference: every post-modifier attachment (a while-clause or a trailing
@@ -31,7 +32,6 @@ from typing import Sequence, Union
 from .lexicon import (
     BACKWARD, FORWARD, ROOT_CATEGORIES, Category, LexEntry, Lexicon, Slash, format_category, lookup
 )
-from .semantics import format_term
 
 LOCALITY_PENALTY = 0.7
 POST_MODIFIER_HEADS = ("while", "within")
@@ -100,18 +100,6 @@ class Derivation:
 
     root: DerivationTree
     score: float
-
-
-def format_derivation(tree: DerivationTree) -> str:
-    """Compact canonical bracketing, used as the deterministic tie-breaker.
-
-    Leaves carry their template text as well: surface form and category do
-    not identify an entry when a word has several readings in one category.
-    """
-    if isinstance(tree, Leaf):
-        surface = "_".join(tree.entry.surface)
-        return f"{surface}:{format_category(tree.category)}:{format_term(tree.entry.template)}"
-    return f"({tree.rule} {format_derivation(tree.left)} {format_derivation(tree.right)})"
 
 
 def pretty_derivation(tree: DerivationTree, indent: int = 0) -> str:
@@ -227,10 +215,10 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
 def unpack_nbest(chart: Chart, lexicon: Lexicon, n: int = DEFAULT_N_BEST) -> list[Derivation]:
     """The ``n`` best complete derivations of a filled chart, best-first.
 
-    Ties in score are broken by the canonical derivation string, so results
-    are identical across runs; that string is rendered only for the
-    derivations tied with or above the n-th score, since a derivation
-    scoring below it cannot outrank n others.
+    One stable sort by score: ties keep the order in which the chart builds
+    the trees (root categories as the top cell holds them, each item's
+    backpointers in cell order, left trees before right trees), which
+    depends on nothing but the sentence and the lexicon.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -251,10 +239,6 @@ def unpack_nbest(chart: Chart, lexicon: Lexicon, n: int = DEFAULT_N_BEST) -> lis
     roots = [entry for cat in chart.roots for entry in trees[(0, len(chart.words), cat)]]
     scored = [Derivation(root, score_of(weight, skipped)) for root, weight, skipped in roots]
     scored.sort(key=lambda d: -d.score)
-    if len(scored) > n:
-        cutoff = scored[n - 1].score
-        scored = [d for d in scored if d.score >= cutoff]
-    scored.sort(key=lambda d: (-d.score, format_derivation(d.root)))
     return scored[:n]
 
 

@@ -361,11 +361,21 @@ def _expect(tokens: list[str], pos: int, expected: str) -> int:
 
 def _parse_interval(tokens: list[str], pos: int) -> tuple[Interval, int]:
     pos = _expect(tokens, pos, "[")
-    lo = int(tokens[pos])
-    pos = _expect(tokens, pos + 1, ",")
-    hi = int(tokens[pos])
-    pos = _expect(tokens, pos + 1, "]")
-    return Interval(lo, hi), pos
+    lo, pos = _parse_bound(tokens, pos)
+    pos = _expect(tokens, pos, ",")
+    hi, pos = _parse_bound(tokens, pos)
+    pos = _expect(tokens, pos, "]")
+    try:
+        return Interval(lo, hi), pos
+    except ValueError as exc:
+        raise FormulaSyntaxError(str(exc)) from None
+
+
+def _parse_bound(tokens: list[str], pos: int) -> tuple[int, int]:
+    if pos >= len(tokens) or not tokens[pos].isdecimal():
+        got = tokens[pos] if pos < len(tokens) else "end of input"
+        raise FormulaSyntaxError(f"expected an interval bound, got {got!r}")
+    return int(tokens[pos]), pos + 1
 
 
 def _parse(tokens: list[str], pos: int) -> tuple[Formula, int]:

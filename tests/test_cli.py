@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ambistl
 from ambistl.cli import main
 from ambistl.lexicon import format_lexicon, load_default_lexicon
 
@@ -187,6 +192,31 @@ def test_corpus_gate_notices_a_dropped_sentence(tmp_path, capsys):
     assert "match expectations" not in captured.out
 
 
+@pytest.mark.parametrize("lines", [
+    ["S1\t1\tF[0,99] phi_z", "S1\t1\tF[0,10] phi_b"],
+    ["S1\t1\tF[0,10] phi_b", "S1\t1\tF[0,99] phi_z"],
+], ids=["contradiction-first", "contradiction-last"])
+def test_corpus_gate_rejects_a_repeated_id(tmp_path, capsys, lines):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("S1\tReach B within 10 seconds.\n")
+    expect = tmp_path / "expect.tsv"
+    expect.write_text("\n".join(lines) + "\n")
+    assert main(["corpus", str(corpus), "--expect", str(expect)]) == 3
+    captured = capsys.readouterr()
+    assert "expectations line 2: duplicate id 'S1'" in captured.err
+    assert "match expectations" not in captured.out
+
+
+@pytest.mark.parametrize("count", ["x", "-1", "1.0"])
+def test_corpus_gate_names_the_line_of_a_bad_count(tmp_path, capsys, count):
+    expect = tmp_path / "expect.tsv"
+    expect.write_text(f"# header\nS1\t{count}\tF[0,10] phi_b\n")
+    assert main(["corpus", "--expect", str(expect)]) == 3
+    assert f"expectations line 2: count '{count}' is not a non-negative integer" in (
+        capsys.readouterr().err
+    )
+
+
 def test_corpus_missing_file_is_io_error(capsys):
     assert main(["corpus", "/nonexistent/corpus.tsv"]) == 3
 
@@ -335,6 +365,29 @@ def test_explain_says_when_derivations_were_cut(capsys):
     out = capsys.readouterr().out
     assert "132 derivation(s), 0 discarded" in out and "listing" not in out
     assert out.count("  derivation ") == 132
+
+
+def test_explain_has_no_format_flag(capsys):
+    assert main(["explain", "--format", "json", "Reach B within 10 seconds."]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage" in captured.err.lower()
+
+
+def test_explain_listing_is_independent_of_the_hash_seed():
+    """Tied derivations keep chart order, so a cut listing is the same
+    whatever order Python's string hashing gives sets."""
+    src = str(Path(ambistl.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "ambistl.cli", "explain", "--n-best", "10", kstep_sentence(5)],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert b"listing the 10 best of 42 derivations" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_corpus_sentences_are_not_reported_as_cut(capsys, corpus, regions_file, trajectory_file):

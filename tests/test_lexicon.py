@@ -210,6 +210,18 @@ def test_missing_rule_weight_noted(lexicon):
     assert notes == ["rule weight for 'ba' absent; defaulted to 0.0"]
 
 
+def test_template_without_normal_form_noted(lexicon):
+    line = "zz | NP | 0.0 | (lam x. x(x))(lam x. x(x))"
+    notes = validate_lexicon(load_lexicon(format_lexicon(lexicon) + line + "\n"))
+    assert len(notes) == 1
+    assert notes[0].startswith("template of 'zz' (NP) has no normal form: ")
+
+
+def test_unknown_rule_weight_noted(lexicon):
+    notes = validate_lexicon(load_lexicon(format_lexicon(lexicon) + "@rule zz 1.0\n"))
+    assert notes == ["rule weight for unknown rule 'zz' is never used"]
+
+
 def test_default_lexicon_covers_corpus_vocabulary(lexicon, corpus):
     from ambistl.parser import tokenize
 

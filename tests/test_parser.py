@@ -5,13 +5,12 @@ import pytest
 
 from ambistl.lexicon import Basic, format_lexicon, load_lexicon
 from ambistl.parser import (
-    LOCALITY_PENALTY,
     POST_MODIFIER_HEADS,
     CoverageError,
     EmptySentenceError,
     Leaf,
     NoParseError,
-    format_derivation,
+    fill_chart,
     increment,
     parse_nbest,
     pretty_derivation,
@@ -19,6 +18,7 @@ from ambistl.parser import (
 )
 
 from conftest import kstep_sentence
+from derivation_reference import chart_order_derivations, format_derivation, reference_score
 
 
 def leaves(tree) -> list[Leaf]:
@@ -27,23 +27,8 @@ def leaves(tree) -> list[Leaf]:
     return leaves(tree.left) + leaves(tree.right)
 
 
-def reference_score(tree, lexicon, words) -> float:
-    """Leaf weights plus rule weights plus attachment locality penalties,
-    by one walk over a finished tree; ``words`` are the tokens it spans."""
-    total = 0.0
-    skipped = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            total += node.entry.weight
-            continue
-        weight, node_skipped = increment(lexicon, words, node.rule, node.start, node.left.end)
-        total += weight
-        skipped += node_skipped
-        stack.append(node.left)
-        stack.append(node.right)
-    return total - LOCALITY_PENALTY * skipped
+def listing(derivations) -> list[tuple[float, str]]:
+    return [(d.score, format_derivation(d.root)) for d in derivations]
 
 
 # --- tokenizer ------------------------------------------------------------------
@@ -113,9 +98,7 @@ def test_truncation_to_n(lexicon):
     full = parse_nbest(tokens, lexicon, n=100)
     top2 = parse_nbest(tokens, lexicon, n=2)
     assert len(top2) == 2
-    assert [format_derivation(d.root) for d in top2] == [
-        format_derivation(d.root) for d in full[:2]
-    ]
+    assert listing(top2) == listing(full[:2])
 
 
 def test_scores_sorted_descending(lexicon):
@@ -155,9 +138,7 @@ def test_determinism_across_runs(lexicon, corpus):
         tokens = tokenize(sentence)
         first = parse_nbest(tokens, lexicon)
         second = parse_nbest(tokens, lexicon)
-        assert [(d.score, format_derivation(d.root)) for d in first] == [
-            (d.score, format_derivation(d.root)) for d in second
-        ]
+        assert listing(first) == listing(second)
 
 
 def test_zero_weight_modifier_free_derivation_scores_zero(lexicon):
@@ -202,32 +183,37 @@ def _skipped_verbs(tree) -> int:
 
 def test_equal_skip_counts_give_equal_scores(lexicon):
     """With zero lexical and rule weights, derivations skipping the same
-    number of task verbs score exactly alike, so the documented tie-break
-    by derivation string decides their order."""
-    derivations = parse_nbest(tokenize(kstep_sentence(5)), lexicon, n=sys.maxsize)
+    number of task verbs score exactly alike, so the documented tie order,
+    chart order, decides their order."""
+    words = tokenize(kstep_sentence(5))
+    derivations = parse_nbest(words, lexicon, n=sys.maxsize)
     assert len(derivations) == 42
     scores_by_skips = defaultdict(set)
     for d in derivations:
         scores_by_skips[_skipped_verbs(d.root)].add(d.score)
     assert len(scores_by_skips) > 1
     assert all(len(scores) == 1 for scores in scores_by_skips.values()), scores_by_skips
-    keys = [(-d.score, format_derivation(d.root)) for d in derivations]
-    assert keys == sorted(keys)
+    assert listing(derivations) == chart_order_derivations(fill_chart(words, lexicon), lexicon)
 
 
 @pytest.mark.parametrize("k", [4, 5])
 @pytest.mark.parametrize("n", [1, 5, 6, 10, 14, 15, 28, 29, 40, 68, 69, sys.maxsize])
 def test_nbest_equals_top_n_of_the_full_sort(lexicon, k, n):
-    """The score cutoff keeps every derivation tied with the n-th, so the
-    top n equal those of sorting every derivation.  At k=5 the tie groups
-    end at 14, 19, 23, 28 and 42 derivations; at k=4 at 5, 7, 9 and 14."""
+    """The top n are the first n of the whole chart-order listing, also
+    when n cuts a tie group.  At k=5 the tie groups end at 14, 19, 23, 28
+    and 42 derivations; at k=4 at 5, 7, 9 and 14."""
     tokens = tokenize(kstep_sentence(k))
-    full = parse_nbest(tokens, lexicon, n=sys.maxsize)
-    expected = sorted(full, key=lambda d: (-d.score, format_derivation(d.root)))[:n]
-    got = parse_nbest(tokens, lexicon, n=n)
-    assert [(d.score, format_derivation(d.root)) for d in got] == [
-        (d.score, format_derivation(d.root)) for d in expected
-    ]
+    full = listing(parse_nbest(tokens, lexicon, n=sys.maxsize))
+    assert full == chart_order_derivations(fill_chart(tokens, lexicon), lexicon)
+    assert listing(parse_nbest(tokens, lexicon, n=n)) == full[:n]
+
+
+def test_full_listing_is_the_chart_order_reference(lexicon, corpus):
+    sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 7)]
+    for sentence in sentences:
+        words = tokenize(sentence)
+        expected = chart_order_derivations(fill_chart(words, lexicon), lexicon)
+        assert listing(parse_nbest(words, lexicon, n=sys.maxsize)) == expected, sentence
 
 
 def test_skipped_verbs_counts_task_verb_leaves(lexicon):

@@ -194,8 +194,11 @@ def test_format_round_trips(f):
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "phi_", "F[2,1] phi_a", "(phi_a &)", "(phi_a & phi_b | phi_c)", "F phi_a"]:
-        with pytest.raises((FormulaSyntaxError, ValueError)):
+    for text in [
+        "", "phi_", "F[2,1] phi_a", "(phi_a &)", "(phi_a & phi_b | phi_c)", "F phi_a",
+        "F[", "F[1,", "F[a,3] phi_b", "F[1,0] phi_a",
+    ]:
+        with pytest.raises(FormulaSyntaxError):
             parse_formula(text)
 
 
