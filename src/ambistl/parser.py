@@ -26,6 +26,7 @@ and its split, so scores can be summed over the packed chart.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -172,6 +173,14 @@ class Chart:
 def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     """CKY over forward and backward application into a packed chart.
 
+    Spans are filled shortest first.  A cell ``(i, j)`` is built from the
+    splits ``k`` where both ``(i, k)`` and ``(k, j)`` are non-empty: for
+    each start ``i`` the ends of its non-empty cells are kept in ascending
+    order, and only those are visited.  Each cell's backpointers come in the
+    order a dense loop over every ``k`` gives them (ascending ``k``, then
+    the daughters' categories in cell order, ``fa`` before ``ba``), the
+    chart order that tied derivations and float sums follow.
+
     Raises :class:`CoverageError` when a word has no lexical entry and
     :class:`NoParseError` when no root category covers the whole sentence.
     """
@@ -192,19 +201,29 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
         if not ok:
             raise CoverageError(words[i], i)
 
+    # ends[i]: ascending ends j of the non-empty cells (i, j)
+    ends = [sorted(j for j in range(i + 1, length + 1) if cells[(i, j)]) for i in range(length)]
     for span in range(2, length + 1):
         for i in range(0, length - span + 1):
             j = i + span
             cell = cells[(i, j)]
-            for k in range(i + 1, j):
+            was_empty = not cell
+            for k in ends[i]:
+                if k >= j:
+                    break
+                right = cells[(k, j)]
+                if not right:
+                    continue
                 for cat_l in cells[(i, k)]:
-                    for cat_r in cells[(k, j)]:
+                    for cat_r in right:
                         for rule, fn, arg, slash in (
                             ("fa", cat_l, cat_r, FORWARD),
                             ("ba", cat_r, cat_l, BACKWARD),
                         ):
                             if isinstance(fn, Slash) and fn.slash == slash and fn.argument == arg:
                                 cell.setdefault(fn.result, []).append((rule, k, cat_l, cat_r))
+            if was_empty and cell:
+                insort(ends[i], j)
 
     chart = Chart(tuple(words), cells)
     if not chart.roots:

@@ -14,10 +14,13 @@ during reduction:
 
 Translation is :func:`fill_chart`, a packing pass (:func:`pack_meanings`)
 and ranking.  The packing pass composes meanings over the packed chart, not
-over trees: per chart item, meanings that convert to the same formula are
-merged, carrying the sum of exp(score) and the count of the derivations
-behind them, so the candidate set covers every derivation and no tree is
-built or walked.  Only :func:`analyze` unpacks trees, for those it lists.
+over trees: per chart item, meanings whose formulas are equal up to the
+nesting and order of conjunctions and disjunctions are merged, carrying the
+sum of exp(score) and the count of the derivations behind them, so the
+candidate set covers every derivation and no tree is built or walked.  A
+merged meaning that converted enters its mothers as ``Lit(formula)``, so a
+finished formula is composed over, not reduced and converted again.  Only
+:func:`analyze` unpacks trees, for those it lists.
 
 A sequence whose head holds no eventually task (``avoid A ... and then
 ...``) has no reading, and a custom lexicon can build a meaning that
@@ -41,8 +44,11 @@ from .parser import (
     DEFAULT_N_BEST, Chart, Derivation, DerivationTree, Leaf, fill_chart, increment, score_of,
     tokenize, unpack_nbest,
 )
-from .semantics import App, AtomC, Con, IntC, Lam, Term, Var, beta_reduce
-from .stl import And, Atom, F, Formula, G, Interval, Not, Or, canonicalize, extent, format_formula
+from .semantics import App, AtomC, Con, IntC, Lam, Lit, Term, Var, beta_reduce
+from .stl import (
+    And, Atom, F, Formula, G, Interval, Not, Or, canonical_form, canonicalize, extent,
+    format_formula,
+)
 
 
 class IllFormedMeaningError(Exception):
@@ -116,6 +122,8 @@ def to_stl(term: Term) -> Formula:
     """Convert a beta-normal meaning term to STL, or raise
     :class:`IllFormedMeaningError`."""
     match term:
+        case Lit(formula):
+            return formula
         case AtomC(name):
             return Atom(name)
         case Con("NOT", (body,)):
@@ -191,8 +199,8 @@ def _rank(
     """
     groups: dict[str, list] = {}
     for formula, weight, count in weighted:
-        canonical = canonicalize(formula)
-        group = groups.setdefault(format_formula(canonical), [canonical, 0.0, 0])
+        canonical, text = canonical_form(formula)
+        group = groups.setdefault(text, [canonical, 0.0, 0])
         group[1] += weight
         group[2] += count
     total = sum(weight for _, weight, _ in groups.values())
@@ -203,12 +211,13 @@ def _rank(
                 f"summed exp(score) of {name} is {weight!r}, outside the float range: "
                 "the lexicon weights are too large in magnitude"
             )
-    candidates = [
-        Candidate(formula, weight, weight / total, count)
-        for formula, weight, count in groups.values()
+    ranked = [
+        (text, Candidate(formula, weight, weight / total, count))
+        for text, (formula, weight, count) in groups.items()
     ]
-    candidates.sort(key=lambda c: (-c.probability, format_formula(c.formula)))
-    return CandidateSet(sentence, tuple(candidates), n_derivations, discarded_count)
+    ranked.sort(key=lambda pair: (-pair[1].probability, pair[0]))
+    candidates = tuple(candidate for _, candidate in ranked)
+    return CandidateSet(sentence, candidates, n_derivations, discarded_count)
 
 
 def aggregate(
@@ -237,15 +246,56 @@ def aggregate(
     )
 
 
-def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
+def _packing_key(formula: Formula, known: dict[int, str], fresh: dict[int, str]) -> str:
+    """The rendering of ``formula`` with nested conjunctions and
+    disjunctions flattened and their children sorted, duplicates kept.
+
+    ``known`` maps the ``id`` of every subformula of a formula already
+    packed to its key, so a subformula that came in through a ``Lit`` is not
+    walked again; the keys computed here are added to ``fresh``.
+    """
+    key = known.get(id(formula))
+    if key is not None:
+        return key
+    if isinstance(formula, (And, Or)):
+        children = _flat_children(formula, type(formula))
+        parts = sorted(_packing_key(c, known, fresh) for c in children)
+        key = "(" + (" & " if isinstance(formula, And) else " | ").join(parts) + ")"
+    elif isinstance(formula, Not):
+        key = "!" + _packing_key(formula.child, known, fresh)
+    elif isinstance(formula, (F, G)):
+        op = "F" if isinstance(formula, F) else "G"
+        key = f"{op}{formula.interval} {_packing_key(formula.child, known, fresh)}"
+    else:
+        key = format_formula(formula)
+    fresh[id(formula)] = key
+    return key
+
+
+def _flat_children(formula: Formula, same: type):
+    for child in formula.children:
+        if isinstance(child, same):
+            yield from _flat_children(child, same)
+        else:
+            yield child
+
+
+def _pack(merged: dict, known: dict[int, str], meaning: Term, weight: float, count: int) -> None:
     """Add ``count`` derivations of summed exp(score) ``weight`` and meaning
     ``meaning`` to a chart item's merged meanings.
 
-    Meanings that convert to one raw formula are interchangeable in every
-    context, since conversion is compositional, so they share an entry;
-    every other meaning gets an entry of its own.  Keying by the canonical
-    formula would be unsound: sequence insertion reads the unflattened
-    conjunction shape.
+    Meanings whose formulas are equal up to the nesting and order of
+    conjunctions and disjunctions (:func:`_packing_key`) are
+    interchangeable in every context, so they share an entry: conversion
+    is compositional, and what sequence insertion and guard windows read
+    of a formula (its eventually tasks, counted through nested
+    conjunctions, and its extent) depends on neither.  Duplicates are kept
+    apart, as ``F a & F a`` holds two eventually tasks; keying by the
+    canonical formula would be unsound.  A converted entry keeps the
+    formula of its first meaning as ``Lit(formula)``, the leaf mothers
+    compose over, and records the keys of its subformulas in ``known``;
+    the entry keeps them alive, so no ``id`` in ``known`` is reused while
+    the pass runs.  Every other meaning gets an entry of its own.
     """
     formula = None
     if not isinstance(meaning, Lam):
@@ -253,10 +303,15 @@ def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
             formula = to_stl(meaning)
         except IllFormedMeaningError:
             pass
-    key = formula if formula is not None else object()
+    if formula is None:
+        merged[object()] = [meaning, weight, count, None]
+        return
+    fresh: dict[int, str] = {}
+    key = _packing_key(formula, known, fresh)
     entry = merged.get(key)
     if entry is None:
-        merged[key] = [meaning, weight, count, formula]
+        merged[key] = [Lit(formula), weight, count, formula]
+        known.update(fresh)
     else:
         entry[1] += weight
         entry[2] += count
@@ -331,24 +386,27 @@ def pack_meanings(
     of derivations and of those discarded as ill-formed.
 
     Meanings are composed bottom-up over the chart items that lie under a
-    root, merging interchangeable meanings per item (see :func:`_pack`).
+    root, merging interchangeable meanings per item (see :func:`_pack`);
+    a daughter's converted meaning is passed to the templates of its
+    mothers as the ``Lit`` of its formula.
     Each merged meaning carries the sum of exp(score) over its derivations
     and their count, so ranking the result equals aggregating every
     derivation.
     """
     packed: dict[tuple[int, int, Category], dict] = {}
+    known: dict[int, str] = {}
     for i, j, cat in chart.items_under_roots():
         merged = packed[(i, j, cat)] = {}
         for back in chart.cells[(i, j)][cat]:
             if isinstance(back, LexEntry):
-                _pack(merged, beta_reduce(back.template), _exp(back.weight), 1)
+                _pack(merged, known, beta_reduce(back.template), _exp(back.weight), 1)
                 continue
             rule, k, cat_l, cat_r = back
             factor = _exp(score_of(*increment(lexicon, chart.words, rule, i, k)))
             for left, weight_l, count_l, _ in packed[(i, k, cat_l)].values():
                 for right, weight_r, count_r, _ in packed[(k, j, cat_r)].values():
                     meaning = beta_reduce(App(left, right) if rule == "fa" else App(right, left))
-                    _pack(merged, meaning, weight_l * weight_r * factor, count_l * count_r)
+                    _pack(merged, known, meaning, weight_l * weight_r * factor, count_l * count_r)
 
     weighted: list[tuple[Formula, float, int]] = []
     total = discarded = 0

@@ -16,6 +16,14 @@ Constructors are opaque to reduction: an application whose head is a
 constructor is stuck and survives into the normal form, where the
 conversion step rejects the meaning as ill-formed.  The typed sentence
 categories of the bundled lexicon never build such an application.
+
+One leaf never comes from a template: ``Lit(formula)``, a meaning that has
+already been converted to STL.  The packing pass composes over such leaves
+instead of over the meanings they replace, so a finished formula is not
+reduced, converted or hashed again in every mother that uses it.  A ``Lit``
+is a closed constant: reduction, substitution and ``free_vars`` pass it
+through as they pass atoms, an application of one is stuck, and
+:func:`parse_term` never produces one.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
+
+from .stl import Formula, format_formula
 
 REDUCTION_BUDGET = 10_000
 
@@ -81,6 +91,13 @@ class Con(Term):
 
     name: str
     args: tuple[Term, ...]
+
+
+@dataclass(frozen=True)
+class Lit(Term):
+    """A meaning already converted to a formula, an opaque constant."""
+
+    formula: Formula
 
 
 _CONSTRUCTORS: dict[str, int] = {
@@ -210,6 +227,8 @@ def format_term(t: Term) -> str:
         return str(t.value)
     if isinstance(t, Con):
         return f"{t.name}({', '.join(format_term(a) for a in t.args)})"
+    if isinstance(t, Lit):
+        return f"{{{format_formula(t.formula)}}}"
     raise TypeError(f"not a term node: {t!r}")
 
 

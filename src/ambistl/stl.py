@@ -14,6 +14,7 @@ down to the byte.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -52,8 +53,9 @@ class Interval:
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
-            raise ValueError("interval bounds must be integers")
+        for bound in (self.lo, self.hi):
+            if isinstance(bound, bool) or not isinstance(bound, int):
+                raise ValueError("interval bounds must be integers")
         if self.lo < 0 or self.hi < self.lo:
             raise ValueError(f"invalid interval [{self.lo},{self.hi}]")
 
@@ -187,37 +189,60 @@ def canonicalize(formula: Formula) -> Formula:
     disjunctions, sorts the children of each connective by their text
     rendering, and drops duplicate siblings.  No rewriting crosses a
     temporal operator, so e.g. an F over a disjunction is left as is.
-    Idempotent.
+    Idempotent.  :func:`canonical_form` also returns the rendering.
     """
+    return canonical_form(formula)[0]
+
+
+def canonical_form(formula: Formula) -> tuple[Formula, str]:
+    """:func:`canonicalize` and :func:`format_formula` of the result, in one
+    pass: each subtree is rendered once, and the sort keys of a connective's
+    children are the renderings its children already returned."""
     try:
-        if isinstance(formula, Not):
-            child = canonicalize(formula.child)
-            if isinstance(child, Not):
-                return child.child
-            return Not(child)
-        if isinstance(formula, (And, Or)):
-            same = type(formula)
-            flat: list[Formula] = []
-            for item in formula.children:
-                c = canonicalize(item)
-                if isinstance(c, same):
-                    flat.extend(c.children)
-                else:
-                    flat.append(c)
-            seen: dict[str, Formula] = {}
-            for c in flat:
-                seen.setdefault(format_formula(c), c)
-            ordered = [seen[k] for k in sorted(seen)]
-            if len(ordered) == 1:
-                return ordered[0]
-            return same(tuple(ordered))
-        if isinstance(formula, (F, G)):
-            return type(formula)(formula.interval, canonicalize(formula.child))
-        if isinstance(formula, Until):
-            return Until(formula.interval, canonicalize(formula.left), canonicalize(formula.right))
-        return formula
+        return _canonical(formula)
     except RecursionError:
         raise FormulaDepthError(_TOO_DEEP) from None
+
+
+def _canonical(formula: Formula) -> tuple[Formula, str]:
+    if isinstance(formula, Not):
+        child, text = _canonical(formula.child)
+        if isinstance(child, Not):
+            return child.child, text[1:]
+        return Not(child), "!" + text
+    if isinstance(formula, (And, Or)):
+        members: dict[str, Formula] = {}
+        _collect_members(formula, type(formula), members)
+        if len(members) == 1:
+            ((text, only),) = members.items()
+            return only, text
+        texts = sorted(members)
+        joiner = " & " if isinstance(formula, And) else " | "
+        return type(formula)(tuple(members[t] for t in texts)), "(" + joiner.join(texts) + ")"
+    if isinstance(formula, (F, G)):
+        child, body = _canonical(formula.child)
+        op = "F" if isinstance(formula, F) else "G"
+        sep = "" if body.startswith("(") else " "
+        return type(formula)(formula.interval, child), f"{op}{formula.interval}{sep}{body}"
+    if isinstance(formula, Until):
+        (left, left_text), (right, right_text) = _canonical(formula.left), _canonical(formula.right)
+        text = f"U{formula.interval}({left_text}, {right_text})"
+        return Until(formula.interval, left, right), text
+    return formula, format_formula(formula)
+
+
+def _collect_members(formula: Formula, same: type, members: dict[str, Formula]) -> None:
+    """Canonical children of a ``same`` connective, by rendering, through
+    nested ``same`` connectives, duplicates dropped."""
+    for item in formula.children:
+        if isinstance(item, same):
+            _collect_members(item, same, members)
+            continue
+        child, text = _canonical(item)
+        if isinstance(child, same):  # e.g. a double negation of a conjunction
+            _collect_members(child, same, members)
+        else:
+            members.setdefault(text, child)
 
 
 def extent(formula: Formula) -> int:
@@ -251,7 +276,11 @@ def robustness(formula: Formula, x: "Trajectory", regions: "RegionMap", t: int =
     An atom's margins up to step ``t + extent(formula)`` are computed in
     one numpy pass on its first visit and dropped on return, so the first
     error in evaluation order is raised, :class:`UnknownAtomError` included.
+    A ``t`` that is not an integer (a bool or a float included) raises
+    :class:`TypeError`.
     """
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+        raise TypeError(f"time index t must be an integer, got {t!r}")
     horizon = len(x) - 1
     if t < 0 or t > horizon:
         raise EmptyWindowError(f"time index {t} outside trajectory [0,{horizon}]")

@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ambistl.lexicon import load_default_lexicon
+from ambistl.lexicon import format_lexicon, load_default_lexicon, load_lexicon
 from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, TrueF, Until
 from ambistl.trajectory import Box, RegionMap, Trajectory
 
@@ -19,6 +19,37 @@ def kstep_sentence(k: int) -> str:
     """'reach X within N seconds and then ... while avoiding A' with k tasks."""
     tasks = " and then ".join(f"reach {'BCD'[i % 3]} within {10 + i} seconds" for i in range(k))
     return f"{tasks} while avoiding A."
+
+
+def guarded_sentence(k: int, joiner: str) -> str:
+    """'reach X within N seconds while avoiding A' k times, joined by
+    ``joiner`` ('and then' or 'or'); its readings are Catalan-many."""
+    task = "reach {} within {} seconds while avoiding A"
+    return f" {joiner} ".join(task.format("BCD"[i % 3], 10 + i) for i in range(k)) + "."
+
+
+_SHARING_WHILE = "lam q. lam p. lam i. AND(p(i), q(i))"
+# Entries added to the bundled lexicon by :func:`custom_lexicon`, by name.
+CUSTOM_ENTRIES = {
+    # The interval-sharing while under categories that hide that its
+    # template still takes an interval: its derivations are ill-formed.
+    "(S\\S)/T": f"while | (S\\S)/T | 0.0 | {_SHARING_WHILE}\n",
+    "(S\\S)/S": f"while | (S\\S)/S | 0.0 | {_SHARING_WHILE}\n",
+    # A second reach with the bundled template and another weight: its
+    # meanings equal the first reach's without being the same derivations.
+    "reach-twice": "reach | T/NP | -0.5 | lam x. lam i. F(i, x)\n",
+    # A closed while, and one that applies its converted left argument as a
+    # function, a stuck application.
+    "apply-converted": (
+        "while | (S\\S)/S | 0.0 | lam q. lam p. AND(p, q)\n"
+        "while | (S\\S)/S | -0.5 | lam q. lam p. AND(p(I(0, 5)), q)\n"
+    ),
+}
+
+
+def custom_lexicon(lexicon, name: str):
+    """The bundled ``lexicon`` plus the entries ``CUSTOM_ENTRIES[name]``."""
+    return load_lexicon(format_lexicon(lexicon) + CUSTOM_ENTRIES[name])
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,8 @@ from ambistl.parser import (
     tokenize,
 )
 
-from conftest import kstep_sentence
+from chart_reference import dense_fill_chart
+from conftest import CUSTOM_ENTRIES, custom_lexicon, guarded_sentence, kstep_sentence
 from derivation_reference import chart_order_derivations, format_derivation, reference_score
 
 
@@ -214,6 +215,37 @@ def test_full_listing_is_the_chart_order_reference(lexicon, corpus):
         words = tokenize(sentence)
         expected = chart_order_derivations(fill_chart(words, lexicon), lexicon)
         assert listing(parse_nbest(words, lexicon, n=sys.maxsize)) == expected, sentence
+
+
+@pytest.mark.parametrize("custom", [None, *CUSTOM_ENTRIES])
+def test_sparse_fill_equals_the_dense_reference(lexicon, corpus, custom):
+    """Visiting only non-empty cells builds the chart a loop over every
+    split point builds: the same cells, categories in the same order, and
+    backpointer lists equal element by element and in order."""
+    lex = lexicon if custom is None else custom_lexicon(lexicon, custom)
+    sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 11)]
+    sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in range(2, 6)]
+    sentences += [
+        "Reach B within 10 seconds while reach C within 15 seconds.",
+        "Avoid A within 10 seconds and then reach B within 5 seconds.",
+        "Within 20 seconds, reach B within 10 seconds while avoiding A.",  # no parse
+    ]  # the avoid-headed chain has no parse either under most lexicons
+    parsed = 0
+    for sentence in sentences:
+        words = tokenize(sentence)
+        dense = dense_fill_chart(words, lex)
+        try:
+            chart = fill_chart(words, lex)
+        except NoParseError:
+            assert not any(cat in dense[(0, len(words))] for cat in (Basic("S"), Basic("R")))
+            continue
+        assert list(chart.cells) == list(dense)
+        for span, cell in chart.cells.items():
+            assert list(cell) == list(dense[span]), (sentence, span)
+            for cat, backs in cell.items():
+                assert backs == dense[span][cat], (sentence, span, cat)
+        parsed += 1
+    assert parsed >= len(sentences) - 2
 
 
 def test_skipped_verbs_counts_task_verb_leaves(lexicon):

@@ -20,7 +20,7 @@ from ambistl.pipeline import (
 from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, parse_term
 from ambistl.stl import And, Atom, F, G, Interval, Not, Or, canonicalize, format_formula
 
-from conftest import kstep_sentence
+from conftest import CUSTOM_ENTRIES, custom_lexicon, guarded_sentence, kstep_sentence
 from reference_formulas import REFERENCE
 
 I10 = Con("I", (IntC(0), IntC(10)))
@@ -221,22 +221,16 @@ def test_translate_five_way_ambiguity(lexicon):
     assert _canon_set(c.formula for c in result.candidates) == _canon_set(REFERENCE["S12"])
 
 
-def _with_while(lexicon, category):
-    """The bundled lexicon plus the interval-sharing while as ``category``."""
-    sharing = "lam q. lam p. lam i. AND(p(i), q(i))"
-    return load_lexicon(format_lexicon(lexicon) + f"while | {category} | 0.0 | {sharing}\n")
-
-
 def test_translate_counts_discards(lexicon):
     # the bundled lexicon builds no ill-formed derivation here, so a custom entry
     # whose category hides that its template still takes an interval forces one
-    custom = _with_while(lexicon, "(S\\S)/T")
+    custom = custom_lexicon(lexicon, "(S\\S)/T")
     result = translate("Reach B within 10 seconds while avoiding A.", custom)
     assert result.n_derivations == result.discarded_count + sum(
         c.support_count for c in result.candidates
     )
     assert result.discarded_count >= 1
-    closed = _with_while(lexicon, "(S\\S)/S")
+    closed = custom_lexicon(lexicon, "(S\\S)/S")
     with pytest.raises(EmptyCandidateSetError, match="all 1 derivations were discarded"):
         translate("Reach B within 10 seconds while reach C within 15 seconds.", closed)
 
@@ -361,9 +355,7 @@ FOUR_WAY = "Within 20 seconds, reach B or reach C or reach D or reach A while av
 
 
 UNGUARDED_HEAD = "Avoid A within 10 seconds and then reach B within 5 seconds."
-# A second reach with the bundled template and another weight: its meanings
-# equal the first reach's without being the same derivations.
-REACH_TWICE = "reach | T/NP | -0.5 | lam x. lam i. F(i, x)\n"
+CLOSED_WHILE = "Reach B within 10 seconds while reach C within 15 seconds."
 
 
 def test_while_clause_inside_a_chain_keeps_the_sequence(lexicon):
@@ -391,20 +383,45 @@ def test_task_verbs_come_from_the_lexicon(lexicon):
     assert probabilities[0] > probabilities[1]
 
 
-@pytest.mark.parametrize("custom", [None, "(S\\S)/T", "(S\\S)/S", "reach-twice"])
+def test_applying_a_converted_meaning_is_discarded_and_counted(lexicon):
+    """The packing pass hands a template the converted formula of its
+    argument as a ``Lit``; a template that applies it as a function builds
+    a stuck application, discarded and counted as the per-tree path does."""
+    lex = custom_lexicon(lexicon, "apply-converted")
+    candidate_set, reports = analyze(CLOSED_WHILE, lex)
+    assert (candidate_set.n_derivations, candidate_set.discarded_count) == (2, 1)
+    assert candidate_set.formulas() == ["(F[0,10] phi_b & F[0,15] phi_c)"]
+    assert [r.error is None for r in reports] == [True, False]
+    assert reports[1].error.startswith("residual App in meaning")
+
+
+def test_packing_keeps_duplicate_tasks_apart(lexicon):
+    """``F b & G !a`` and ``F b & (F b & G !a)`` flatten to the same children
+    but for a duplicate, and differ in meaning: the second holds two
+    eventually tasks, so no sequence can follow it.  Packing must keep them
+    apart, or the second would take the first's reading."""
+    still = "still | S\\S | 0.0 | lam p. AND(p, {})\n"
+    guard = "G(I(0, 1), NOT(phi_a))"
+    lex = load_lexicon(
+        format_lexicon(lexicon) + still.format(guard) + still.format(f"AND(p, {guard})")
+    )
+    sentence = "Reach B within 10 seconds still and then reach C within 5 seconds."
+    got, want = translate(sentence, lex), _enumerated(sentence, lex)
+    assert (got.n_derivations, got.discarded_count) == (2, 1)
+    assert (want.n_derivations, want.discarded_count) == (2, 1)
+    assert got.formulas() == want.formulas()
+    assert [c.support_count for c in got.candidates] == [c.support_count for c in want.candidates]
+
+
+@pytest.mark.parametrize("custom", [None, *CUSTOM_ENTRIES])
 def test_translate_equals_enumerating_every_derivation(lexicon, corpus, custom):
     """The packed chart gives what enumerating every derivation gives:
     formulas, their order, support counts, discards and derivation counts
     exactly, probabilities within 1e-12."""
-    if custom is None:
-        lex = lexicon
-    elif custom == "reach-twice":
-        lex = load_lexicon(format_lexicon(lexicon) + REACH_TWICE)
-    else:
-        lex = _with_while(lexicon, custom)
-    sentences = list(corpus.values()) + [MIDDLE_GUARD, FOUR_WAY, UNGUARDED_HEAD]
+    lex = lexicon if custom is None else custom_lexicon(lexicon, custom)
+    sentences = list(corpus.values()) + [MIDDLE_GUARD, FOUR_WAY, UNGUARDED_HEAD, CLOSED_WHILE]
     sentences += [kstep_sentence(k) for k in range(2, 7 if custom is None else 5)]
-    sentences += ["Reach B within 10 seconds while reach C within 15 seconds."]
+    sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in (2, 3, 4)]
     compared = discards = 0
     for sentence in sentences:
         try:

@@ -5,12 +5,14 @@ import pytest
 from ambistl.lexicon import format_category, load_default_lexicon
 from ambistl.parser import parse_nbest, tokenize
 from ambistl.pipeline import compose
+from ambistl.stl import Atom, F, Interval
 from ambistl.semantics import (
     App,
     AtomC,
     Con,
     IntC,
     Lam,
+    Lit,
     ReductionBudgetError,
     TemplateSyntaxError,
     Var,
@@ -103,6 +105,40 @@ def test_parse_term_round_trip():
     for text in texts:
         term = parse_term(text)
         assert parse_term(format_term(term)) == term
+
+
+def _nodes(term):
+    yield term
+    if isinstance(term, Lam):
+        yield from _nodes(term.body)
+    elif isinstance(term, App):
+        yield from _nodes(term.fn)
+        yield from _nodes(term.arg)
+    elif isinstance(term, Con):
+        for arg in term.args:
+            yield from _nodes(arg)
+
+
+LIT_B = Lit(F(Interval(0, 10), Atom("b")))
+
+
+def test_lit_is_rendered_but_never_parsed(lex):
+    assert format_term(LIT_B) == "{F[0,10] phi_b}"
+    applied = App(parse_term("lam x. NOT(x)"), LIT_B)
+    assert format_term(applied) == "(lam x. NOT(x))({F[0,10] phi_b})"
+    for text in (format_term(LIT_B), format_term(applied)):
+        with pytest.raises(TemplateSyntaxError):
+            parse_term(text)
+    templates = [entry.template for entry in lex.all_entries()]
+    assert not any(isinstance(node, Lit) for t in templates for node in _nodes(t))
+
+
+def test_lit_is_a_closed_constant():
+    assert free_vars(LIT_B) == set()
+    assert substitute(LIT_B, "x", Var("y")) is LIT_B
+    assert beta_reduce(App(parse_term("lam x. AND(x, x)"), LIT_B)) == Con("AND", (LIT_B, LIT_B))
+    stuck = App(LIT_B, I_0_10)  # a converted meaning applied as a function
+    assert beta_reduce(stuck) == stuck
 
 
 def test_parse_term_errors():

@@ -21,6 +21,7 @@ from ambistl.stl import (
     UnknownAtomError,
     Until,
     atoms_of,
+    canonical_form,
     canonicalize,
     extent,
     format_formula,
@@ -69,6 +70,15 @@ def test_interval_rejects_bad_bounds():
         Interval(-1, 2)
 
 
+def test_interval_rejects_bool_bounds():
+    """``F[True,1]`` would not parse back; a bool bound is not an integer here."""
+    for lo, hi in [(True, 1), (0, True), (False, False)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            Interval(lo, hi)
+    with pytest.raises(ValueError, match="must be integers"):
+        Interval(0, 1.0)
+
+
 def test_connectives_require_two_children():
     with pytest.raises(ValueError):
         And((A,))
@@ -106,6 +116,44 @@ def test_canonicalize_keeps_temporal_structure():
     # no distribution of F over a disjunction
     f = F(Interval(0, 10), Or((B, C)))
     assert canonicalize(f) == f
+
+
+def _reference_canonicalize(formula):
+    """Canonical form by re-rendering each connective's children to sort them."""
+    if isinstance(formula, Not):
+        child = _reference_canonicalize(formula.child)
+        return child.child if isinstance(child, Not) else Not(child)
+    if isinstance(formula, (And, Or)):
+        flat = []
+        for item in formula.children:
+            c = _reference_canonicalize(item)
+            flat.extend(c.children if isinstance(c, type(formula)) else [c])
+        seen = {}
+        for c in flat:
+            seen.setdefault(format_formula(c), c)
+        ordered = [seen[k] for k in sorted(seen)]
+        return ordered[0] if len(ordered) == 1 else type(formula)(tuple(ordered))
+    if isinstance(formula, (F, G)):
+        return type(formula)(formula.interval, _reference_canonicalize(formula.child))
+    if isinstance(formula, Until):
+        left, right = map(_reference_canonicalize, (formula.left, formula.right))
+        return Until(formula.interval, left, right)
+    return formula
+
+
+@given(formulas)
+def test_canonical_form_renders_the_reference_canonical_form(f):
+    canonical, text = canonical_form(f)
+    assert canonical == _reference_canonicalize(f)
+    assert text == format_formula(canonical)
+
+
+def test_canonical_form_flattens_a_connective_that_canonicalizes_into_its_parent():
+    assert canonicalize(And((C, Not(Not(And((B, A))))))) == And((A, B, C))
+    assert canonical_form(Or((Or((B, B)), Not(Not(Or((A, C))))))) == (
+        Or((A, B, C)),
+        "(phi_a | phi_b | phi_c)",
+    )
 
 
 @given(formulas)
@@ -266,6 +314,18 @@ def test_empty_window_is_an_error():
         robustness(F(Interval(5, 9), M), x, UNIT_REGIONS, 0)
     with pytest.raises(EmptyWindowError):
         robustness(M, x, UNIT_REGIONS, 7)
+
+
+@pytest.mark.parametrize("t", [1.0, True, np.bool_(True), np.float64(1.0), "1", None])
+def test_robustness_time_index_must_be_an_integer(t):
+    x = margins_trajectory([1.0, 2.0, 3.0])
+    with pytest.raises(TypeError, match="time index t must be an integer"):
+        robustness(M, x, UNIT_REGIONS, t)
+
+
+def test_robustness_accepts_a_numpy_integer_time_index():
+    x = margins_trajectory([1.0, 2.0, 3.0])
+    assert robustness(M, x, UNIT_REGIONS, np.int64(1)) == robustness(M, x, UNIT_REGIONS, 1) == 2.0
 
 
 def test_unknown_atom_error():
