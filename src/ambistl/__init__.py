@@ -1,5 +1,12 @@
 """Ambiguity-preserving translation of navigation commands into ranked STL
-candidates, with quantitative robustness evaluation on 2-D trajectories."""
+candidates, with quantitative robustness evaluation on 2-D trajectories.
+
+Importing the package loads the numpy-free modules only: translation,
+formulas and regions.  The trajectory names (``Trajectory``,
+``load_trajectory``, ``evaluate_candidates``, ``RobustnessReport``) are
+resolved from :mod:`ambistl.trajectory` on first access, and that first
+access is what loads numpy.
+"""
 
 from .lexicon import (
     LexEntry,
@@ -43,15 +50,7 @@ from .stl import (
     parse_formula,
     robustness,
 )
-from .trajectory import (
-    Box,
-    RegionMap,
-    RobustnessReport,
-    Trajectory,
-    evaluate_candidates,
-    load_regions,
-    load_trajectory,
-)
+from .regions import Box, RegionMap, load_regions
 
 __version__ = "0.1.0"
 
@@ -104,3 +103,20 @@ __all__ = [
     "translate",
     "validate_lexicon",
 ]
+
+_TRAJECTORY_NAMES = frozenset(
+    {"RobustnessReport", "Trajectory", "evaluate_candidates", "load_trajectory"}
+)
+
+
+def __getattr__(name: str):
+    if name not in _TRAJECTORY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import trajectory
+
+    value = globals()[name] = getattr(trajectory, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _TRAJECTORY_NAMES)

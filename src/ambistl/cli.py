@@ -34,15 +34,9 @@ from .pipeline import (
     analyze,
     translate,
 )
+from .regions import load_regions
 from .semantics import TermError, format_term
 from .stl import UnknownAtomError, format_formula
-from .trajectory import (
-    RegionFileError,
-    TrajectoryFileError,
-    evaluate_candidates,
-    load_regions,
-    load_trajectory,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -261,6 +255,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # Local: the trajectory layer loads numpy, which no other command needs.
+    from .trajectory import evaluate_candidates, load_trajectory
+
     sentence = _require_sentence(args)
     lexicon = _load_lexicon(args)
     with open(args.regions, encoding="utf-8") as handle:
@@ -336,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             ScoreRangeError, TermError, UnknownAtomError) as exc:
         print(f"translation failed: {exc}", file=sys.stderr)
         return EXIT_TRANSLATION
-    except (RegionFileError, TrajectoryFileError, LexiconError, ValueError) as exc:
+    except (LexiconError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence, Union
 
 from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
@@ -328,18 +329,18 @@ def compose(derivation: Union[Derivation, DerivationTree]) -> Term:
     """
     if isinstance(derivation, Derivation):
         derivation = derivation.root
+    return beta_reduce(_applied_templates(derivation))
 
-    def raw(node: DerivationTree) -> Term:
-        if isinstance(node, Leaf):
-            return node.entry.template
-        left, right = raw(node.left), raw(node.right)
-        if node.rule == "fa":
-            return App(left, right)
-        if node.rule == "ba":
-            return App(right, left)
-        raise ValueError(f"unknown combinatory rule {node.rule!r}")
 
-    return beta_reduce(raw(derivation))
+def _applied_templates(node: DerivationTree) -> Term:
+    if isinstance(node, Leaf):
+        return node.entry.template
+    left, right = _applied_templates(node.left), _applied_templates(node.right)
+    if node.rule == "fa":
+        return App(left, right)
+    if node.rule == "ba":
+        return App(right, left)
+    raise ValueError(f"unknown combinatory rule {node.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -354,6 +355,12 @@ class DerivationReport:
     error: Optional[str]
 
 
+@cache
+def _default_lexicon() -> Lexicon:
+    """The bundled lexicon, parsed once for the calls that pass none."""
+    return load_default_lexicon()
+
+
 def analyze(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> tuple[CandidateSet, list[DerivationReport]]:
@@ -363,7 +370,7 @@ def analyze(
     Each report carries the canonical formula of its derivation, or the
     reason it was discarded; it belongs to the candidate with that formula.
     """
-    lex = lexicon if lexicon is not None else load_default_lexicon()
+    lex = lexicon if lexicon is not None else _default_lexicon()
     chart = fill_chart(tokenize(sentence), lex)
     reports: list[DerivationReport] = []
     for index, derivation in enumerate(unpack_nbest(chart, lex, n)):
@@ -427,7 +434,8 @@ def translate(
 ) -> CandidateSet:
     """Translate a sentence into its ranked candidate set, over every
     derivation: :func:`fill_chart`, :func:`pack_meanings`, then ranking;
-    ``n`` has no effect and is accepted for existing callers."""
-    lex = lexicon if lexicon is not None else load_default_lexicon()
+    ``n`` has no effect and is accepted for existing callers.  With no
+    ``lexicon``, the bundled one is used, parsed once per process."""
+    lex = lexicon if lexicon is not None else _default_lexicon()
     chart = fill_chart(tokenize(sentence), lex)
     return _rank(sentence, *pack_meanings(chart, lex))

@@ -139,26 +139,27 @@ def _fresh(base: str, avoid: set[str]) -> str:
 
 def substitute(t: Term, var: str, repl: Term) -> Term:
     """Capture-avoiding substitution of ``repl`` for ``var`` in ``t``."""
-    repl_free = free_vars(repl)
+    return _substitute(t, var, repl, free_vars(repl))
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            return repl if t.name == var else t
-        if isinstance(t, Lam):
-            if t.var == var:
-                return t
-            if t.var in repl_free:
-                fresh = _fresh(t.var, free_vars(t.body) | repl_free | {var})
-                renamed = substitute(t.body, t.var, Var(fresh))
-                return Lam(fresh, go(renamed))
-            return Lam(t.var, go(t.body))
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        if isinstance(t, Con):
-            return Con(t.name, tuple(go(a) for a in t.args))
-        return t
 
-    return go(t)
+def _substitute(t: Term, var: str, repl: Term, repl_free: set[str]) -> Term:
+    if isinstance(t, Var):
+        return repl if t.name == var else t
+    if isinstance(t, Lam):
+        if t.var == var:
+            return t
+        if t.var in repl_free:
+            fresh = _fresh(t.var, free_vars(t.body) | repl_free | {var})
+            renamed = substitute(t.body, t.var, Var(fresh))
+            return Lam(fresh, _substitute(renamed, var, repl, repl_free))
+        return Lam(t.var, _substitute(t.body, var, repl, repl_free))
+    if isinstance(t, App):
+        return App(
+            _substitute(t.fn, var, repl, repl_free), _substitute(t.arg, var, repl, repl_free)
+        )
+    if isinstance(t, Con):
+        return Con(t.name, tuple(_substitute(a, var, repl, repl_free) for a in t.args))
+    return t
 
 
 def beta_reduce(term: Term) -> Term:
@@ -171,33 +172,33 @@ def beta_reduce(term: Term) -> Term:
     raise :class:`ReductionBudgetError`, the signal for an ill-typed
     template that has no normal form.
     """
-    contractions = 0
+    return _normalize(term, count(1))
 
-    def head_normal(t: Term) -> Term:
-        nonlocal contractions
-        while isinstance(t, App):
-            fn = head_normal(t.fn)
-            if not isinstance(fn, Lam):
-                return App(fn, t.arg)
-            contractions += 1
-            if contractions > REDUCTION_BUDGET:
-                raise ReductionBudgetError(
-                    f"no normal form within {REDUCTION_BUDGET} contractions (ill-typed template?)"
-                )
-            t = substitute(fn.body, fn.var, t.arg)
-        return t
 
-    def normalize(t: Term) -> Term:
-        t = head_normal(t)
-        if isinstance(t, App):
-            return App(normalize(t.fn), normalize(t.arg))
-        if isinstance(t, Lam):
-            return Lam(t.var, normalize(t.body))
-        if isinstance(t, Con):
-            return Con(t.name, tuple(normalize(a) for a in t.args))
-        return t
+def _normalize(t: Term, contractions: Iterator[int]) -> Term:
+    t = _head_normal(t, contractions)
+    if isinstance(t, App):
+        return App(_normalize(t.fn, contractions), _normalize(t.arg, contractions))
+    if isinstance(t, Lam):
+        return Lam(t.var, _normalize(t.body, contractions))
+    if isinstance(t, Con):
+        return Con(t.name, tuple(_normalize(a, contractions) for a in t.args))
+    return t
 
-    return normalize(term)
+
+def _head_normal(t: Term, contractions: Iterator[int]) -> Term:
+    """Weak-head normal form; ``contractions`` numbers each contraction of
+    one :func:`beta_reduce` call."""
+    while isinstance(t, App):
+        fn = _head_normal(t.fn, contractions)
+        if not isinstance(fn, Lam):
+            return App(fn, t.arg)
+        if next(contractions) > REDUCTION_BUDGET:
+            raise ReductionBudgetError(
+                f"no normal form within {REDUCTION_BUDGET} contractions (ill-typed template?)"
+            )
+        t = substitute(fn.body, fn.var, t.arg)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
-    from .trajectory import RegionMap, Trajectory
+    from .regions import RegionMap
+    from .trajectory import Trajectory
 
 
 class StlError(Exception):
@@ -127,26 +128,26 @@ class Until(Formula):
 def atoms_of(formula: Formula) -> set[str]:
     """Names of all atoms occurring in the formula."""
     found: set[str] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            found.add(f.name)
-        elif isinstance(f, Not):
-            walk(f.child)
-        elif isinstance(f, (And, Or)):
-            for c in f.children:
-                walk(c)
-        elif isinstance(f, (F, G)):
-            walk(f.child)
-        elif isinstance(f, Until):
-            walk(f.left)
-            walk(f.right)
-
     try:
-        walk(formula)
+        _collect_atoms(formula, found)
     except RecursionError:
         raise FormulaDepthError(_TOO_DEEP) from None
     return found
+
+
+def _collect_atoms(f: Formula, found: set[str]) -> None:
+    if isinstance(f, Atom):
+        found.add(f.name)
+    elif isinstance(f, Not):
+        _collect_atoms(f.child, found)
+    elif isinstance(f, (And, Or)):
+        for c in f.children:
+            _collect_atoms(c, found)
+    elif isinstance(f, (F, G)):
+        _collect_atoms(f.child, found)
+    elif isinstance(f, Until):
+        _collect_atoms(f.left, found)
+        _collect_atoms(f.right, found)
 
 
 def format_formula(formula: Formula) -> str:
