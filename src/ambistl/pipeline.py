@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional, Sequence, Union
 
 from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
@@ -355,12 +354,6 @@ class DerivationReport:
     error: Optional[str]
 
 
-@cache
-def _default_lexicon() -> Lexicon:
-    """The bundled lexicon, parsed once for the calls that pass none."""
-    return load_default_lexicon()
-
-
 def analyze(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> tuple[CandidateSet, list[DerivationReport]]:
@@ -370,7 +363,7 @@ def analyze(
     Each report carries the canonical formula of its derivation, or the
     reason it was discarded; it belongs to the candidate with that formula.
     """
-    lex = lexicon if lexicon is not None else _default_lexicon()
+    lex = lexicon if lexicon is not None else load_default_lexicon()
     chart = fill_chart(tokenize(sentence), lex)
     reports: list[DerivationReport] = []
     for index, derivation in enumerate(unpack_nbest(chart, lex, n)):
@@ -434,8 +427,7 @@ def translate(
 ) -> CandidateSet:
     """Translate a sentence into its ranked candidate set, over every
     derivation: :func:`fill_chart`, :func:`pack_meanings`, then ranking;
-    ``n`` has no effect and is accepted for existing callers.  With no
-    ``lexicon``, the bundled one is used, parsed once per process."""
-    lex = lexicon if lexicon is not None else _default_lexicon()
+    ``n`` has no effect and is accepted for existing callers."""
+    lex = lexicon if lexicon is not None else load_default_lexicon()
     chart = fill_chart(tokenize(sentence), lex)
     return _rank(sentence, *pack_meanings(chart, lex))

@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-import ambistl.lexicon as lexicon_module
 import ambistl.parser as parser
 import ambistl.pipeline as pipeline
 from ambistl.lexicon import format_lexicon, load_lexicon
@@ -205,27 +204,6 @@ def test_translate_simple_reach(lexicon):
     result = translate("Reach B within 10 seconds.", lexicon)
     assert result.formulas() == ["F[0,10] phi_b"]
     assert result.candidates[0].probability == pytest.approx(1.0)
-
-
-def test_default_lexicon_is_parsed_once(monkeypatch, lexicon):
-    parses = []
-
-    def counting_load_lexicon(source):
-        parses.append(source)
-        return load_lexicon(source)
-
-    monkeypatch.setattr(lexicon_module, "load_lexicon", counting_load_lexicon)
-    pipeline._default_lexicon.cache_clear()
-    try:
-        sentence = "Reach B within 10 seconds while avoiding A."
-        assert translate(sentence) == translate(sentence, lexicon)
-        assert analyze(sentence)[0] == analyze(sentence, lexicon)[0]
-        assert len(parses) == 1
-        # The public loader stays uncached: each call parses the file.
-        assert lexicon_module.load_default_lexicon() is not lexicon_module.load_default_lexicon()
-        assert len(parses) == 3
-    finally:
-        pipeline._default_lexicon.cache_clear()
 
 
 def test_translate_scope_ambiguity_pair(lexicon):
