@@ -37,6 +37,7 @@ from .pipeline import (
 from .regions import load_regions
 from .semantics import TermError, format_term
 from .stl import UnknownAtomError, format_formula
+from .text import lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,7 +165,7 @@ def _read_corpus(path: Optional[str]) -> list[tuple[str, str]]:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     rows: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -181,7 +182,7 @@ def _read_expectations(path: str) -> dict[str, tuple[int, set[str]]]:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     expected: dict[str, tuple[int, set[str]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -21,6 +21,10 @@ The line-based file format is::
     reach | T/NP | 0.0 | lam x. lam i. F(i, x)
     and then | (S\\S)/S | 0.0 | lam q. lam p. SEQ(p, q)
 
+Lines break at ``\\n``, ``\\r`` and ``\\r\\n`` only
+(:func:`ambistl.text.lines`), so a form feed or U+2028 inside a line is
+whitespace, as in the other line-based files.
+
 Numerals are not listed: any token of decimal digits (``str.isdecimal``,
 exactly the digits ``int`` reads) becomes a NUM leaf carrying its integer
 value.
@@ -33,13 +37,12 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .semantics import (
     IntC, Lam, ReductionBudgetError, Term, beta_reduce, format_term, free_vars, parse_term
 )
-
-TextSource = Union[str, IO[str]]
+from .text import TextSource, lines, scan
 
 BASIC_CATEGORIES = ("S", "T", "D", "R", "NP", "NUM", "UNIT")
 # Categories a complete parse may have: a closed formula, or a time-bounded
@@ -95,32 +98,11 @@ TASK_VERB_CATEGORY = Slash(FORWARD, Basic("T"), Basic("NP"))
 def parse_category(text: str) -> Category:
     """Parse ``S``, ``NP``, ``A/B``, ``A\\B`` with parentheses; slashes are
     left-associative."""
-    tokens = _lex_category(text)
+    tokens = scan(text, "()/\\", CategorySyntaxError)
     cat, pos = _parse_cat(tokens, 0)
     if pos != len(tokens):
         raise CategorySyntaxError(f"trailing input in category {text!r}")
     return cat
-
-
-def _lex_category(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()/\\":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise CategorySyntaxError(f"unexpected character {ch!r} in category")
-    return tokens
 
 
 def _parse_cat(tokens: list[str], pos: int) -> tuple[Category, int]:
@@ -248,10 +230,9 @@ def load_lexicon(source: TextSource) -> Lexicon:
     an empty lexicon.  Exact duplicate entries trigger a
     :class:`LexiconWarning` and are kept once.
     """
-    text = source if isinstance(source, str) else source.read()
     entries: dict[tuple[str, ...], list[LexEntry]] = {}
     rule_weights: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

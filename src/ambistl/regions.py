@@ -7,20 +7,20 @@ atom holds at a state exactly when its margin is positive.
 
 This module does not import numpy, so translating a sentence and reading a
 regions file never load it; :meth:`Box.margins` works on the arrays that
-:mod:`ambistl.trajectory` builds.
+:mod:`ambistl.trajectory` builds.  A regions file is broken into lines by
+:func:`ambistl.text.lines`, as every line-based file of the package is.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
+
+from .text import TextSource, lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-TextSource = Union[str, IO[str]]
 
 
 class RegionFileError(ValueError):
@@ -70,12 +70,6 @@ class RegionMap:
         return name in self.boxes
 
 
-def _lines(source: TextSource) -> io.StringIO:
-    """The source's lines, broken at ``\\n``, ``\\r`` and ``\\r\\n`` only, as in a
-    file opened with ``newline=""``."""
-    return io.StringIO(source if isinstance(source, str) else source.read(), newline="")
-
-
 def load_regions(source: TextSource) -> RegionMap:
     """Read a regions file: one ``name: xmin ymin xmax ymax`` per line.
 
@@ -84,7 +78,7 @@ def load_regions(source: TextSource) -> RegionMap:
     boxes, or duplicate names.
     """
     boxes: dict[str, Box] = {}
-    for lineno, raw in enumerate(_lines(source), start=1):
+    for lineno, raw in enumerate(lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

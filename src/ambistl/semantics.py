@@ -33,6 +33,7 @@ from itertools import count
 from typing import Iterator
 
 from .stl import Formula, format_formula
+from .text import scan
 
 REDUCTION_BUDGET = 10_000
 
@@ -233,36 +234,11 @@ def format_term(t: Term) -> str:
     raise TypeError(f"not a term node: {t!r}")
 
 
-def _lex_template(text: str) -> Iterator[str]:
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "().,":
-            yield ch
-            i += 1
-        elif ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            yield text[i:j]
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield text[i:j]
-            i = j
-        else:
-            raise TemplateSyntaxError(f"unexpected character {ch!r} in template")
-
-
 def parse_term(text: str) -> Term:
     """Parse a template expression: ``lam v. body``, application ``f(a, b)``,
     constructors ``F G NOT AND OR SEQ I EXTG``, atoms ``phi_<name>``, integers,
     and variables."""
-    tokens = list(_lex_template(text))
+    tokens = scan(text, "().,", TemplateSyntaxError)
     try:
         term, pos = _parse_term(tokens, 0)
     except RecursionError:

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
+
+from .text import scan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from .regions import RegionMap
@@ -346,7 +348,7 @@ def _rob(f: Formula, signals: _MarginSignals, t: int, horizon: int) -> float:
 
 def parse_formula(text: str) -> Formula:
     """Parse the canonical rendering back into a formula tree."""
-    tokens = list(_lex(text))
+    tokens = scan(text, "()[],&|!", FormulaSyntaxError)
     try:
         formula, pos = _parse(tokens, 0)
     except RecursionError:
@@ -354,32 +356,6 @@ def parse_formula(text: str) -> Formula:
     if pos != len(tokens):
         raise FormulaSyntaxError(f"trailing input at token {pos}: {tokens[pos:]}")
     return formula
-
-
-def _lex(text: str) -> Iterator[str]:
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()[],&|!":
-            yield ch
-            i += 1
-        elif ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            yield text[i:j]
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield text[i:j]
-            i = j
-        else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}")
 
 
 def _expect(tokens: list[str], pos: int, expected: str) -> int:

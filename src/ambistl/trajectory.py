@@ -2,8 +2,7 @@
 
 This is the one module of the package that imports numpy: a trajectory is an
 ``(N, 2)`` array of states.  The region types and :func:`load_regions` live
-in :mod:`ambistl.regions`, which does not import numpy, and are re-exported
-here for existing imports.
+in :mod:`ambistl.regions`, which does not import numpy.
 """
 
 from __future__ import annotations
@@ -16,15 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pipeline import CandidateSet
-from .regions import (  # noqa: F401 - re-exported for callers that import them from here
-    Box,
-    RegionFileError,
-    RegionMap,
-    TextSource,
-    _lines,
-    load_regions,
-)
+from .regions import RegionMap
 from .stl import UnknownAtomError, atoms_of, extent, robustness
+from .text import TextSource, lines
 
 
 class TrajectoryFileError(ValueError):
@@ -113,7 +106,7 @@ def _canonical_states(text: str) -> np.ndarray | None:
 def _states_row_by_row(text: str) -> np.ndarray:
     """The states of any CSV text, or the error of its first faulty row."""
     try:
-        rows = [row for row in csv.reader(_lines(text)) if "".join(row).strip()]
+        rows = [row for row in csv.reader(lines(text)) if "".join(row).strip()]
     except csv.Error as exc:  # e.g. an unclosed quote swallowing the rest of the file
         raise TrajectoryFileError(f"malformed CSV: {exc}") from None
     if not rows:

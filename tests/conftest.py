@@ -12,7 +12,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from ambistl.lexicon import format_lexicon, load_default_lexicon, load_lexicon
 from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, TrueF, Until
-from ambistl.trajectory import Box, RegionMap, Trajectory
+from ambistl.regions import Box, RegionMap
+from ambistl.trajectory import Trajectory
 
 
 def kstep_sentence(k: int) -> str:

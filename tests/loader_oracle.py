@@ -14,7 +14,8 @@ import io
 
 import numpy as np
 
-from ambistl.trajectory import TextSource, Trajectory, TrajectoryFileError
+from ambistl.text import TextSource
+from ambistl.trajectory import Trajectory, TrajectoryFileError
 
 
 def reference_load_trajectory(source: TextSource) -> Trajectory:

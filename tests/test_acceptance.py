@@ -30,7 +30,8 @@ from ambistl.stl import (
     format_formula,
     robustness,
 )
-from ambistl.trajectory import Box, RegionMap, Trajectory, evaluate_candidates
+from ambistl.regions import Box, RegionMap
+from ambistl.trajectory import Trajectory, evaluate_candidates
 
 from conftest import DEMO_BOXES, random_formula, random_trajectory
 from oracle import brute_force_robustness
@@ -52,7 +53,7 @@ def _canon_set(formulas):
 @pytest.fixture(scope="module")
 def results(lexicon, corpus):
     started = time.perf_counter()
-    sets = {sid: translate(corpus[sid], lexicon, n=40) for sid in ORDER}
+    sets = {sid: translate(corpus[sid], lexicon) for sid in ORDER}
     elapsed = time.perf_counter() - started
     return sets, elapsed
 

@@ -192,6 +192,24 @@ def test_corpus_gate_notices_a_dropped_sentence(tmp_path, capsys):
     assert "match expectations" not in captured.out
 
 
+def test_corpus_breaks_lines_as_a_file_does(tmp_path, capsys):
+    """A U+2028 inside a sentence is whitespace, not a line break."""
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("S1\tReach B\u2028within 10 seconds.\n", encoding="utf-8")
+    assert main(["corpus", str(corpus)]) == 0
+    assert capsys.readouterr().out == "S1  1  F[0,10] phi_b\n"
+
+
+def test_corpus_expectations_break_lines_as_a_file_does(tmp_path, capsys):
+    """A NEL in a comment and a form feed beside a field are whitespace, not line breaks."""
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("S1\tReach B within 10 seconds.\n", encoding="utf-8")
+    expect = tmp_path / "expect.tsv"
+    expect.write_text("# one\x85 sentence\nS1\x0c\t1\tF[0,10] phi_b\n", encoding="utf-8")
+    assert main(["corpus", str(corpus), "--expect", str(expect)]) == 0
+    assert "all 1 sentences match expectations" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("lines", [
     ["S1\t1\tF[0,99] phi_z", "S1\t1\tF[0,10] phi_b"],
     ["S1\t1\tF[0,10] phi_b", "S1\t1\tF[0,99] phi_z"],

@@ -1,4 +1,4 @@
-import sys
+import io
 
 import pytest
 
@@ -54,6 +54,9 @@ def test_unknown_category_atom():
         parse_category("VP/NP")
     with pytest.raises(CategorySyntaxError):
         parse_category("(S/S")
+    for text in ("S1", "N_P", "12"):
+        with pytest.raises(CategorySyntaxError, match=f"unknown category atom '{text}'"):
+            parse_category(text)
 
 
 # --- loading ------------------------------------------------------------------
@@ -127,6 +130,15 @@ def test_rule_weight_lines():
 def test_round_trip_through_writer():
     lex = load_default_lexicon()
     assert load_lexicon(format_lexicon(lex)) == lex
+
+
+def test_load_lexicon_breaks_lines_as_a_file_does():
+    """A form feed, NEL or U+2028 inside a line is whitespace, not a line break."""
+    bundled = format_lexicon(load_default_lexicon())
+    text = bundled + "# note\u2028 here\nvisit |\x0cT/NP | 0.0 |\x85lam x. lam i. F(i, x)\n"
+    expected = load_lexicon(bundled + "visit | T/NP | 0.0 | lam x. lam i. F(i, x)\n")
+    for source in (text, io.StringIO(text)):
+        assert load_lexicon(source) == expected
 
 
 # --- lookup -------------------------------------------------------------------
@@ -271,8 +283,8 @@ def test_default_lexicon_builds_no_ill_formed_derivation(lexicon, corpus):
     from ambistl.pipeline import translate
 
     for sentence in corpus.values():
-        assert translate(sentence, lexicon, n=sys.maxsize).discarded_count == 0, sentence
-    results = {k: translate(kstep_sentence(k), lexicon, n=sys.maxsize) for k in range(2, 6)}
+        assert translate(sentence, lexicon).discarded_count == 0, sentence
+    results = {k: translate(kstep_sentence(k), lexicon) for k in range(2, 6)}
     assert all(result.discarded_count == 0 for result in results.values())
     assert [results[k].n_derivations for k in range(2, 6)] == [2, 5, 14, 42]
     assert sorted(c.support_count for c in results[5].candidates) == [4, 5, 5, 14, 14]

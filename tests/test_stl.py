@@ -28,7 +28,8 @@ from ambistl.stl import (
     parse_formula,
     robustness,
 )
-from ambistl.trajectory import Box, RegionMap, Trajectory
+from ambistl.regions import Box, RegionMap
+from ambistl.trajectory import Trajectory
 
 from oracle import brute_force_robustness
 

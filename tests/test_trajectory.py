@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 from ambistl import trajectory as trajectory_module
 from ambistl.pipeline import aggregate, translate
 from ambistl.stl import UnknownAtomError, extent, robustness
+from ambistl.regions import Box, RegionFileError, RegionMap, load_regions
 from ambistl.trajectory import (
-    Box,
-    RegionFileError,
-    RegionMap,
     Trajectory,
     TrajectoryFileError,
     evaluate_candidates,
-    load_regions,
     load_trajectory,
 )
 
