@@ -12,14 +12,15 @@ Run:  python3 demos/01_corpus_walkthrough.py
 from importlib import resources
 
 from ambistl import load_default_lexicon, translate
+from ambistl.text import lines
 
 
 def main() -> None:
     lexicon = load_default_lexicon()
     corpus_text = resources.files("ambistl.data").joinpath("corpus.tsv").read_text()
     rows = [
-        line.split("\t", 1)
-        for line in corpus_text.splitlines()
+        line.rstrip("\r\n").split("\t", 1)
+        for line in lines(corpus_text)
         if line.strip() and not line.startswith("#")
     ]
 

@@ -14,13 +14,14 @@ during reduction:
 
 Translation is :func:`fill_chart`, a packing pass (:func:`pack_meanings`)
 and ranking.  The packing pass composes meanings over the packed chart, not
-over trees: per chart item, meanings whose formulas are equal up to the
-nesting and order of conjunctions and disjunctions are merged, carrying the
-sum of exp(score) and the count of the derivations behind them, so the
-candidate set covers every derivation and no tree is built or walked.  A
-merged meaning that converted enters its mothers as ``Lit(formula)``, so a
-finished formula is composed over, not reduced and converted again.  Only
-:func:`analyze` unpacks trees, for those it lists.
+over trees: per chart item, meanings whose formulas have the same
+:func:`~ambistl.stl.ac_key` (equal up to the nesting and order of
+conjunctions and disjunctions) are merged, carrying the sum of exp(score)
+and the count of the derivations behind them, so the candidate set covers
+every derivation and no tree is built or walked.  A merged meaning that
+converted enters its mothers as ``Lit(formula)``, so a finished formula is
+composed over, not reduced, converted or keyed again.  Only :func:`analyze`
+unpacks trees, for those it lists.
 
 A sequence whose head holds no eventually task (``avoid A ... and then
 ...``) has no reading, and a custom lexicon can build a meaning that
@@ -46,7 +47,7 @@ from .parser import (
 )
 from .semantics import App, AtomC, Con, IntC, Lam, Lit, Term, Var, beta_reduce
 from .stl import (
-    And, Atom, F, Formula, G, Interval, Not, Or, canonical_form, canonicalize, extent,
+    And, Atom, F, Formula, G, Interval, Not, Or, ac_key, canonical_form, canonicalize, extent,
     format_formula,
 )
 
@@ -246,46 +247,12 @@ def aggregate(
     )
 
 
-def _packing_key(formula: Formula, known: dict[int, str], fresh: dict[int, str]) -> str:
-    """The rendering of ``formula`` with nested conjunctions and
-    disjunctions flattened and their children sorted, duplicates kept.
-
-    ``known`` maps the ``id`` of every subformula of a formula already
-    packed to its key, so a subformula that came in through a ``Lit`` is not
-    walked again; the keys computed here are added to ``fresh``.
-    """
-    key = known.get(id(formula))
-    if key is not None:
-        return key
-    if isinstance(formula, (And, Or)):
-        children = _flat_children(formula, type(formula))
-        parts = sorted(_packing_key(c, known, fresh) for c in children)
-        key = "(" + (" & " if isinstance(formula, And) else " | ").join(parts) + ")"
-    elif isinstance(formula, Not):
-        key = "!" + _packing_key(formula.child, known, fresh)
-    elif isinstance(formula, (F, G)):
-        op = "F" if isinstance(formula, F) else "G"
-        key = f"{op}{formula.interval} {_packing_key(formula.child, known, fresh)}"
-    else:
-        key = format_formula(formula)
-    fresh[id(formula)] = key
-    return key
-
-
-def _flat_children(formula: Formula, same: type):
-    for child in formula.children:
-        if isinstance(child, same):
-            yield from _flat_children(child, same)
-        else:
-            yield child
-
-
-def _pack(merged: dict, known: dict[int, str], meaning: Term, weight: float, count: int) -> None:
+def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
     """Add ``count`` derivations of summed exp(score) ``weight`` and meaning
     ``meaning`` to a chart item's merged meanings.
 
     Meanings whose formulas are equal up to the nesting and order of
-    conjunctions and disjunctions (:func:`_packing_key`) are
+    conjunctions and disjunctions (:func:`~ambistl.stl.ac_key`) are
     interchangeable in every context, so they share an entry: conversion
     is compositional, and what sequence insertion and guard windows read
     of a formula (its eventually tasks, counted through nested
@@ -293,9 +260,7 @@ def _pack(merged: dict, known: dict[int, str], meaning: Term, weight: float, cou
     apart, as ``F a & F a`` holds two eventually tasks; keying by the
     canonical formula would be unsound.  A converted entry keeps the
     formula of its first meaning as ``Lit(formula)``, the leaf mothers
-    compose over, and records the keys of its subformulas in ``known``;
-    the entry keeps them alive, so no ``id`` in ``known`` is reused while
-    the pass runs.  Every other meaning gets an entry of its own.
+    compose over; every other meaning gets an entry of its own.
     """
     formula = None
     if not isinstance(meaning, Lam):
@@ -304,14 +269,12 @@ def _pack(merged: dict, known: dict[int, str], meaning: Term, weight: float, cou
         except IllFormedMeaningError:
             pass
     if formula is None:
-        merged[object()] = [meaning, weight, count, None]
+        merged[object()] = [meaning, weight, count]
         return
-    fresh: dict[int, str] = {}
-    key = _packing_key(formula, known, fresh)
+    key = ac_key(formula)
     entry = merged.get(key)
     if entry is None:
-        merged[key] = [Lit(formula), weight, count, formula]
-        known.update(fresh)
+        merged[key] = [Lit(formula), weight, count]
     else:
         entry[1] += weight
         entry[2] += count
@@ -394,29 +357,28 @@ def pack_meanings(
     derivation.
     """
     packed: dict[tuple[int, int, Category], dict] = {}
-    known: dict[int, str] = {}
     for i, j, cat in chart.items_under_roots():
         merged = packed[(i, j, cat)] = {}
         for back in chart.cells[(i, j)][cat]:
             if isinstance(back, LexEntry):
-                _pack(merged, known, beta_reduce(back.template), _exp(back.weight), 1)
+                _pack(merged, beta_reduce(back.template), _exp(back.weight), 1)
                 continue
             rule, k, cat_l, cat_r = back
             factor = _exp(score_of(*increment(lexicon, chart.words, rule, i, k)))
-            for left, weight_l, count_l, _ in packed[(i, k, cat_l)].values():
-                for right, weight_r, count_r, _ in packed[(k, j, cat_r)].values():
+            for left, weight_l, count_l in packed[(i, k, cat_l)].values():
+                for right, weight_r, count_r in packed[(k, j, cat_r)].values():
                     meaning = beta_reduce(App(left, right) if rule == "fa" else App(right, left))
-                    _pack(merged, known, meaning, weight_l * weight_r * factor, count_l * count_r)
+                    _pack(merged, meaning, weight_l * weight_r * factor, count_l * count_r)
 
     weighted: list[tuple[Formula, float, int]] = []
     total = discarded = 0
     for cat in chart.roots:
-        for _, weight, count, formula in packed[(0, len(chart.words), cat)].values():
+        for meaning, weight, count in packed[(0, len(chart.words), cat)].values():
             total += count
-            if formula is None:
-                discarded += count
+            if isinstance(meaning, Lit):
+                weighted.append((meaning.formula, weight, count))
             else:
-                weighted.append((formula, weight, count))
+                discarded += count
     if not weighted:
         raise EmptyCandidateSetError(f"all {total} derivations were discarded as ill-formed")
     return weighted, total, discarded

@@ -128,14 +128,12 @@ def free_vars(t: Term) -> set[str]:
     return set()
 
 
-_fresh_counter = count()
-
-
 def _fresh(base: str, avoid: set[str]) -> str:
-    while True:
-        name = f"{base}_{next(_fresh_counter)}"
-        if name not in avoid:
-            return name
+    """``base_n`` for the smallest ``n`` that is not in ``avoid``."""
+    n = 0
+    while f"{base}_{n}" in avoid:
+        n += 1
+    return f"{base}_{n}"
 
 
 def substitute(t: Term, var: str, repl: Term) -> Term:

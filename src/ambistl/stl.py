@@ -6,9 +6,12 @@ Atoms are named propositions; when a formula is evaluated on a trajectory,
 each atom is grounded through a region map that assigns it a signed margin
 at every state.
 
-The canonical text rendering produced by :func:`format_formula` doubles as
-the deduplication key for the translation pipeline, so it is deterministic
-down to the byte.
+Every rendering is built by one node renderer, ``_text``: the text of
+:func:`format_formula`, the rendering :func:`canonical_form` returns with
+the canonical formula, and :func:`ac_key`, the rendering up to the nesting
+and order of connectives that the translation pipeline packs meanings by.
+The canonical rendering is the deduplication key of the candidate set, so
+it is deterministic down to the byte.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class Interval:
 
 
 class Formula:
-    """Base class for STL formula nodes. All nodes are frozen dataclasses."""
+    """Base class for STL formula nodes. All nodes are frozen dataclasses,
+    and the node classes are final: the walkers dispatch on exact types."""
 
     __slots__ = ()
 
@@ -129,27 +133,48 @@ class Until(Formula):
 
 def atoms_of(formula: Formula) -> set[str]:
     """Names of all atoms occurring in the formula."""
-    found: set[str] = set()
+    found = {formula.name} if type(formula) is Atom else set()
     try:
-        _collect_atoms(formula, found)
+        for child in _children(formula):
+            found |= atoms_of(child)
     except RecursionError:
         raise FormulaDepthError(_TOO_DEEP) from None
     return found
 
 
-def _collect_atoms(f: Formula, found: set[str]) -> None:
-    if isinstance(f, Atom):
-        found.add(f.name)
-    elif isinstance(f, Not):
-        _collect_atoms(f.child, found)
-    elif isinstance(f, (And, Or)):
-        for c in f.children:
-            _collect_atoms(c, found)
-    elif isinstance(f, (F, G)):
-        _collect_atoms(f.child, found)
-    elif isinstance(f, Until):
-        _collect_atoms(f.left, found)
-        _collect_atoms(f.right, found)
+def _children(node: Formula) -> tuple[Formula, ...]:
+    """The subformulas of ``node``, in rendering order."""
+    kind = type(node)
+    if kind is And or kind is Or:
+        return node.children
+    if kind is Not or kind is F or kind is G:
+        return (node.child,)
+    if kind is Atom or kind is TrueF:
+        return ()
+    if kind is Until:
+        return (node.left, node.right)
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _text(node: Formula, parts: list[str]) -> str:
+    """The rendering of ``node`` given the renderings ``parts`` of its
+    children (:func:`_children`); the one place that writes the syntax."""
+    kind = type(node)
+    if kind is F or kind is G:
+        body = parts[0]
+        sep = "" if body.startswith("(") else " "
+        return f"{'F' if kind is F else 'G'}{node.interval}{sep}{body}"
+    if kind is And or kind is Or:
+        return "(" + (" & " if kind is And else " | ").join(parts) + ")"
+    if kind is Not:
+        return "!" + parts[0]
+    if kind is Atom:
+        return f"phi_{node.name}"
+    if kind is TrueF:
+        return "true"
+    if kind is Until:
+        return f"U{node.interval}({parts[0]}, {parts[1]})"
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def format_formula(formula: Formula) -> str:
@@ -160,28 +185,41 @@ def format_formula(formula: Formula) -> str:
     are always parenthesised, so every subterm is self-delimiting.
     """
     try:
-        if isinstance(formula, TrueF):
-            return "true"
-        if isinstance(formula, Atom):
-            return f"phi_{formula.name}"
-        if isinstance(formula, Not):
-            return "!" + format_formula(formula.child)
-        if isinstance(formula, And):
-            return "(" + " & ".join(format_formula(c) for c in formula.children) + ")"
-        if isinstance(formula, Or):
-            return "(" + " | ".join(format_formula(c) for c in formula.children) + ")"
-        if isinstance(formula, (F, G)):
-            op = "F" if isinstance(formula, F) else "G"
-            body = format_formula(formula.child)
-            sep = "" if body.startswith("(") else " "
-            return f"{op}{formula.interval}{sep}{body}"
-        if isinstance(formula, Until):
-            left = format_formula(formula.left)
-            right = format_formula(formula.right)
-            return f"U{formula.interval}({left}, {right})"
-        raise TypeError(f"not a formula node: {formula!r}")
+        return _text(formula, list(map(format_formula, _children(formula))))
     except RecursionError:
         raise FormulaDepthError(_TOO_DEEP) from None
+
+
+def ac_key(formula: Formula) -> str:
+    """The rendering of ``formula`` with nested conjunctions and
+    disjunctions flattened and their children sorted, duplicates kept.
+
+    Two formulas with equal keys differ only in the nesting and order of
+    their conjunctions and disjunctions.  The key is computed once per node
+    and cached on that immutable node, so it lives as long as the node does.
+    """
+    key = getattr(formula, "_ac_key", None)
+    if key is None:
+        kind = type(formula)
+        try:
+            if kind is And or kind is Or:
+                parts = sorted(map(ac_key, _flat(formula, kind)))
+            else:
+                parts = list(map(ac_key, _children(formula)))
+        except RecursionError:
+            raise FormulaDepthError(_TOO_DEEP) from None
+        key = _text(formula, parts)
+        object.__setattr__(formula, "_ac_key", key)  # frozen: bypass the dataclass guard
+    return key
+
+
+def _flat(node: Formula, same: type):
+    """The children of a ``same`` connective, through nested ``same``s."""
+    for child in node.children:
+        if type(child) is same:
+            yield from _flat(child, same)
+        else:
+            yield child
 
 
 def canonicalize(formula: Formula) -> Formula:
@@ -201,48 +239,46 @@ def canonical_form(formula: Formula) -> tuple[Formula, str]:
     """:func:`canonicalize` and :func:`format_formula` of the result, in one
     pass: each subtree is rendered once, and the sort keys of a connective's
     children are the renderings its children already returned."""
+    kind = type(formula)
     try:
-        return _canonical(formula)
+        if kind is Not:
+            child, text = canonical_form(formula.child)
+            if type(child) is Not:
+                return child.child, text[1:]
+            node = Not(child)
+            return node, _text(node, [text])
+        if kind is And or kind is Or:
+            members: dict[str, Formula] = {}
+            _collect_members(formula, kind, members)
+            if len(members) == 1:
+                ((text, only),) = members.items()
+                return only, text
+            texts = sorted(members)
+            node = kind(tuple(members[t] for t in texts))
+            return node, _text(node, texts)
+        if kind is F or kind is G:
+            child, body = canonical_form(formula.child)
+            node = kind(formula.interval, child)
+            return node, _text(node, [body])
+        if kind is Until:
+            left, left_text = canonical_form(formula.left)
+            right, right_text = canonical_form(formula.right)
+            node = Until(formula.interval, left, right)
+            return node, _text(node, [left_text, right_text])
     except RecursionError:
         raise FormulaDepthError(_TOO_DEEP) from None
-
-
-def _canonical(formula: Formula) -> tuple[Formula, str]:
-    if isinstance(formula, Not):
-        child, text = _canonical(formula.child)
-        if isinstance(child, Not):
-            return child.child, text[1:]
-        return Not(child), "!" + text
-    if isinstance(formula, (And, Or)):
-        members: dict[str, Formula] = {}
-        _collect_members(formula, type(formula), members)
-        if len(members) == 1:
-            ((text, only),) = members.items()
-            return only, text
-        texts = sorted(members)
-        joiner = " & " if isinstance(formula, And) else " | "
-        return type(formula)(tuple(members[t] for t in texts)), "(" + joiner.join(texts) + ")"
-    if isinstance(formula, (F, G)):
-        child, body = _canonical(formula.child)
-        op = "F" if isinstance(formula, F) else "G"
-        sep = "" if body.startswith("(") else " "
-        return type(formula)(formula.interval, child), f"{op}{formula.interval}{sep}{body}"
-    if isinstance(formula, Until):
-        (left, left_text), (right, right_text) = _canonical(formula.left), _canonical(formula.right)
-        text = f"U{formula.interval}({left_text}, {right_text})"
-        return Until(formula.interval, left, right), text
-    return formula, format_formula(formula)
+    return formula, _text(formula, [])
 
 
 def _collect_members(formula: Formula, same: type, members: dict[str, Formula]) -> None:
     """Canonical children of a ``same`` connective, by rendering, through
     nested ``same`` connectives, duplicates dropped."""
     for item in formula.children:
-        if isinstance(item, same):
+        if type(item) is same:
             _collect_members(item, same, members)
             continue
-        child, text = _canonical(item)
-        if isinstance(child, same):  # e.g. a double negation of a conjunction
+        child, text = canonical_form(item)
+        if type(child) is same:  # e.g. a double negation of a conjunction
             _collect_members(child, same, members)
         else:
             members.setdefault(text, child)
@@ -250,20 +286,16 @@ def _collect_members(formula: Formula, same: type, members: dict[str, Formula]) 
 
 def extent(formula: Formula) -> int:
     """Temporal horizon: the farthest step the formula can look ahead."""
+    below = 0
     try:
-        if isinstance(formula, (TrueF, Atom)):
-            return 0
-        if isinstance(formula, Not):
-            return extent(formula.child)
-        if isinstance(formula, (And, Or)):
-            return max(extent(c) for c in formula.children)
-        if isinstance(formula, (F, G)):
-            return formula.interval.hi + extent(formula.child)
-        if isinstance(formula, Until):
-            return formula.interval.hi + max(extent(formula.left), extent(formula.right))
-        raise TypeError(f"not a formula node: {formula!r}")
+        for child in _children(formula):
+            horizon = extent(child)
+            if horizon > below:
+                below = horizon
     except RecursionError:
         raise FormulaDepthError(_TOO_DEEP) from None
+    kind = type(formula)
+    return formula.interval.hi + below if kind is F or kind is G or kind is Until else below
 
 
 def robustness(formula: Formula, x: "Trajectory", regions: "RegionMap", t: int = 0) -> float:

@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from ambistl.lexicon import format_lexicon, load_default_lexicon, load_lexicon
 from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, TrueF, Until
 from ambistl.regions import Box, RegionMap
+from ambistl.text import lines
 from ambistl.trajectory import Trajectory
 
 
@@ -62,7 +63,7 @@ def lexicon():
 def corpus() -> dict[str, str]:
     text = resources.files("ambistl.data").joinpath("corpus.tsv").read_text(encoding="utf-8")
     rows = {}
-    for line in text.splitlines():
+    for line in lines(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -18,9 +18,10 @@ from ambistl.pipeline import (
     translate,
 )
 from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, parse_term
-from ambistl.stl import And, Atom, F, G, Interval, Not, Or, canonicalize, format_formula
+from ambistl.stl import And, Atom, F, G, Interval, Not, Or, ac_key, canonicalize, format_formula
 
 from conftest import CUSTOM_ENTRIES, custom_lexicon, guarded_sentence, kstep_sentence
+from packing_reference import reference_key
 from reference_formulas import REFERENCE
 
 I10 = Con("I", (IntC(0), IntC(10)))
@@ -411,6 +412,35 @@ def test_packing_keeps_duplicate_tasks_apart(lexicon):
     assert (want.n_derivations, want.discarded_count) == (2, 1)
     assert got.formulas() == want.formulas()
     assert [c.support_count for c in got.candidates] == [c.support_count for c in want.candidates]
+
+
+def test_packing_key_groups_as_the_reference_does(lexicon, corpus, monkeypatch):
+    """Over every formula the packing pass keys, ``ac_key`` and the
+    uncached reference key split formulas into the same groups: each key
+    of one names exactly one key of the other."""
+    seen = []
+
+    def recording_key(formula):
+        seen.append(formula)
+        return ac_key(formula)
+
+    monkeypatch.setattr(pipeline, "ac_key", recording_key)
+    sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 9)]
+    sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in range(2, 7)]
+    for sentence in sentences:
+        translate(sentence, lexicon)
+    for custom in CUSTOM_ENTRIES:
+        lex = custom_lexicon(lexicon, custom)
+        extra = [kstep_sentence(k) for k in range(2, 5)]
+        extra += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in (2, 3, 4)]
+        for sentence in list(corpus.values()) + extra:
+            try:
+                translate(sentence, lex)
+            except (NoParseError, EmptyCandidateSetError):
+                pass
+    pairs = {(ac_key(f), reference_key(f)) for f in seen}
+    assert len({new for new, _ in pairs}) == len({ref for _, ref in pairs}) == len(pairs)
+    assert len(pairs) < len(seen)  # the pass merges meanings
 
 
 @pytest.mark.parametrize("custom", [None, *CUSTOM_ENTRIES])

@@ -63,6 +63,13 @@ def test_capture_avoiding_substitution():
     assert alpha_equal(reduced, Lam("z", Var("y")))
 
 
+def test_fresh_names_do_not_depend_on_earlier_calls():
+    term = App(Lam("x", Lam("y", App(Var("x"), Var("y")))), Var("y"))
+    first = format_term(beta_reduce(term))
+    assert first == "lam y_0. y(y_0)"
+    assert format_term(beta_reduce(term)) == first
+
+
 def test_substitute_leaves_bound_occurrences_alone():
     term = Lam("x", App(Var("x"), Var("y")))
     result = substitute(term, "y", AtomC("a"))

@@ -20,6 +20,7 @@ from ambistl.stl import (
     TrueF,
     UnknownAtomError,
     Until,
+    ac_key,
     atoms_of,
     canonical_form,
     canonicalize,
@@ -352,7 +353,7 @@ def test_over_deep_formula_is_a_typed_error():
     for _ in range(10_000):
         deep = Not(deep)
     x = Trajectory(np.array([(1.0, 5.0)]))
-    walks = [canonicalize, format_formula, str, extent, atoms_of,
+    walks = [canonicalize, format_formula, str, extent, atoms_of, ac_key,
              lambda f: robustness(f, x, UNIT_REGIONS, 0)]
     for walk in walks:
         with pytest.raises(FormulaDepthError, match="recursion limit"):
@@ -364,6 +365,13 @@ def test_over_deep_formula_is_a_typed_error():
     assert extent(chain) == 0
     with pytest.raises(FormulaDepthError, match="recursion limit"):
         robustness(chain, x, UNIT_REGIONS, 0)
+
+
+@pytest.mark.parametrize("walk", [format_formula, canonical_form, extent, atoms_of, ac_key])
+def test_walks_reject_a_non_formula(walk):
+    for node in (Interval(0, 1), And((Interval(0, 1), M))):
+        with pytest.raises(TypeError, match="not a formula node"):
+            walk(node)
 
 
 def test_true_is_top_element():
