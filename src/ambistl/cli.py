@@ -36,7 +36,7 @@ from .pipeline import (
 )
 from .regions import load_regions
 from .semantics import TermError, format_term
-from .stl import UnknownAtomError, format_formula
+from .stl import UnknownAtomError
 from .text import lines
 
 EXIT_OK = 0
@@ -289,7 +289,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"listing the {len(reports)} best of {candidate_set.n_derivations} derivations")
     for rank, cand in enumerate(candidate_set.candidates, start=1):
         print()
-        print(f"candidate {rank}  p={cand.probability:.6f}  {format_formula(cand.formula)}")
+        print(f"candidate {rank}  p={cand.probability:.6f}  {cand.text}")
         for report in reports:
             if report.formula == cand.formula:
                 print(f"  derivation {report.index}  score={report.score:.4f}")

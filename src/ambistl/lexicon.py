@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import resources
 from typing import Iterable, Sequence, Union
 
+from .record import Record
 from .semantics import (
     IntC, Lam, ReductionBudgetError, Term, beta_reduce, format_term, free_vars, parse_term
 )
@@ -78,16 +77,33 @@ class CategorySyntaxError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Basic:
-    name: str
+class Basic(Record):
+    """A basic category; its hash is computed once, at construction."""
+
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Slash:
-    slash: str  # FORWARD or BACKWARD
-    result: "Category"
-    argument: "Category"
+class Slash(Record):
+    """A functor category.  Its hash is computed once, at construction, from
+    the stored hashes of its daughters, so chart cells hash in O(1)."""
+
+    __slots__ = ("slash", "result", "argument", "_hash")
+
+    def __init__(self, slash: str, result: "Category", argument: "Category") -> None:
+        object.__setattr__(self, "slash", slash)  # FORWARD or BACKWARD
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "argument", argument)
+        object.__setattr__(self, "_hash", hash((slash, result, argument)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Category = Union[Basic, Slash]
@@ -140,34 +156,48 @@ def format_category(cat: Category) -> str:
     return f"{left}{cat.slash}{right}"
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(Record):
     """One lexical reading: surface tokens, category, weight, template."""
 
-    surface: tuple[str, ...]
-    category: Category
-    weight: float
-    template: Term
+    __slots__ = ("surface", "category", "weight", "template")
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.surface) <= 3:
-            raise LexiconError(f"surface must be 1-3 tokens, got {self.surface!r}")
-        for tok in self.surface:
+    def __init__(
+        self, surface: tuple[str, ...], category: Category, weight: float, template: Term
+    ) -> None:
+        if not 1 <= len(surface) <= 3:
+            raise LexiconError(f"surface must be 1-3 tokens, got {surface!r}")
+        for tok in surface:
             if not tok or tok != tok.lower() or any(c.isspace() for c in tok):
                 raise LexiconError(f"bad surface token {tok!r}")
-        if free_vars(self.template):
+        if free_vars(template):
             raise LexiconError(
-                f"template for {' '.join(self.surface)!r} has free variables: "
-                f"{sorted(free_vars(self.template))}"
+                f"template for {' '.join(surface)!r} has free variables: "
+                f"{sorted(free_vars(template))}"
             )
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "template", template)
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(Record):
     """Immutable multimap from surface forms to entries, plus rule weights."""
 
-    entries: dict[tuple[str, ...], tuple[LexEntry, ...]]
-    rule_weights: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("entries", "rule_weights", "_task_verbs")
+
+    def __init__(
+        self,
+        entries: dict[tuple[str, ...], tuple[LexEntry, ...]],
+        rule_weights: dict[str, float] | None = None,
+    ) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "rule_weights", {} if rule_weights is None else rule_weights)
+        task_verbs = frozenset(
+            entry.surface[0]
+            for entry in self.all_entries()
+            if len(entry.surface) == 1 and entry.category == TASK_VERB_CATEGORY
+        )
+        object.__setattr__(self, "_task_verbs", task_verbs)
 
     def all_entries(self) -> Iterable[LexEntry]:
         for group in self.entries.values():
@@ -179,15 +209,11 @@ class Lexicon:
     def max_surface_len(self) -> int:
         return max((len(k) for k in self.entries), default=1)
 
-    @cached_property
+    @property
     def task_verbs(self) -> frozenset[str]:
         """Words with a one-token entry of category T/NP, the tokens that
         attachment locality counts."""
-        return frozenset(
-            entry.surface[0]
-            for entry in self.all_entries()
-            if len(entry.surface) == 1 and entry.category == TASK_VERB_CATEGORY
-        )
+        return self._task_verbs
 
 
 def numeral_entry(token: str) -> LexEntry:

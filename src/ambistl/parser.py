@@ -27,12 +27,12 @@ and its split, so scores can be summed over the packed chart.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .lexicon import (
     BACKWARD, FORWARD, ROOT_CATEGORIES, Category, LexEntry, Lexicon, Slash, format_category, lookup
 )
+from .record import Record
 
 LOCALITY_PENALTY = 0.7
 POST_MODIFIER_HEADS = ("while", "within")
@@ -71,36 +71,50 @@ def tokenize(sentence: str) -> list[str]:
     return words
 
 
-@dataclass(frozen=True)
-class Leaf:
-    entry: LexEntry
-    start: int
-    end: int  # token span [start, end)
+class Leaf(Record):
+    __slots__ = ("entry", "start", "end")
+
+    def __init__(self, entry: LexEntry, start: int, end: int) -> None:
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)  # token span [start, end)
 
     @property
     def category(self) -> Category:
         return self.entry.category
 
 
-@dataclass(frozen=True)
-class Node:
-    rule: str
-    category: Category
-    left: Union["Leaf", "Node"]
-    right: Union["Leaf", "Node"]
-    start: int
-    end: int
+class Node(Record):
+    __slots__ = ("rule", "category", "left", "right", "start", "end")
+
+    def __init__(
+        self,
+        rule: str,
+        category: Category,
+        left: Union["Leaf", "Node"],
+        right: Union["Leaf", "Node"],
+        start: int,
+        end: int,
+    ) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
 DerivationTree = Union[Leaf, Node]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     """A complete scored parse: a binary tree over lexical leaves."""
 
-    root: DerivationTree
-    score: float
+    __slots__ = ("root", "score")
+
+    def __init__(self, root: DerivationTree, score: float) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "score", score)
 
 
 def pretty_derivation(tree: DerivationTree, indent: int = 0) -> str:
@@ -138,13 +152,17 @@ def score_of(weight: float, skipped: int) -> float:
 Backpointer = Union[LexEntry, tuple[str, int, Category, Category]]
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """Packed parse forest: for each span, every category built over it,
     each with the backpointers that build it."""
 
-    words: tuple[str, ...]
-    cells: dict[tuple[int, int], dict[Category, list[Backpointer]]]
+    __slots__ = ("words", "cells")
+
+    def __init__(
+        self, words: tuple[str, ...], cells: dict[tuple[int, int], dict[Category, list[Backpointer]]]
+    ) -> None:
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "cells", cells)
 
     @property
     def roots(self) -> list[Category]:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
@@ -45,10 +44,10 @@ from .parser import (
     DEFAULT_N_BEST, Chart, Derivation, DerivationTree, Leaf, fill_chart, increment, score_of,
     tokenize, unpack_nbest,
 )
+from .record import Record
 from .semantics import App, AtomC, Con, IntC, Lam, Lit, Term, Var, beta_reduce
 from .stl import (
-    And, Atom, F, Formula, G, Interval, Not, Or, ac_key, canonical_form, canonicalize, extent,
-    format_formula,
+    And, Atom, F, Formula, G, Interval, Not, Or, ac_key, canonical_form, canonicalize, extent
 )
 
 
@@ -64,32 +63,46 @@ class ScoreRangeError(ArithmeticError):
     """A candidate's summed exp(score) lies outside the normal float range."""
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One unique formula with its aggregated support."""
+class Candidate(Record):
+    """One unique formula with its aggregated support and its canonical
+    rendering, ``format_formula(formula)``."""
 
-    formula: Formula
-    score: float
-    probability: float
-    support_count: int
+    __slots__ = ("formula", "score", "probability", "support_count", "text")
+
+    def __init__(
+        self, formula: Formula, score: float, probability: float, support_count: int, text: str
+    ) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "support_count", support_count)
+        object.__setattr__(self, "text", text)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(Record):
     """Ranked unique formulas for one sentence."""
 
-    sentence: str
-    candidates: tuple[Candidate, ...]
-    n_derivations: int
-    discarded_count: int
+    __slots__ = ("sentence", "candidates", "n_derivations", "discarded_count")
+
+    def __init__(
+        self,
+        sentence: str,
+        candidates: tuple[Candidate, ...],
+        n_derivations: int,
+        discarded_count: int,
+    ) -> None:
+        object.__setattr__(self, "sentence", sentence)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "n_derivations", n_derivations)
+        object.__setattr__(self, "discarded_count", discarded_count)
 
     def formulas(self) -> list[str]:
-        return [format_formula(c.formula) for c in self.candidates]
+        return [c.text for c in self.candidates]
 
     def format_table(self) -> str:
         lines = []
         for rank, cand in enumerate(self.candidates, start=1):
-            lines.append(f"{rank}  {cand.probability:.6f}  {format_formula(cand.formula)}")
+            lines.append(f"{rank}  {cand.probability:.6f}  {cand.text}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -99,7 +112,7 @@ class CandidateSet:
             "n_discarded": self.discarded_count,
             "candidates": [
                 {
-                    "formula": format_formula(c.formula),
+                    "formula": c.text,
                     "score": c.score,
                     "probability": c.probability,
                     "support_count": c.support_count,
@@ -213,12 +226,11 @@ def _rank(
                 "the lexicon weights are too large in magnitude"
             )
     ranked = [
-        (text, Candidate(formula, weight, weight / total, count))
+        Candidate(formula, weight, weight / total, count, text)
         for text, (formula, weight, count) in groups.items()
     ]
-    ranked.sort(key=lambda pair: (-pair[1].probability, pair[0]))
-    candidates = tuple(candidate for _, candidate in ranked)
-    return CandidateSet(sentence, candidates, n_derivations, discarded_count)
+    ranked.sort(key=lambda cand: (-cand.probability, cand.text))
+    return CandidateSet(sentence, tuple(ranked), n_derivations, discarded_count)
 
 
 def aggregate(
@@ -305,16 +317,26 @@ def _applied_templates(node: DerivationTree) -> Term:
     raise ValueError(f"unknown combinatory rule {node.rule!r}")
 
 
-@dataclass(frozen=True)
-class DerivationReport:
+class DerivationReport(Record):
     """Trace of one derivation through composition and conversion."""
 
-    index: int
-    score: float
-    root: DerivationTree
-    meaning: Term
-    formula: Optional[Formula]
-    error: Optional[str]
+    __slots__ = ("index", "score", "root", "meaning", "formula", "error")
+
+    def __init__(
+        self,
+        index: int,
+        score: float,
+        root: DerivationTree,
+        meaning: Term,
+        formula: Optional[Formula],
+        error: Optional[str],
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "meaning", meaning)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "error", error)
 
 
 def analyze(

@@ -14,9 +14,9 @@ regions file never load it; :meth:`Box.margins` works on the arrays that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .record import Record
 from .text import TextSource, lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -27,22 +27,20 @@ class RegionFileError(ValueError):
     """The regions file is malformed."""
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned rectangle with nonempty interior."""
 
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
+    __slots__ = ("xmin", "ymin", "xmax", "ymax")
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.xmin, self.ymin, self.xmax, self.ymax))):
+    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float) -> None:
+        if not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
             raise ValueError("non-finite coordinate")
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
-            raise ValueError(
-                f"degenerate box [{self.xmin},{self.xmax}]x[{self.ymin},{self.ymax}]"
-            )
+        if not (xmin < xmax and ymin < ymax):
+            raise ValueError(f"degenerate box [{xmin},{xmax}]x[{ymin},{ymax}]")
+        object.__setattr__(self, "xmin", xmin)
+        object.__setattr__(self, "ymin", ymin)
+        object.__setattr__(self, "xmax", xmax)
+        object.__setattr__(self, "ymax", ymax)
 
     def margins(self, points: np.ndarray) -> np.ndarray:
         """Signed distance of each row of an (N, 2) array to the nearest face;
@@ -57,11 +55,13 @@ class Box:
         return np.minimum(self.ymax - py, np.minimum(py - self.ymin, m))
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(Record):
     """Mapping from atom names to their grounding boxes."""
 
-    boxes: dict[str, Box]
+    __slots__ = ("boxes",)
+
+    def __init__(self, boxes: dict[str, Box]) -> None:
+        object.__setattr__(self, "boxes", boxes)
 
     def names(self) -> set[str]:
         return set(self.boxes)

@@ -28,10 +28,10 @@ through as they pass atoms, an application of one is stuck, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterator
 
+from .record import Record
 from .stl import Formula, format_formula
 from .text import scan
 
@@ -50,8 +50,9 @@ class TemplateSyntaxError(TermError):
     """The template expression could not be parsed."""
 
 
-class Term:
-    """Base class for meaning-term nodes."""
+class Term(Record):
+    """Base class for meaning-term nodes, immutable values
+    (:class:`~ambistl.record.Record`)."""
 
     __slots__ = ()
 
@@ -59,46 +60,60 @@ class Term:
         return format_term(self)
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    var: str
-    body: Term
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Term) -> None:
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term) -> None:
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class AtomC(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class IntC(Term):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Con(Term):
     """A constructor applied to its arguments, e.g. ``F(I(0, 10), phi_b)``."""
 
-    name: str
-    args: tuple[Term, ...]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Term, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
 class Lit(Term):
     """A meaning already converted to a formula, an opaque constant."""
 
-    formula: Formula
+    __slots__ = ("formula",)
+
+    def __init__(self, formula: Formula) -> None:
+        object.__setattr__(self, "formula", formula)
 
 
 _CONSTRUCTORS: dict[str, int] = {

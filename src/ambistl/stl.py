@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .record import Record
 from .text import scan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
@@ -51,84 +51,95 @@ class FormulaDepthError(StlError):
 _TOO_DEEP = "formula nested deeper than the recursion limit"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Discrete time interval [lo, hi] in steps, 0 <= lo <= hi."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        for bound in (self.lo, self.hi):
+    def __init__(self, lo: int, hi: int) -> None:
+        for bound in (lo, hi):
             if isinstance(bound, bool) or not isinstance(bound, int):
                 raise ValueError("interval bounds must be integers")
-        if self.lo < 0 or self.hi < self.lo:
-            raise ValueError(f"invalid interval [{self.lo},{self.hi}]")
+        if lo < 0 or hi < lo:
+            raise ValueError(f"invalid interval [{lo},{hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi}]"
 
 
-class Formula:
-    """Base class for STL formula nodes. All nodes are frozen dataclasses,
-    and the node classes are final: the walkers dispatch on exact types."""
+class Formula(Record):
+    """Base class for STL formula nodes.  Nodes are immutable values
+    (:class:`~ambistl.record.Record`), and the node classes are final: the
+    walkers dispatch on exact types.  The ``_ac_key`` slot caches
+    :func:`ac_key`."""
 
-    __slots__ = ()
+    __slots__ = ("_ac_key",)
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
+
+    def __init__(self, child: Formula) -> None:
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    children: tuple[Formula, ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[Formula, ...]) -> None:
+        if len(children) < 2:
             raise ValueError("And requires at least two children")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    children: tuple[Formula, ...]
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[Formula, ...]) -> None:
+        if len(children) < 2:
             raise ValueError("Or requires at least two children")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
 class F(Formula):
-    interval: Interval
-    child: Formula
+    __slots__ = ("interval", "child")
+
+    def __init__(self, interval: Interval, child: Formula) -> None:
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
 class G(Formula):
-    interval: Interval
-    child: Formula
+    __slots__ = ("interval", "child")
+
+    def __init__(self, interval: Interval, child: Formula) -> None:
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
 class Until(Formula):
-    interval: Interval
-    left: Formula
-    right: Formula
+    __slots__ = ("interval", "left", "right")
+
+    def __init__(self, interval: Interval, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def atoms_of(formula: Formula) -> set[str]:
@@ -203,23 +214,25 @@ def ac_key(formula: Formula) -> str:
         kind = type(formula)
         try:
             if kind is And or kind is Or:
-                parts = sorted(map(ac_key, _flat(formula, kind)))
+                parts = sorted(map(ac_key, _flat(formula, kind, [])))
             else:
                 parts = list(map(ac_key, _children(formula)))
         except RecursionError:
             raise FormulaDepthError(_TOO_DEEP) from None
         key = _text(formula, parts)
-        object.__setattr__(formula, "_ac_key", key)  # frozen: bypass the dataclass guard
+        object.__setattr__(formula, "_ac_key", key)  # immutable: bypass Record.__setattr__
     return key
 
 
-def _flat(node: Formula, same: type):
-    """The children of a ``same`` connective, through nested ``same``s."""
+def _flat(node: Formula, same: type, out: list[Formula]) -> list[Formula]:
+    """``out`` extended by the children of a ``same`` connective, through
+    nested ``same``s."""
     for child in node.children:
         if type(child) is same:
-            yield from _flat(child, same)
+            _flat(child, same, out)
         else:
-            yield child
+            out.append(child)
+    return out
 
 
 def canonicalize(formula: Formula) -> Formula:

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pipeline import CandidateSet
+from .record import Record
 from .regions import RegionMap
 from .stl import UnknownAtomError, atoms_of, extent, robustness
 from .text import TextSource, lines
@@ -24,14 +24,13 @@ class TrajectoryFileError(ValueError):
     """The trajectory CSV is malformed."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Discrete-time sequence of 2-D states, one per unit step from t=0."""
 
-    states: np.ndarray
+    __slots__ = ("states",)
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.states, dtype=float)
+    def __init__(self, states: np.ndarray) -> None:
+        arr = np.asarray(states, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
             raise ValueError("trajectory must be a non-empty (N, 2) array")
         if not np.isfinite(arr).all():
@@ -137,23 +136,34 @@ def _states_row_by_row(text: str) -> np.ndarray:
     return np.array(points)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     """Robustness of one candidate formula on the trajectory."""
 
-    formula: str
-    probability: float
-    robustness: float | None
-    satisfied: bool | None
-    error: str | None = None
+    __slots__ = ("formula", "probability", "robustness", "satisfied", "error")
+
+    def __init__(
+        self,
+        formula: str,
+        probability: float,
+        robustness: float | None,
+        satisfied: bool | None,
+        error: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "robustness", robustness)
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "error", error)
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(Record):
     """Per-candidate robustness for a whole candidate set."""
 
-    sentence: str
-    rows: tuple[ReportRow, ...] = field(default_factory=tuple)
+    __slots__ = ("sentence", "rows")
+
+    def __init__(self, sentence: str, rows: tuple[ReportRow, ...] = ()) -> None:
+        object.__setattr__(self, "sentence", sentence)
+        object.__setattr__(self, "rows", rows)
 
     def format_table(self) -> str:
         lines = [f"{'rank':>4}  {'prob':>10}  {'robustness':>12}  {'sat':>3}  formula"]
@@ -207,7 +217,7 @@ def evaluate_candidates(
         if needed_horizon > x.horizon:
             rows.append(
                 ReportRow(
-                    formula=str(cand.formula),
+                    formula=cand.text,
                     probability=cand.probability,
                     robustness=None,
                     satisfied=None,
@@ -219,7 +229,7 @@ def evaluate_candidates(
         value = robustness(cand.formula, x, regions, 0)
         rows.append(
             ReportRow(
-                formula=str(cand.formula),
+                formula=cand.text,
                 probability=cand.probability,
                 robustness=value,
                 satisfied=value > 0,

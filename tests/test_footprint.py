@@ -37,6 +37,7 @@ COLD_PATH = textwrap.dedent(
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, "the translate path loaded numpy"
+    assert "dataclasses" not in sys.modules, "the translate path loaded dataclasses"
 
     ambistl.load_trajectory
     assert "numpy" in sys.modules, "load_trajectory did not load numpy"

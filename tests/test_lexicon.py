@@ -49,6 +49,24 @@ def test_category_round_trip():
         assert format_category(parse_category(text)) == text
 
 
+def test_categories_parsed_apart_key_one_entry():
+    texts = ["S", "NP", r"S\NP", "S/NP", r"(S\S)/S", r"((S/S)/UNIT)/NUM", r"(NP\NP)/NP"]
+    table = {}
+    for text in texts:
+        first, second = parse_category(text), parse_category(text)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        table[first] = text
+        assert table[second] == text
+        table[second] = text + "!"
+        assert table[first] == text + "!"
+    assert len(table) == len(texts)
+    # The stored hash is the hash of the field tuple, as a rebuilt value's.
+    nested = parse_category(r"(S\S)/S")
+    assert hash(nested) == hash(("/", Slash("\\", Basic("S"), Basic("S")), Basic("S")))
+    assert hash(Basic("S")) == hash(("S",))
+
+
 def test_unknown_category_atom():
     with pytest.raises(CategorySyntaxError):
         parse_category("VP/NP")
