@@ -251,7 +251,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             for line in mismatches:
                 print(f"MISMATCH {line}", file=sys.stderr)
             return EXIT_MISMATCH
-        print(f"all {len(results)} sentences match expectations")
+        # In JSON mode stdout holds only the JSON document.
+        summary = sys.stderr if args.format == "json" else sys.stdout
+        print(f"all {len(results)} sentences match expectations", file=summary)
     return EXIT_OK
 
 

@@ -55,6 +55,8 @@ BACKWARD = "\\"
 # Combinatory rules the chart parser applies; their weights may be tuned
 # in the lexicon file via @rule lines.
 KNOWN_RULES = ("fa", "ba")
+# The most tokens an entry's surface may hold.
+MAX_SURFACE_TOKENS = 3
 
 
 class LexiconError(ValueError):
@@ -164,8 +166,8 @@ class LexEntry(Record):
     def __init__(
         self, surface: tuple[str, ...], category: Category, weight: float, template: Term
     ) -> None:
-        if not 1 <= len(surface) <= 3:
-            raise LexiconError(f"surface must be 1-3 tokens, got {surface!r}")
+        if not 1 <= len(surface) <= MAX_SURFACE_TOKENS:
+            raise LexiconError(f"surface must be 1-{MAX_SURFACE_TOKENS} tokens, got {surface!r}")
         for tok in surface:
             if not tok or tok != tok.lower() or any(c.isspace() for c in tok):
                 raise LexiconError(f"bad surface token {tok!r}")
@@ -206,9 +208,6 @@ class Lexicon(Record):
     def rule_weight(self, rule: str) -> float:
         return self.rule_weights.get(rule, 0.0)
 
-    def max_surface_len(self) -> int:
-        return max((len(k) for k in self.entries), default=1)
-
     @property
     def task_verbs(self) -> frozenset[str]:
         """Words with a one-token entry of category T/NP, the tokens that
@@ -229,7 +228,7 @@ def lookup(lexicon: Lexicon, words: Sequence[str], position: int) -> list[tuple[
     if position >= len(words):
         raise IndexError(f"position {position} beyond token count {len(words)}")
     matches: list[tuple[int, LexEntry]] = []
-    longest = min(lexicon.max_surface_len(), len(words) - position)
+    longest = min(MAX_SURFACE_TOKENS, len(words) - position)
     for span in range(longest, 0, -1):
         key = tuple(words[position : position + span])
         for entry in lexicon.entries.get(key, ()):

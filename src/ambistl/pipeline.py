@@ -19,9 +19,10 @@ over trees: per chart item, meanings whose formulas have the same
 conjunctions and disjunctions) are merged, carrying the sum of exp(score)
 and the count of the derivations behind them, so the candidate set covers
 every derivation and no tree is built or walked.  A merged meaning that
-converted enters its mothers as ``Lit(formula)``, so a finished formula is
-composed over, not reduced, converted or keyed again.  Only :func:`analyze`
-unpacks trees, for those it lists.
+converted enters its mothers as its formula, a closed constant of the
+meaning language, so a finished formula is composed over, not reduced,
+converted or keyed again.  Only :func:`analyze` unpacks trees, for those
+it lists.
 
 A sequence whose head holds no eventually task (``avoid A ... and then
 ...``) has no reading, and a custom lexicon can build a meaning that
@@ -45,9 +46,9 @@ from .parser import (
     tokenize, unpack_nbest,
 )
 from .record import Record
-from .semantics import App, AtomC, Con, IntC, Lam, Lit, Term, Var, beta_reduce
+from .semantics import App, Con, IntC, Lam, Term, Var, beta_reduce
 from .stl import (
-    And, Atom, F, Formula, G, Interval, Not, Or, ac_key, canonical_form, canonicalize, extent
+    And, F, Formula, G, Interval, Not, Or, ac_key, canonical_form, canonicalize, extent
 )
 
 
@@ -132,14 +133,12 @@ def _interval_of(term: Term) -> Interval:
     raise IllFormedMeaningError(f"not a literal interval: {term}")
 
 
-def to_stl(term: Term) -> Formula:
+def to_stl(term: Term | Formula) -> Formula:
     """Convert a beta-normal meaning term to STL, or raise
-    :class:`IllFormedMeaningError`."""
+    :class:`IllFormedMeaningError`; a formula constant is its own value."""
     match term:
-        case Lit(formula):
-            return formula
-        case AtomC(name):
-            return Atom(name)
+        case Formula():
+            return term
         case Con("NOT", (body,)):
             return Not(to_stl(body))
         case Con("AND", (left, right)):
@@ -259,7 +258,7 @@ def aggregate(
     )
 
 
-def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
+def _pack(merged: dict, meaning: Term | Formula, weight: float, count: int) -> None:
     """Add ``count`` derivations of summed exp(score) ``weight`` and meaning
     ``meaning`` to a chart item's merged meanings.
 
@@ -271,8 +270,8 @@ def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
     conjunctions, and its extent) depends on neither.  Duplicates are kept
     apart, as ``F a & F a`` holds two eventually tasks; keying by the
     canonical formula would be unsound.  A converted entry keeps the
-    formula of its first meaning as ``Lit(formula)``, the leaf mothers
-    compose over; every other meaning gets an entry of its own.
+    formula of its first meaning, the constant mothers compose over; every
+    other meaning gets an entry of its own.
     """
     formula = None
     if not isinstance(meaning, Lam):
@@ -286,7 +285,7 @@ def _pack(merged: dict, meaning: Term, weight: float, count: int) -> None:
     key = ac_key(formula)
     entry = merged.get(key)
     if entry is None:
-        merged[key] = [Lit(formula), weight, count]
+        merged[key] = [formula, weight, count]
     else:
         entry[1] += weight
         entry[2] += count
@@ -373,7 +372,7 @@ def pack_meanings(
     Meanings are composed bottom-up over the chart items that lie under a
     root, merging interchangeable meanings per item (see :func:`_pack`);
     a daughter's converted meaning is passed to the templates of its
-    mothers as the ``Lit`` of its formula.
+    mothers as its formula.
     Each merged meaning carries the sum of exp(score) over its derivations
     and their count, so ranking the result equals aggregating every
     derivation.
@@ -397,8 +396,8 @@ def pack_meanings(
     for cat in chart.roots:
         for meaning, weight, count in packed[(0, len(chart.words), cat)].values():
             total += count
-            if isinstance(meaning, Lit):
-                weighted.append((meaning.formula, weight, count))
+            if isinstance(meaning, Formula):
+                weighted.append((meaning, weight, count))
             else:
                 discarded += count
     if not weighted:

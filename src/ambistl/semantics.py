@@ -1,8 +1,8 @@
 """Meaning terms and their reduction.
 
 The intermediate meaning language is an untyped lambda calculus (``Var``,
-``Lam``, ``App``) over atoms ``phi_<name>`` (``AtomC``), integer literals
-(``IntC``) and one constructor node, ``Con(name, args)``.  The constructor
+``Lam``, ``App``) over integer literals (``IntC``), one constructor node,
+``Con(name, args)``, and STL formulas as closed constants.  The constructor
 names and arities are fixed by ``_CONSTRUCTORS``: the interval literal I,
 the temporal constructors F and G, the boolean constructors NOT/AND/OR,
 symbolic sequencing SEQ, and EXTG, the guard whose interval is anchored to
@@ -17,13 +17,13 @@ constructor is stuck and survives into the normal form, where the
 conversion step rejects the meaning as ill-formed.  The typed sentence
 categories of the bundled lexicon never build such an application.
 
-One leaf never comes from a template: ``Lit(formula)``, a meaning that has
-already been converted to STL.  The packing pass composes over such leaves
-instead of over the meanings they replace, so a finished formula is not
-reduced, converted or hashed again in every mother that uses it.  A ``Lit``
-is a closed constant: reduction, substitution and ``free_vars`` pass it
-through as they pass atoms, an application of one is stuck, and
-:func:`parse_term` never produces one.
+A formula constant is a :class:`~ambistl.stl.Formula` object inside a term.
+Templates hold only atoms, which :func:`parse_term` reads from and
+:func:`format_term` writes as ``phi_<name>``; the packing pass composes
+over the formulas its daughters have already converted to, so a finished
+formula is not reduced, converted or hashed again in every mother that uses
+it.  Reduction, substitution and ``free_vars`` pass a formula through as
+they pass an integer, and an application of one is stuck.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import count
 from typing import Iterator
 
 from .record import Record
-from .stl import Formula, format_formula
+from .stl import Atom, Formula, format_formula
 from .text import scan
 
 REDUCTION_BUDGET = 10_000
@@ -83,13 +83,6 @@ class App(Term):
         object.__setattr__(self, "arg", arg)
 
 
-class AtomC(Term):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-
-
 class IntC(Term):
     __slots__ = ("value",)
 
@@ -105,15 +98,6 @@ class Con(Term):
     def __init__(self, name: str, args: tuple[Term, ...]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
-
-
-class Lit(Term):
-    """A meaning already converted to a formula, an opaque constant."""
-
-    __slots__ = ("formula",)
-
-    def __init__(self, formula: Formula) -> None:
-        object.__setattr__(self, "formula", formula)
 
 
 _CONSTRUCTORS: dict[str, int] = {
@@ -219,7 +203,7 @@ def _head_normal(t: Term, contractions: Iterator[int]) -> Term:
 # Template expression mini-language.
 
 
-def format_term(t: Term) -> str:
+def format_term(t: Term | Formula) -> str:
     """Render a term in the template mini-language."""
     if isinstance(t, Var):
         return t.name
@@ -236,14 +220,12 @@ def format_term(t: Term) -> str:
         if isinstance(head, Lam):
             head_text = f"({head_text})"
         return f"{head_text}({', '.join(format_term(a) for a in args)})"
-    if isinstance(t, AtomC):
-        return f"phi_{t.name}"
     if isinstance(t, IntC):
         return str(t.value)
     if isinstance(t, Con):
         return f"{t.name}({', '.join(format_term(a) for a in t.args)})"
-    if isinstance(t, Lit):
-        return f"{{{format_formula(t.formula)}}}"
+    if isinstance(t, Formula):
+        return format_formula(t)
     raise TypeError(f"not a term node: {t!r}")
 
 
@@ -324,7 +306,7 @@ def _parse_atom(tokens: list[str], pos: int) -> tuple[Term, int]:
         name = tok[len("phi_"):]
         if not name:
             raise TemplateSyntaxError("empty atom name")
-        return AtomC(name), pos + 1
+        return Atom(name), pos + 1
     if tok.isidentifier():
         return Var(tok), pos + 1
     raise TemplateSyntaxError(f"unexpected token {tok!r}")

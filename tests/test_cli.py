@@ -10,7 +10,7 @@ import ambistl
 from ambistl.cli import main
 from ambistl.lexicon import format_lexicon, load_default_lexicon
 
-from conftest import kstep_sentence
+from conftest import CUSTOM_ENTRIES, kstep_sentence
 
 REGIONS_TEXT = "a: 2 0 4 2\nb: 6 0 8 2\nc: 6 6 8 8\nd: 0 6 2 8\n"
 THROUGH_A_CSV = "t,x,y\n" + "\n".join(f"{t},{0.8 * t},1.0" for t in range(11)) + "\n"
@@ -253,6 +253,18 @@ def test_corpus_json_output(capsys):
     assert payload[0]["id"] == "S1"
 
 
+def test_corpus_json_with_expectations_keeps_stdout_json(capsys):
+    """With --expect, the JSON document is all of stdout; the summary line
+    goes to stderr."""
+    from importlib import resources
+
+    expect = resources.files("ambistl.data").joinpath("expectations.tsv")
+    assert main(["corpus", "--format", "json", "--expect", str(expect)]) == 0
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)) == 12
+    assert captured.err == "all 12 sentences match expectations\n"
+
+
 # --- eval ------------------------------------------------------------------------
 
 def test_eval_discriminating_trajectory(capsys, regions_file, trajectory_file):
@@ -367,6 +379,20 @@ def test_explain_single_derivation(capsys):
     out = capsys.readouterr().out
     assert out.count("candidate ") == 1
     assert "1 derivation(s), 0 discarded, 1 candidate(s)" in out
+
+
+def test_explain_lists_discarded_derivations(tmp_path, capsys):
+    """A derivation whose meaning does not convert is listed apart, with
+    its meaning and the reason it was discarded."""
+    path = tmp_path / "lex.txt"
+    path.write_text(format_lexicon(load_default_lexicon()) + CUSTOM_ENTRIES["apply-converted"])
+    sentence = "Reach B within 10 seconds while reach C within 15 seconds."
+    assert main(["explain", "--lexicon", str(path), sentence]) == 0
+    out = capsys.readouterr().out
+    assert "2 derivation(s), 1 discarded, 1 candidate(s)" in out
+    assert "meaning: AND(F(I(0, 10), phi_b), F(I(0, 15), phi_c))" in out
+    assert "discarded (1):" in out
+    assert "ill-formed: residual App in meaning: F(I(0, 10), phi_b)(I(0, 5))" in out
 
 
 def test_explain_no_parse_exits_2(capsys):

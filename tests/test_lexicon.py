@@ -20,7 +20,8 @@ from ambistl.lexicon import (
 )
 from ambistl.parser import CoverageError
 from ambistl.pipeline import translate
-from ambistl.semantics import beta_reduce, App, AtomC, IntC, parse_term
+from ambistl.semantics import beta_reduce, App, IntC, parse_term
+from ambistl.stl import Atom
 
 from conftest import kstep_sentence
 from reduction_oracle import alpha_equal
@@ -87,7 +88,7 @@ def test_load_single_entry():
     assert entry.category == Slash("/", Basic("S"), Basic("NP"))
     assert entry.weight == 0.0
     # applying the template to an atom yields the bare reach template
-    applied = beta_reduce(App(entry.template, AtomC("b")))
+    applied = beta_reduce(App(entry.template, Atom("b")))
     assert alpha_equal(applied, parse_term("lam i. F(i, phi_b)"))
 
 
@@ -170,11 +171,24 @@ def test_lookup_multiword_longest_first(lexicon):
     assert (2, lexicon.entries[("and", "then")][0]) in matches
 
 
+def test_lookup_three_token_surface(lexicon):
+    """A three-token entry matches before a one-token entry that shares its
+    first word, and no span runs past the last word."""
+    lex = load_lexicon(
+        format_lexicon(lexicon) + "as soon as | NP | 0.0 | phi_s\nas | NP | 0.0 | phi_a\n"
+    )
+    three, one = lex.entries[("as", "soon", "as")][0], lex.entries[("as",)][0]
+    words = ["reach", "as", "soon", "as"]
+    assert lookup(lex, words, 1) == [(3, three), (1, one)]
+    assert lookup(lex, words[:3], 1) == [(1, one)]
+    assert lookup(lex, words, 3) == [(1, one)]
+
+
 def test_lookup_region_atom(lexicon):
     matches = lookup(lexicon, ["b"], 0)
     assert len(matches) == 1
     span, entry = matches[0]
-    assert span == 1 and entry.template == AtomC("b")
+    assert span == 1 and entry.template == Atom("b")
 
 
 def test_lookup_numeral_synthesised(lexicon):

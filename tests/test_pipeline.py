@@ -17,7 +17,7 @@ from ambistl.pipeline import (
     to_stl,
     translate,
 )
-from ambistl.semantics import App, AtomC, Con, IntC, Lam, Var, parse_term
+from ambistl.semantics import App, Con, IntC, Lam, Var, parse_term
 from ambistl.stl import And, Atom, F, G, Interval, Not, Or, ac_key, canonicalize, format_formula
 
 from conftest import CUSTOM_ENTRIES, custom_lexicon, guarded_sentence, kstep_sentence
@@ -27,7 +27,7 @@ from reference_formulas import REFERENCE
 I10 = Con("I", (IntC(0), IntC(10)))
 I15 = Con("I", (IntC(0), IntC(15)))
 
-B = AtomC("b")
+B = Atom("b")
 
 
 def _canon_set(formulas):
@@ -385,9 +385,9 @@ def test_task_verbs_come_from_the_lexicon(lexicon):
 
 
 def test_applying_a_converted_meaning_is_discarded_and_counted(lexicon):
-    """The packing pass hands a template the converted formula of its
-    argument as a ``Lit``; a template that applies it as a function builds
-    a stuck application, discarded and counted as the per-tree path does."""
+    """The packing pass hands a template its argument's converted formula;
+    a template that applies it as a function builds a stuck application,
+    discarded and counted as the per-tree path does."""
     lex = custom_lexicon(lexicon, "apply-converted")
     candidate_set, reports = analyze(CLOSED_WHILE, lex)
     assert (candidate_set.n_derivations, candidate_set.discarded_count) == (2, 1)

@@ -13,13 +13,13 @@ from ambistl.parser import Chart, Derivation, Leaf, Node
 from ambistl.pipeline import Candidate, CandidateSet, DerivationReport
 from ambistl.record import Record
 from ambistl.regions import Box, RegionMap
-from ambistl.semantics import App, AtomC, Con, IntC, Lam, Lit, Var
+from ambistl.semantics import App, Con, IntC, Lam, Var
 from ambistl.stl import And, Atom, F, G, Interval, Not, Or, TrueF, Until
 from ambistl.trajectory import ReportRow, RobustnessReport, Trajectory
 
 _TASK = Slash("/", Basic("T"), Basic("NP"))
 _REACH = LexEntry(("reach",), _TASK, 0.0, Lam("x", Lam("i", Con("F", (Var("i"), Var("x"))))))
-_B = LexEntry(("b",), Basic("NP"), 0.0, AtomC("b"))
+_B = LexEntry(("b",), Basic("NP"), 0.0, Atom("b"))
 _STATES = np.zeros((3, 2))
 
 # Each value class, its fields in order, and a function that builds a value
@@ -38,14 +38,12 @@ VALUES = [
     (Var, ("name",), lambda: Var("x")),
     (Lam, ("var", "body"), lambda: Lam("x", Var("x"))),
     (App, ("fn", "arg"), lambda: App(Var("f"), IntC(1))),
-    (AtomC, ("name",), lambda: AtomC("b")),
     (IntC, ("value",), lambda: IntC(3)),
     (Con, ("name", "args"), lambda: Con("I", (IntC(0), IntC(5)))),
-    (Lit, ("formula",), lambda: Lit(Atom("b"))),
     (Basic, ("name",), lambda: Basic("NP")),
     (Slash, ("slash", "result", "argument"), lambda: Slash("/", Basic("T"), Basic("NP"))),
     (LexEntry, ("surface", "category", "weight", "template"),
-     lambda: LexEntry(("b",), Basic("NP"), 0.0, AtomC("b"))),
+     lambda: LexEntry(("b",), Basic("NP"), 0.0, Atom("b"))),
     (Lexicon, ("entries", "rule_weights"), lambda: Lexicon({("b",): (_B,)}, {"fa": 0.0})),
     (Leaf, ("entry", "start", "end"), lambda: Leaf(_B, 1, 2)),
     (Node, ("rule", "category", "left", "right", "start", "end"),
@@ -57,7 +55,7 @@ VALUES = [
     (CandidateSet, ("sentence", "candidates", "n_derivations", "discarded_count"),
      lambda: CandidateSet("b", (Candidate(Atom("b"), 1.0, 1.0, 1, "phi_b"),), 1, 0)),
     (DerivationReport, ("index", "score", "root", "meaning", "formula", "error"),
-     lambda: DerivationReport(0, -0.5, Leaf(_B, 0, 1), AtomC("b"), Atom("b"), None)),
+     lambda: DerivationReport(0, -0.5, Leaf(_B, 0, 1), Atom("b"), Atom("b"), None)),
     (Box, ("xmin", "ymin", "xmax", "ymax"), lambda: Box(0.0, 0.0, 1.0, 2.0)),
     (RegionMap, ("boxes",), lambda: RegionMap({"a": Box(0.0, 0.0, 1.0, 1.0)})),
     # Its states are compared elementwise by numpy, so equal trajectories
@@ -117,7 +115,7 @@ def test_classes_with_equal_fields_differ():
     a, b = Atom("a"), Atom("b")
     assert And((a, b)) != Or((a, b))
     assert F(Interval(0, 5), a) != G(Interval(0, 5), a)
-    assert Var("x") != AtomC("x")
+    assert Var("x") != Atom("x")
     assert Interval(0, 5) != (0, 5)
 
 
@@ -159,11 +157,11 @@ def test_defaults():
         (lambda: Interval(-1, 2), ValueError, "invalid interval [-1,2]"),
         (lambda: And((Atom("a"),)), ValueError, "And requires at least two children"),
         (lambda: Or(()), ValueError, "Or requires at least two children"),
-        (lambda: LexEntry((), Basic("NP"), 0.0, AtomC("b")), LexiconError,
+        (lambda: LexEntry((), Basic("NP"), 0.0, Atom("b")), LexiconError,
          "surface must be 1-3 tokens, got ()"),
-        (lambda: LexEntry(("a", "b", "c", "d"), Basic("NP"), 0.0, AtomC("b")), LexiconError,
+        (lambda: LexEntry(("a", "b", "c", "d"), Basic("NP"), 0.0, Atom("b")), LexiconError,
          "surface must be 1-3 tokens, got ('a', 'b', 'c', 'd')"),
-        (lambda: LexEntry(("Reach",), Basic("NP"), 0.0, AtomC("b")), LexiconError,
+        (lambda: LexEntry(("Reach",), Basic("NP"), 0.0, Atom("b")), LexiconError,
          "bad surface token 'Reach'"),
         (lambda: LexEntry(("reach",), Basic("NP"), 0.0, Var("x")), LexiconError,
          "template for 'reach' has free variables: ['x']"),

@@ -5,14 +5,12 @@ import pytest
 from ambistl.lexicon import format_category, load_default_lexicon
 from ambistl.parser import parse_nbest, tokenize
 from ambistl.pipeline import compose
-from ambistl.stl import Atom, F, Interval
+from ambistl.stl import Atom, F, Formula, Interval
 from ambistl.semantics import (
     App,
-    AtomC,
     Con,
     IntC,
     Lam,
-    Lit,
     ReductionBudgetError,
     TemplateSyntaxError,
     Var,
@@ -30,26 +28,26 @@ I_0_15 = Con("I", (IntC(0), IntC(15)))
 
 
 def test_identity_application():
-    term = App(Lam("x", Var("x")), AtomC("a"))
-    assert beta_reduce(term) == AtomC("a")
+    term = App(Lam("x", Var("x")), Atom("a"))
+    assert beta_reduce(term) == Atom("a")
 
 
 def test_interval_application_example():
     # lam p. p(I(0,10)) applied to lam i. F(i, phi_b)
     within = parse_term("lam p. p(I(0, 10))")
     reach = parse_term("lam i. F(i, phi_b)")
-    assert beta_reduce(App(within, reach)) == Con("F", (I_0_10, AtomC("b")))
+    assert beta_reduce(App(within, reach)) == Con("F", (I_0_10, Atom("b")))
 
 
 def test_two_argument_template_order():
     # lam q. lam p. AND(p, q): the second argument lands on the left
     conj = parse_term("lam q. lam p. AND(p, q)")
-    m1, m2 = AtomC("x1"), AtomC("x2")
+    m1, m2 = Atom("x1"), Atom("x2")
     assert beta_reduce(App(App(conj, m1), m2)) == Con("AND", (m2, m1))
 
 
 def test_constructor_headed_application_is_stuck():
-    stuck = App(Con("F", (I_0_10, AtomC("b"))), I_0_15)
+    stuck = App(Con("F", (I_0_10, Atom("b"))), I_0_15)
     assert beta_reduce(stuck) == stuck
 
 
@@ -72,9 +70,9 @@ def test_fresh_names_do_not_depend_on_earlier_calls():
 
 def test_substitute_leaves_bound_occurrences_alone():
     term = Lam("x", App(Var("x"), Var("y")))
-    result = substitute(term, "y", AtomC("a"))
-    assert result == Lam("x", App(Var("x"), AtomC("a")))
-    assert substitute(term, "x", AtomC("a")) == term
+    result = substitute(term, "y", Atom("a"))
+    assert result == Lam("x", App(Var("x"), Atom("a")))
+    assert substitute(term, "x", Atom("a")) == term
 
 
 def test_free_vars():
@@ -90,8 +88,8 @@ def test_reduction_budget():
 
 def test_alpha_equal_distinguishes_structure():
     assert alpha_equal(Lam("a", Var("a")), Lam("b", Var("b")))
-    assert not alpha_equal(Lam("a", Var("a")), Lam("a", AtomC("a")))
-    assert not alpha_equal(AtomC("a"), AtomC("b"))
+    assert not alpha_equal(Lam("a", Var("a")), Lam("a", Atom("a")))
+    assert not alpha_equal(Atom("a"), Atom("b"))
     assert not alpha_equal(parse_term("F(I(0, 1), phi_a)"), parse_term("G(I(0, 1), phi_a)"))
     assert alpha_equal(parse_term("lam i. F(i, phi_a)"), parse_term("lam j. F(j, phi_a)"))
 
@@ -126,26 +124,33 @@ def _nodes(term):
             yield from _nodes(arg)
 
 
-LIT_B = Lit(F(Interval(0, 10), Atom("b")))
+# A converted meaning, as the packing pass hands it to a mother's template.
+LIT_B = F(Interval(0, 10), Atom("b"))
 
 
 def test_lit_is_rendered_but_never_parsed(lex):
-    assert format_term(LIT_B) == "{F[0,10] phi_b}"
+    """A formula constant renders as its formula; only atoms parse back."""
+    assert format_term(LIT_B) == "F[0,10] phi_b"
     applied = App(parse_term("lam x. NOT(x)"), LIT_B)
-    assert format_term(applied) == "(lam x. NOT(x))({F[0,10] phi_b})"
+    assert format_term(applied) == "(lam x. NOT(x))(F[0,10] phi_b)"
     for text in (format_term(LIT_B), format_term(applied)):
         with pytest.raises(TemplateSyntaxError):
             parse_term(text)
+    assert parse_term("phi_b") == Atom("b") and format_term(Atom("b")) == "phi_b"
     templates = [entry.template for entry in lex.all_entries()]
-    assert not any(isinstance(node, Lit) for t in templates for node in _nodes(t))
+    constants = [node for t in templates for node in _nodes(t) if isinstance(node, Formula)]
+    assert constants and all(type(node) is Atom for node in constants)
 
 
 def test_lit_is_a_closed_constant():
-    assert free_vars(LIT_B) == set()
-    assert substitute(LIT_B, "x", Var("y")) is LIT_B
-    assert beta_reduce(App(parse_term("lam x. AND(x, x)"), LIT_B)) == Con("AND", (LIT_B, LIT_B))
-    stuck = App(LIT_B, I_0_10)  # a converted meaning applied as a function
-    assert beta_reduce(stuck) == stuck
+    """A formula inside a term is a closed constant, as an atom is."""
+    for constant in (LIT_B, Atom("b")):
+        assert free_vars(constant) == set()
+        assert substitute(constant, "x", Var("y")) is constant
+        doubled = beta_reduce(App(parse_term("lam x. AND(x, x)"), constant))
+        assert doubled == Con("AND", (constant, constant))
+        stuck = App(constant, I_0_10)  # a converted meaning applied as a function
+        assert beta_reduce(stuck) == stuck
 
 
 def test_parse_term_errors():
