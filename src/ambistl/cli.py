@@ -45,6 +45,12 @@ EXIT_TRANSLATION = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
 
+# Errors that exit with EXIT_TRANSLATION.
+TRANSLATION_ERRORS = (
+    EmptySentenceError, CoverageError, NoParseError, EmptyCandidateSetError, ScoreRangeError,
+    TermError, UnknownAtomError,
+)
+
 LEXICON_ENV_VAR = "AMBISTL_LEXICON"
 
 log = logging.getLogger("ambistl")
@@ -158,13 +164,14 @@ def cmd_translate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_corpus(path: Optional[str]) -> list[tuple[str, str]]:
+def _read_corpus(path: Optional[str]) -> list[tuple[int, str, str]]:
+    """The ``(line number, id, sentence)`` rows of a corpus file."""
     if path is None:
         text = resources.files("ambistl.data").joinpath("corpus.tsv").read_text(encoding="utf-8")
     else:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    rows: list[tuple[str, str]] = []
+    rows: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -172,7 +179,7 @@ def _read_corpus(path: Optional[str]) -> list[tuple[str, str]]:
         if "\t" not in line:
             raise ValueError(f"corpus line {lineno}: expected 'id<TAB>sentence'")
         sid, _, sentence = line.partition("\t")
-        rows.append((sid.strip(), sentence.strip()))
+        rows.append((lineno, sid.strip(), sentence.strip()))
     if not rows:
         raise ValueError("empty corpus file")
     return rows
@@ -213,8 +220,12 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
     results: list[dict] = []
     mismatches: list[str] = []
-    for sid, sentence in rows:
-        candidate_set = translate(sentence, lexicon)
+    for lineno, sid, sentence in rows:
+        try:
+            candidate_set = translate(sentence, lexicon)
+        except TRANSLATION_ERRORS as exc:
+            print(f"{sid} (line {lineno}): translation failed: {exc}", file=sys.stderr)
+            return EXIT_TRANSLATION
         formulas = candidate_set.formulas()
         results.append(
             {
@@ -243,7 +254,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             print(f"{r['id']:<{width}}  {r['count']}  {r['formulas'][0]}")
 
     if expected is not None:
-        listed = {sid for sid, _ in rows}
+        listed = {sid for _, sid, _ in rows}
         mismatches += [
             f"{sid}: expected, but not in the corpus" for sid in expected if sid not in listed
         ]
@@ -332,8 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (EmptySentenceError, CoverageError, NoParseError, EmptyCandidateSetError,
-            ScoreRangeError, TermError, UnknownAtomError) as exc:
+    except TRANSLATION_ERRORS as exc:
         print(f"translation failed: {exc}", file=sys.stderr)
         return EXIT_TRANSLATION
     except (LexiconError, ValueError) as exc:

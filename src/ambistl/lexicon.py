@@ -109,6 +109,8 @@ class Slash(Record):
 
 
 Category = Union[Basic, Slash]
+# The category of every numeral leaf.
+NUM = Basic("NUM")
 # A task verb takes a region and yields a task awaiting its interval.
 TASK_VERB_CATEGORY = Slash(FORWARD, Basic("T"), Basic("NP"))
 
@@ -144,6 +146,16 @@ def _parse_cat_atom(tokens: list[str], pos: int) -> tuple[Category, int]:
     if tok in BASIC_CATEGORIES:
         return Basic(tok), pos + 1
     raise CategorySyntaxError(f"unknown category atom {tok!r}")
+
+
+def _intern(cat: Category, table: dict[Category, Category]) -> Category:
+    """The one object in ``table`` equal to ``cat``, its daughters interned
+    too; ``cat`` is added when none is."""
+    if isinstance(cat, Slash):
+        result, argument = _intern(cat.result, table), _intern(cat.argument, table)
+        if result is not cat.result or argument is not cat.argument:
+            cat = Slash(cat.slash, result, argument)
+    return table.setdefault(cat, cat)
 
 
 def format_category(cat: Category) -> str:
@@ -217,7 +229,7 @@ class Lexicon(Record):
 
 def numeral_entry(token: str) -> LexEntry:
     """Synthesised NUM leaf for a digit token; its value rides in the template."""
-    return LexEntry((token,), Basic("NUM"), 0.0, IntC(int(token)))
+    return LexEntry((token,), NUM, 0.0, IntC(int(token)))
 
 
 def lookup(lexicon: Lexicon, words: Sequence[str], position: int) -> list[tuple[int, LexEntry]]:
@@ -253,9 +265,12 @@ def load_lexicon(source: TextSource) -> Lexicon:
     Raises :class:`LexiconSyntaxError` with the offending line number on
     malformed lines, categories or templates, and :class:`LexiconError` on
     an empty lexicon.  Exact duplicate entries trigger a
-    :class:`LexiconWarning` and are kept once.
+    :class:`LexiconWarning` and are kept once.  Equal categories, and equal
+    daughters of categories, are one object, which is :data:`NUM` for NUM,
+    so the parser's category tests mostly meet the same object.
     """
     entries: dict[tuple[str, ...], list[LexEntry]] = {}
+    categories: dict[Category, Category] = {NUM: NUM}
     rule_weights: dict[str, float] = {}
     for lineno, raw in enumerate(lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -277,7 +292,7 @@ def load_lexicon(source: TextSource) -> Lexicon:
             )
         surface = tuple(fields[0].split())
         try:
-            category = parse_category(fields[1])
+            category = _intern(parse_category(fields[1]), categories)
         except CategorySyntaxError as exc:
             raise LexiconSyntaxError(lineno, f"bad category: {exc}") from None
         try:
@@ -332,7 +347,7 @@ def validate_lexicon(lexicon: Lexicon) -> list[str]:
     an empty list means a clean lexicon.
     """
     producible: set[Category] = {e.category for e in lexicon.all_entries()}
-    producible.add(Basic("NUM"))
+    producible.add(NUM)
     changed = True
     while changed:
         changed = False

@@ -3,8 +3,11 @@
 The chart is filled once over forward and backward application
 (coordination is lexical, via (X\\X)/X categories).  It is packed: each
 span maps every category built over it to the backpointers that build it,
-so it stays small however many derivations it holds.  A complete
-derivation covers the whole sentence with a category in
+so it stays small however many derivations it holds.  Only non-empty spans
+are kept: a span with no category has no cell.  The fill finds split
+points through an index, the ascending ends of the non-empty cells at each
+start, and combines only daughters whose two cells are both non-empty.  A
+complete derivation covers the whole sentence with a category in
 ``ROOT_CATEGORIES`` (a closed formula S or a bounded task disjunction R).
 Two readers use a filled chart: the pipeline packs meanings over it
 directly, and :func:`unpack_nbest` unpacks the trees, summing each one's
@@ -153,8 +156,9 @@ Backpointer = Union[LexEntry, tuple[str, int, Category, Category]]
 
 
 class Chart(Record):
-    """Packed parse forest: for each span, every category built over it,
-    each with the backpointers that build it."""
+    """Packed parse forest: for each span that some category is built over,
+    every such category, each with the backpointers that build it.  A span
+    with no category has no key in ``cells``."""
 
     __slots__ = ("words", "cells")
 
@@ -167,37 +171,38 @@ class Chart(Record):
     @property
     def roots(self) -> list[Category]:
         """Categories in ``ROOT_CATEGORIES`` over the whole sentence."""
-        top = self.cells[(0, len(self.words))]
+        top = self.cells.get((0, len(self.words)), ())
         return [cat for cat in top if format_category(cat) in ROOT_CATEGORIES]
 
     def items_under_roots(self) -> list[tuple[int, int, Category]]:
         """Every ``(start, end, category)`` that some complete derivation
         uses, shorter spans first, so daughters precede their mothers."""
-        length = len(self.words)
-        used = {(0, length, cat) for cat in self.roots}
-        for span in range(length, 1, -1):
-            for i in range(length - span + 1):
-                for cat, backs in self.cells[(i, i + span)].items():
-                    if (i, i + span, cat) not in used:
-                        continue
-                    for back in backs:
-                        if isinstance(back, tuple):
-                            _, k, cat_l, cat_r = back
-                            used.add((i, k, cat_l))
-                            used.add((k, i + span, cat_r))
+        used = {(0, len(self.words), cat) for cat in self.roots}
+        # Longest spans first: a mother's span is longer than its daughters'.
+        for (i, j), cell in sorted(self.cells.items(), key=lambda item: item[0][0] - item[0][1]):
+            for cat, backs in cell.items():
+                if (i, j, cat) not in used:
+                    continue
+                for back in backs:
+                    if isinstance(back, tuple):
+                        _, k, cat_l, cat_r = back
+                        used.add((i, k, cat_l))
+                        used.add((k, j, cat_r))
         return sorted(used, key=lambda item: item[1] - item[0])
 
 
 def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     """CKY over forward and backward application into a packed chart.
 
-    Spans are filled shortest first.  A cell ``(i, j)`` is built from the
-    splits ``k`` where both ``(i, k)`` and ``(k, j)`` are non-empty: for
-    each start ``i`` the ends of its non-empty cells are kept in ascending
-    order, and only those are visited.  Each cell's backpointers come in the
-    order a dense loop over every ``k`` gives them (ascending ``k``, then
-    the daughters' categories in cell order, ``fa`` before ``ba``), the
-    chart order that tied derivations and float sums follow.
+    Only non-empty cells are kept: a span over which no category is built
+    has no key in ``Chart.cells``.  Spans are filled shortest first.  A
+    cell ``(i, j)`` is built from the splits ``k`` where both ``(i, k)``
+    and ``(k, j)`` are non-empty: for each start ``i`` the ends of its
+    non-empty cells are kept in ascending order (the split-point index),
+    and only those are visited.  Each cell's backpointers come in the order
+    a dense loop over every ``k`` gives them (ascending ``k``, then the
+    daughters' categories in cell order, ``fa`` before ``ba``), the chart
+    order that tied derivations and float sums follow.
 
     Raises :class:`CoverageError` when a word has no lexical entry and
     :class:`NoParseError` when no root category covers the whole sentence.
@@ -205,14 +210,13 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     if not words:
         raise EmptySentenceError("empty token sequence")
     length = len(words)
-    cells: dict[tuple[int, int], dict[Category, list[Backpointer]]] = {
-        (i, j): {} for i in range(length) for j in range(i + 1, length + 1)
-    }
+    # rows[i][j] is the cell (i, j); only non-empty cells have a key
+    rows: list[dict[int, dict[Category, list[Backpointer]]]] = [{} for _ in range(length)]
 
     covered = [False] * length
     for i in range(length):
         for span, entry in lookup(lexicon, words, i):
-            cells[(i, i + span)].setdefault(entry.category, []).append(entry)
+            rows[i].setdefault(i + span, {}).setdefault(entry.category, []).append(entry)
             for k in range(i, i + span):
                 covered[k] = True
     for i, ok in enumerate(covered):
@@ -220,29 +224,37 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
             raise CoverageError(words[i], i)
 
     # ends[i]: ascending ends j of the non-empty cells (i, j)
-    ends = [sorted(j for j in range(i + 1, length + 1) if cells[(i, j)]) for i in range(length)]
+    ends = [sorted(row) for row in rows]
     for span in range(2, length + 1):
         for i in range(0, length - span + 1):
             j = i + span
-            cell = cells[(i, j)]
-            was_empty = not cell
+            row = rows[i]
+            was_empty = j not in row
             for k in ends[i]:
                 if k >= j:
                     break
-                right = cells[(k, j)]
-                if not right:
+                right = rows[k].get(j)
+                if right is None:
                     continue
-                for cat_l in cells[(i, k)]:
+                for cat_l in row[k]:
+                    forward = isinstance(cat_l, Slash) and cat_l.slash == FORWARD
                     for cat_r in right:
-                        for rule, fn, arg, slash in (
-                            ("fa", cat_l, cat_r, FORWARD),
-                            ("ba", cat_r, cat_l, BACKWARD),
+                        if forward and cat_l.argument == cat_r:
+                            row.setdefault(j, {}).setdefault(cat_l.result, []).append(
+                                ("fa", k, cat_l, cat_r)
+                            )
+                        if (
+                            isinstance(cat_r, Slash)
+                            and cat_r.slash == BACKWARD
+                            and cat_r.argument == cat_l
                         ):
-                            if isinstance(fn, Slash) and fn.slash == slash and fn.argument == arg:
-                                cell.setdefault(fn.result, []).append((rule, k, cat_l, cat_r))
-            if was_empty and cell:
+                            row.setdefault(j, {}).setdefault(cat_r.result, []).append(
+                                ("ba", k, cat_l, cat_r)
+                            )
+            if was_empty and j in row:
                 insort(ends[i], j)
 
+    cells = {(i, j): cell for i, row in enumerate(rows) for j, cell in row.items()}
     chart = Chart(tuple(words), cells)
     if not chart.roots:
         raise NoParseError(f"no complete parse for: {' '.join(chart.words)!r}")

@@ -375,10 +375,20 @@ def pack_meanings(
     mothers as its formula.
     Each merged meaning carries the sum of exp(score) over its derivations
     and their count, so ranking the result equals aggregating every
-    derivation.
+    derivation.  An item's meanings are dropped as soon as the last
+    backpointer that reads them has been composed, so the pass holds only
+    the items some pending mother still needs.
     """
+    items = chart.items_under_roots()
+    readers: dict[tuple[int, int, Category], int] = {}  # backpointers left to read each item
+    for i, j, cat in items:
+        for back in chart.cells[(i, j)][cat]:
+            if isinstance(back, tuple):
+                _, k, cat_l, cat_r = back
+                for daughter in ((i, k, cat_l), (k, j, cat_r)):
+                    readers[daughter] = readers.get(daughter, 0) + 1
     packed: dict[tuple[int, int, Category], dict] = {}
-    for i, j, cat in chart.items_under_roots():
+    for i, j, cat in items:
         merged = packed[(i, j, cat)] = {}
         for back in chart.cells[(i, j)][cat]:
             if isinstance(back, LexEntry):
@@ -390,6 +400,10 @@ def pack_meanings(
                 for right, weight_r, count_r in packed[(k, j, cat_r)].values():
                     meaning = beta_reduce(App(left, right) if rule == "fa" else App(right, left))
                     _pack(merged, meaning, weight_l * weight_r * factor, count_l * count_r)
+            for daughter in ((i, k, cat_l), (k, j, cat_r)):
+                readers[daughter] -= 1
+                if not readers[daughter]:
+                    del packed[daughter]
 
     weighted: list[tuple[Formula, float, int]] = []
     total = discarded = 0
@@ -410,7 +424,7 @@ def translate(
 ) -> CandidateSet:
     """Translate a sentence into its ranked candidate set, over every
     derivation: :func:`fill_chart`, :func:`pack_meanings`, then ranking;
-    ``n`` has no effect and is accepted for existing callers."""
+    ``n`` has no effect and is accepted for existing callers.  No name
+    holds the chart, so it is freed before ranking starts."""
     lex = lexicon if lexicon is not None else load_default_lexicon()
-    chart = fill_chart(tokenize(sentence), lex)
-    return _rank(sentence, *pack_meanings(chart, lex))
+    return _rank(sentence, *pack_meanings(fill_chart(tokenize(sentence), lex), lex))

@@ -30,6 +30,8 @@ class Record:
             cls._values = staticmethod(attrgetter(*names))
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # as tuple comparison does, before building field tuples
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values(self) == other._values(other)

@@ -29,6 +29,7 @@ they pass an integer, and an application of one is stuck.
 from __future__ import annotations
 
 from itertools import count
+from operator import is_
 from typing import Iterator
 
 from .record import Record
@@ -136,7 +137,11 @@ def _fresh(base: str, avoid: set[str]) -> str:
 
 
 def substitute(t: Term, var: str, repl: Term) -> Term:
-    """Capture-avoiding substitution of ``repl`` for ``var`` in ``t``."""
+    """Capture-avoiding substitution of ``repl`` for ``var`` in ``t``.
+
+    Subterms in which ``var`` is not free come back as the same objects,
+    so ``t`` itself does when ``var`` is not free in it.  A bound variable
+    is renamed only where ``repl`` would be captured under it."""
     return _substitute(t, var, repl, free_vars(repl))
 
 
@@ -147,17 +152,27 @@ def _substitute(t: Term, var: str, repl: Term, repl_free: set[str]) -> Term:
         if t.var == var:
             return t
         if t.var in repl_free:
-            fresh = _fresh(t.var, free_vars(t.body) | repl_free | {var})
+            body_free = free_vars(t.body)
+            if var not in body_free:
+                return t
+            fresh = _fresh(t.var, body_free | repl_free | {var})
             renamed = substitute(t.body, t.var, Var(fresh))
             return Lam(fresh, _substitute(renamed, var, repl, repl_free))
-        return Lam(t.var, _substitute(t.body, var, repl, repl_free))
+        body = _substitute(t.body, var, repl, repl_free)
+        return t if body is t.body else Lam(t.var, body)
     if isinstance(t, App):
-        return App(
-            _substitute(t.fn, var, repl, repl_free), _substitute(t.arg, var, repl, repl_free)
-        )
+        fn = _substitute(t.fn, var, repl, repl_free)
+        arg = _substitute(t.arg, var, repl, repl_free)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if isinstance(t, Con):
-        return Con(t.name, tuple(_substitute(a, var, repl, repl_free) for a in t.args))
+        args = tuple([_substitute(a, var, repl, repl_free) for a in t.args])
+        return t if _same(args, t.args) else Con(t.name, args)
     return t
+
+
+def _same(new: tuple[Term, ...], old: tuple[Term, ...]) -> bool:
+    """Whether ``new`` holds the very objects of ``old``."""
+    return all(map(is_, new, old))
 
 
 def beta_reduce(term: Term) -> Term:
@@ -166,9 +181,12 @@ def beta_reduce(term: Term) -> Term:
     The head is reduced to weak-head normal form first, contracting each
     ``App(Lam, arg)`` with :func:`substitute`; then the pieces are
     normalized: the operands of a stuck application, a lambda body and
-    constructor children.  More than :data:`REDUCTION_BUDGET` contractions
-    raise :class:`ReductionBudgetError`, the signal for an ill-typed
-    template that has no normal form.
+    constructor children.  A node none of whose pieces changed is returned
+    as it is, so a term already in normal form comes back as the same
+    object and a reduct shares every subterm the reduction left alone.
+    More than :data:`REDUCTION_BUDGET` contractions raise
+    :class:`ReductionBudgetError`, the signal for an ill-typed template
+    that has no normal form.
     """
     return _normalize(term, count(1))
 
@@ -176,11 +194,15 @@ def beta_reduce(term: Term) -> Term:
 def _normalize(t: Term, contractions: Iterator[int]) -> Term:
     t = _head_normal(t, contractions)
     if isinstance(t, App):
-        return App(_normalize(t.fn, contractions), _normalize(t.arg, contractions))
+        fn = _normalize(t.fn, contractions)
+        arg = _normalize(t.arg, contractions)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
     if isinstance(t, Lam):
-        return Lam(t.var, _normalize(t.body, contractions))
+        body = _normalize(t.body, contractions)
+        return t if body is t.body else Lam(t.var, body)
     if isinstance(t, Con):
-        return Con(t.name, tuple(_normalize(a, contractions) for a in t.args))
+        args = tuple([_normalize(a, contractions) for a in t.args])
+        return t if _same(args, t.args) else Con(t.name, args)
     return t
 
 
@@ -190,7 +212,7 @@ def _head_normal(t: Term, contractions: Iterator[int]) -> Term:
     while isinstance(t, App):
         fn = _head_normal(t.fn, contractions)
         if not isinstance(fn, Lam):
-            return App(fn, t.arg)
+            return t if fn is t.fn else App(fn, t.arg)
         if next(contractions) > REDUCTION_BUDGET:
             raise ReductionBudgetError(
                 f"no normal form within {REDUCTION_BUDGET} contractions (ill-typed template?)"

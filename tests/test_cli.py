@@ -179,6 +179,14 @@ def test_corpus_mismatch_names_sentence(tmp_path, capsys):
     assert "S8" in capsys.readouterr().err
 
 
+def test_corpus_names_the_sentence_that_fails_to_translate(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("S1\tReach B within 10 seconds.\nS2\tzebra the moon")
+    assert main(["corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("S2 (line 2): translation failed: no lexical entry covers token 'zebra'")
+
+
 def test_corpus_gate_notices_a_dropped_sentence(tmp_path, capsys):
     from importlib import resources
 

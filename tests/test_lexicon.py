@@ -68,6 +68,25 @@ def test_categories_parsed_apart_key_one_entry():
     assert hash(Basic("S")) == hash(("S",))
 
 
+def test_equal_categories_are_one_object_per_lexicon(lexicon):
+    """Entries whose categories read the same share one category object, as
+    do equal daughters, and every numeral leaf has the same NUM."""
+    by_text = {}
+    for entry in lexicon.all_entries():
+        by_text.setdefault(format_category(entry.category), []).append(entry.category)
+    assert any(len(cats) > 1 for cats in by_text.values())
+    for cats in by_text.values():
+        assert all(cat is cats[0] for cat in cats)
+    text = "reach | T/NP | 0.0 | lam x. lam i. F(i, x)\ngo to | T/NP | -0.5 | lam x. lam i. F(i, x)\n"
+    text += "for | ((S\\S)/UNIT)/NUM | 0.0 | lam n. lam u. lam p. p\n"
+    small = load_lexicon(text)
+    reach, go_to = small.entries[("reach",)][0], small.entries[("go", "to")][0]
+    assert reach.category is go_to.category
+    within = small.entries[("for",)][0].category
+    assert within.argument is numeral_entry("7").category is numeral_entry("10").category
+    assert within.result.result.result is within.result.result.argument  # S in S\S
+
+
 def test_unknown_category_atom():
     with pytest.raises(CategorySyntaxError):
         parse_category("VP/NP")

@@ -217,11 +217,22 @@ def test_full_listing_is_the_chart_order_reference(lexicon, corpus):
         assert listing(parse_nbest(words, lexicon, n=sys.maxsize)) == expected, sentence
 
 
+def test_chart_keeps_only_non_empty_cells(lexicon):
+    """A span over which no category is built has no key in the chart; the
+    43-word k=6 sentence has 946 spans, 105 of them non-empty."""
+    words = tokenize(kstep_sentence(6))
+    chart = fill_chart(words, lexicon)
+    assert all(chart.cells.values())
+    dense = dense_fill_chart(words, lexicon)
+    assert (len(words), len(dense), len(chart.cells)) == (43, 946, 105)
+
+
 @pytest.mark.parametrize("custom", [None, *CUSTOM_ENTRIES])
 def test_sparse_fill_equals_the_dense_reference(lexicon, corpus, custom):
     """Visiting only non-empty cells builds the chart a loop over every
-    split point builds: the same cells, categories in the same order, and
-    backpointer lists equal element by element and in order."""
+    split point builds, less its empty cells: the same spans, categories in
+    the same order, and backpointer lists equal element by element and in
+    order."""
     lex = lexicon if custom is None else custom_lexicon(lexicon, custom)
     sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 11)]
     sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in range(2, 6)]
@@ -239,7 +250,8 @@ def test_sparse_fill_equals_the_dense_reference(lexicon, corpus, custom):
         except NoParseError:
             assert not any(cat in dense[(0, len(words))] for cat in (Basic("S"), Basic("R")))
             continue
-        assert list(chart.cells) == list(dense)
+        assert all(chart.cells.values()), sentence
+        assert set(chart.cells) == {span for span, cell in dense.items() if cell}
         for span, cell in chart.cells.items():
             assert list(cell) == list(dense[span]), (sentence, span)
             for cat, backs in cell.items():

@@ -75,6 +75,40 @@ def test_substitute_leaves_bound_occurrences_alone():
     assert substitute(term, "x", Atom("a")) == term
 
 
+def test_substitute_returns_the_term_when_the_variable_is_not_free():
+    terms = [
+        Atom("a"),
+        IntC(3),
+        Var("z"),
+        Lam("x", App(Var("x"), Var("z"))),  # x bound
+        Lam("y", Con("AND", (Var("y"), Atom("a")))),  # y would capture the replacement
+        App(Lam("y", Var("y")), Con("I", (IntC(0), IntC(10)))),
+        parse_term("lam q. lam p. SEQ(p, q)"),
+    ]
+    for term in terms:
+        assert "x" not in free_vars(term)
+        assert substitute(term, "x", Var("y")) is term, format_term(term)
+
+
+def test_substitute_shares_the_subterms_it_leaves_alone():
+    kept = Con("F", (I_0_10, Atom("b")))
+    result = substitute(Con("AND", (Var("x"), kept)), "x", Atom("a"))
+    assert result == Con("AND", (Atom("a"), kept))
+    assert result.args[1] is kept
+
+
+def test_normal_forms_reduce_to_themselves(lex):
+    """Every bundled template is in normal form, and reduction returns it
+    as the same object; a reduct keeps the pieces no contraction touched."""
+    for entry in lex.all_entries():
+        assert beta_reduce(entry.template) is entry.template, format_term(entry.template)
+    stuck = App(Con("F", (I_0_10, Atom("b"))), I_0_15)
+    assert beta_reduce(stuck) is stuck
+    kept = Con("G", (I_0_15, Atom("a")))
+    reduct = beta_reduce(Con("AND", (App(Lam("x", Var("x")), Atom("b")), kept)))
+    assert reduct == Con("AND", (Atom("b"), kept)) and reduct.args[1] is kept
+
+
 def test_free_vars():
     term = Lam("p", App(Var("p"), Var("q")))
     assert free_vars(term) == {"q"}
