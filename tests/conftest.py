@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -8,13 +10,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tests"))
 
 from ambistl.lexicon import format_lexicon, load_default_lexicon, load_lexicon
 from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, TrueF, Until
 from ambistl.regions import Box, RegionMap
 from ambistl.text import lines
 from ambistl.trajectory import Trajectory
+
+
+def run_python(args: list[str], timeout: float | None = None, **env: str):
+    """``python *args`` in a fresh interpreter at the repository root, with
+    this checkout's ``src`` first on the import path and ``env`` added to
+    the environment; stdout and stderr are captured as bytes."""
+    path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args], cwd=REPO, env={**os.environ, **env, "PYTHONPATH": path},
+        capture_output=True, timeout=timeout,
+    )
 
 
 def kstep_sentence(k: int) -> str:

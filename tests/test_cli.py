@@ -1,16 +1,11 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import ambistl
 from ambistl.cli import main
 from ambistl.lexicon import format_lexicon, load_default_lexicon
 
-from conftest import CUSTOM_ENTRIES, kstep_sentence
+from conftest import CUSTOM_ENTRIES, kstep_sentence, run_python
 
 REGIONS_TEXT = "a: 2 0 4 2\nb: 6 0 8 2\nc: 6 6 8 8\nd: 0 6 2 8\n"
 THROUGH_A_CSV = "t,x,y\n" + "\n".join(f"{t},{0.8 * t},1.0" for t in range(11)) + "\n"
@@ -417,6 +412,10 @@ def test_explain_says_when_derivations_were_cut(capsys):
     out = capsys.readouterr().out
     assert "132 derivation(s), 0 discarded" in out and "listing" not in out
     assert out.count("  derivation ") == 132
+    assert main(["explain", "--n-best", "5", kstep_sentence(9)]) == 0
+    out = capsys.readouterr().out
+    assert "listing the 5 best of 4862 derivations" in out
+    assert out.count("  derivation ") == 5
 
 
 def test_explain_has_no_format_flag(capsys):
@@ -428,15 +427,13 @@ def test_explain_has_no_format_flag(capsys):
 def test_explain_listing_is_independent_of_the_hash_seed():
     """Tied derivations keep chart order, so a cut listing is the same
     whatever order Python's string hashing gives sets."""
-    src = str(Path(ambistl.__file__).resolve().parent.parent)
     outputs = []
     for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-m", "ambistl.cli", "explain", "--n-best", "10", kstep_sentence(5)],
-            env=env, capture_output=True, check=True,
+        done = run_python(
+            ["-m", "ambistl.cli", "explain", "--n-best", "10", kstep_sentence(5)],
+            PYTHONHASHSEED=seed,
         )
+        assert done.returncode == 0, done.stderr.decode()
         outputs.append(done.stdout)
     assert b"listing the 10 best of 42 derivations" in outputs[0]
     assert outputs[0] == outputs[1]

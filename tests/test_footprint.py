@@ -2,18 +2,12 @@
 garbage only the cyclic collector can free."""
 
 import gc
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import ambistl
 from ambistl import analyze, evaluate_candidates, translate
 
-from conftest import kstep_sentence
-
-REPO = Path(__file__).resolve().parent.parent
+from conftest import kstep_sentence, run_python
 
 # Run in a fresh interpreter, so that no earlier import has loaded numpy.
 COLD_PATH = textwrap.dedent(
@@ -53,13 +47,9 @@ COLD_PATH = textwrap.dedent(
 
 
 def test_translate_path_does_not_load_numpy():
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", COLD_PATH], cwd=REPO, env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "ok\n"
+    done = run_python(["-c", COLD_PATH])
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == b"ok\n"
 
 
 def test_calls_leave_no_cyclic_garbage(lexicon, demo_regions, through_a_trajectory):
