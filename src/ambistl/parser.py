@@ -174,21 +174,22 @@ class Chart(Record):
         top = self.cells.get((0, len(self.words)), ())
         return [cat for cat in top if format_category(cat) in ROOT_CATEGORIES]
 
-    def items_under_roots(self) -> list[tuple[int, int, Category]]:
+    def items_under_roots(self) -> dict[tuple[int, int, Category], int]:
         """Every ``(start, end, category)`` that some complete derivation
-        uses, shorter spans first, so daughters precede their mothers."""
-        used = {(0, len(self.words), cat) for cat in self.roots}
+        uses, shorter spans first, so daughters precede their mothers, each
+        with the number of backpointers that read it (0 for a root)."""
+        readers = {(0, len(self.words), cat): 0 for cat in self.roots}
         # Longest spans first: a mother's span is longer than its daughters'.
         for (i, j), cell in sorted(self.cells.items(), key=lambda item: item[0][0] - item[0][1]):
             for cat, backs in cell.items():
-                if (i, j, cat) not in used:
+                if (i, j, cat) not in readers:
                     continue
                 for back in backs:
                     if isinstance(back, tuple):
                         _, k, cat_l, cat_r = back
-                        used.add((i, k, cat_l))
-                        used.add((k, j, cat_r))
-        return sorted(used, key=lambda item: item[1] - item[0])
+                        for daughter in ((i, k, cat_l), (k, j, cat_r)):
+                            readers[daughter] = readers.get(daughter, 0) + 1
+        return dict(sorted(readers.items(), key=lambda item: item[0][1] - item[0][0]))
 
 
 def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:

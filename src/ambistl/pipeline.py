@@ -6,29 +6,29 @@ during reduction:
 
 * SEQ(P, Q) becomes temporal tail insertion: the converted Q is conjoined
   into the innermost reach of P's eventually-chain, so different
-  bracketings of the same sequence converge on one formula.  The chain is
-  followed through nested conjunctions, so P may be a guarded task such
-  as ``F(...) & G(...)`` as long as it holds exactly one eventually task;
+  bracketings of the same sequence converge on one formula.  P is read
+  through its canonical form, so P may be a guarded task such as
+  ``F(...) & G(...)`` as long as its canonical form holds exactly one
+  eventually task (``F b & F b`` holds one);
 * EXTG(guard, anchor) applies the guard to the interval [0, extent(anchor)],
   yielding the avoidance condition that spans its sibling's full horizon.
 
 Translation is :func:`fill_chart`, a packing pass (:func:`pack_meanings`)
 and ranking.  The packing pass composes meanings over the packed chart, not
 over trees: per chart item, meanings whose formulas have the same
-:func:`~ambistl.stl.ac_key` (equal up to the nesting and order of
-conjunctions and disjunctions) are merged, carrying the sum of exp(score)
-and the count of the derivations behind them, so the candidate set covers
-every derivation and no tree is built or walked.  A merged meaning that
-converted enters its mothers as its formula, a closed constant of the
-meaning language, so a finished formula is composed over, not reduced,
-converted or keyed again.  Only :func:`analyze` unpacks trees, for those
-it lists.
+canonical form are merged, carrying the sum of exp(score) and the count of
+the derivations behind them, so the candidate set covers every derivation
+and no tree is built or walked.  A merged meaning that converted enters
+its mothers as its canonical formula, a closed constant of the meaning
+language, so a finished formula is composed over, not reduced, converted
+or canonicalized again.  Only :func:`analyze` unpacks trees, for those it
+lists.
 
 A sequence whose head holds no eventually task (``avoid A ... and then
 ...``) has no reading, and a custom lexicon can build a meaning that
 contains a lambda, a variable or a stuck application.  Such derivations
 are discarded as ill-formed and only counted.  Surviving formulas are
-canonicalized and grouped; each group's score is the sum of
+grouped by canonical form; each group's score is the sum of
 exp(derivation score), normalised into probabilities over the whole set;
 a lexicon whose weights push a sum out of the normal float range raises
 :class:`ScoreRangeError`.
@@ -48,7 +48,7 @@ from .parser import (
 from .record import Record
 from .semantics import App, Con, IntC, Lam, Term, Var, beta_reduce
 from .stl import (
-    And, F, Formula, G, Interval, Not, Or, ac_key, canonical_form, canonicalize, extent
+    And, F, Formula, G, Interval, Not, Or, canonical_form, canonicalize, extent
 )
 
 
@@ -150,7 +150,7 @@ def to_stl(term: Term | Formula) -> Formula:
         case Con("G", (interval, body)):
             return G(_interval_of(interval), to_stl(body))
         case Con("SEQ", (first, second)):
-            head = to_stl(first)
+            head = canonicalize(to_stl(first))
             if _chains(head) != 1:
                 raise IllFormedMeaningError("sequence head is not an eventually task")
             return _seq_insert(head, to_stl(second))
@@ -164,25 +164,26 @@ def to_stl(term: Term | Formula) -> Formula:
 
 
 def _chains(chi: Formula) -> int:
-    """Eventually tasks conjoined at the top of ``chi``, counted through
-    nested conjunctions."""
-    if isinstance(chi, F):
+    """Eventually tasks conjoined at the top of a canonical ``chi``: a
+    canonical conjunction is flat, so they are its ``F`` children."""
+    if type(chi) is F:
         return 1
-    if isinstance(chi, And):
-        return sum(_chains(c) for c in chi.children)
+    if type(chi) is And:
+        return sum(type(child) is F for child in chi.children)
     return 0
 
 
 def _seq_insert(chi: Formula, tail: Formula) -> Formula:
-    """Conjoin ``tail`` into the unique eventually-conjunct of ``chi``
-    (found through nested conjunctions), recursively, or directly at
-    ``chi`` when there is none (or several)."""
-    if isinstance(chi, F):
+    """Conjoin ``tail`` into the unique eventually-conjunct of a canonical
+    ``chi``, recursively, or directly at ``chi`` when there is none (or
+    several).  Every child of a canonical node is canonical, so the walk
+    never meets a nested conjunction."""
+    if type(chi) is F:
         return F(chi.interval, _seq_insert(chi.child, tail))
-    if isinstance(chi, And):
-        counts = [_chains(c) for c in chi.children]
-        if sum(counts) == 1:
-            idx = counts.index(1)
+    if type(chi) is And:
+        tasks = [i for i, child in enumerate(chi.children) if type(child) is F]
+        if len(tasks) == 1:
+            (idx,) = tasks
             updated = _seq_insert(chi.children[idx], tail)
             return And(chi.children[:idx] + (updated,) + chi.children[idx + 1 :])
         return And(chi.children + (tail,))
@@ -262,14 +263,11 @@ def _pack(merged: dict, meaning: Term | Formula, weight: float, count: int) -> N
     """Add ``count`` derivations of summed exp(score) ``weight`` and meaning
     ``meaning`` to a chart item's merged meanings.
 
-    Meanings whose formulas are equal up to the nesting and order of
-    conjunctions and disjunctions (:func:`~ambistl.stl.ac_key`) are
-    interchangeable in every context, so they share an entry: conversion
-    is compositional, and what sequence insertion and guard windows read
-    of a formula (its eventually tasks, counted through nested
-    conjunctions, and its extent) depends on neither.  Duplicates are kept
-    apart, as ``F a & F a`` holds two eventually tasks; keying by the
-    canonical formula would be unsound.  A converted entry keeps the
+    Meanings whose formulas have the same canonical form are
+    interchangeable in every context, so they share an entry keyed by the
+    canonical rendering: conversion is compositional, sequence insertion
+    reads the head's canonical form, and a guard window reads the extent,
+    which canonicalization keeps.  A converted entry holds the canonical
     formula of its first meaning, the constant mothers compose over; every
     other meaning gets an entry of its own.
     """
@@ -282,10 +280,10 @@ def _pack(merged: dict, meaning: Term | Formula, weight: float, count: int) -> N
     if formula is None:
         merged[object()] = [meaning, weight, count]
         return
-    key = ac_key(formula)
+    canonical, key = canonical_form(formula)
     entry = merged.get(key)
     if entry is None:
-        merged[key] = [formula, weight, count]
+        merged[key] = [canonical, weight, count]
     else:
         entry[1] += weight
         entry[2] += count
@@ -366,29 +364,22 @@ def pack_meanings(
     chart: Chart, lexicon: Lexicon
 ) -> tuple[list[tuple[Formula, float, int]], int, int]:
     """The packing pass over a filled chart: every well-formed root reading
-    as (raw formula, summed exp(score), derivation count), with the number
-    of derivations and of those discarded as ill-formed.
+    as (canonical formula, summed exp(score), derivation count), with the
+    number of derivations and of those discarded as ill-formed.
 
     Meanings are composed bottom-up over the chart items that lie under a
     root, merging interchangeable meanings per item (see :func:`_pack`);
     a daughter's converted meaning is passed to the templates of its
-    mothers as its formula.
+    mothers as its canonical formula.
     Each merged meaning carries the sum of exp(score) over its derivations
     and their count, so ranking the result equals aggregating every
     derivation.  An item's meanings are dropped as soon as the last
     backpointer that reads them has been composed, so the pass holds only
     the items some pending mother still needs.
     """
-    items = chart.items_under_roots()
-    readers: dict[tuple[int, int, Category], int] = {}  # backpointers left to read each item
-    for i, j, cat in items:
-        for back in chart.cells[(i, j)][cat]:
-            if isinstance(back, tuple):
-                _, k, cat_l, cat_r = back
-                for daughter in ((i, k, cat_l), (k, j, cat_r)):
-                    readers[daughter] = readers.get(daughter, 0) + 1
+    readers = chart.items_under_roots()  # backpointers left to read each item
     packed: dict[tuple[int, int, Category], dict] = {}
-    for i, j, cat in items:
+    for i, j, cat in readers:
         merged = packed[(i, j, cat)] = {}
         for back in chart.cells[(i, j)][cat]:
             if isinstance(back, LexEntry):

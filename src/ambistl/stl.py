@@ -7,17 +7,17 @@ each atom is grounded through a region map that assigns it a signed margin
 at every state.
 
 Every rendering is built by one node renderer, ``_text``: the text of
-:func:`format_formula`, the rendering :func:`canonical_form` returns with
-the canonical formula, and :func:`ac_key`, the rendering up to the nesting
-and order of connectives that the translation pipeline packs meanings by.
-The canonical rendering is the deduplication key of the candidate set, so
-it is deterministic down to the byte.
+:func:`format_formula` and the rendering :func:`canonical_form` returns with
+the canonical formula.  The canonical rendering is the one formula key: the
+translation pipeline packs meanings and deduplicates the candidate set by
+it, so it is deterministic down to the byte.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from operator import is_
 from typing import TYPE_CHECKING
 
 from .record import Record
@@ -72,10 +72,11 @@ class Interval(Record):
 class Formula(Record):
     """Base class for STL formula nodes.  Nodes are immutable values
     (:class:`~ambistl.record.Record`), and the node classes are final: the
-    walkers dispatch on exact types.  The ``_ac_key`` slot caches
-    :func:`ac_key`."""
+    walkers dispatch on exact types.  A node that :func:`canonical_form`
+    returned keeps its canonical rendering in the ``_canonical`` slot; no
+    other node has one."""
 
-    __slots__ = ("_ac_key",)
+    __slots__ = ("_canonical",)
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -201,40 +202,6 @@ def format_formula(formula: Formula) -> str:
         raise FormulaDepthError(_TOO_DEEP) from None
 
 
-def ac_key(formula: Formula) -> str:
-    """The rendering of ``formula`` with nested conjunctions and
-    disjunctions flattened and their children sorted, duplicates kept.
-
-    Two formulas with equal keys differ only in the nesting and order of
-    their conjunctions and disjunctions.  The key is computed once per node
-    and cached on that immutable node, so it lives as long as the node does.
-    """
-    key = getattr(formula, "_ac_key", None)
-    if key is None:
-        kind = type(formula)
-        try:
-            if kind is And or kind is Or:
-                parts = sorted(map(ac_key, _flat(formula, kind, [])))
-            else:
-                parts = list(map(ac_key, _children(formula)))
-        except RecursionError:
-            raise FormulaDepthError(_TOO_DEEP) from None
-        key = _text(formula, parts)
-        object.__setattr__(formula, "_ac_key", key)  # immutable: bypass Record.__setattr__
-    return key
-
-
-def _flat(node: Formula, same: type, out: list[Formula]) -> list[Formula]:
-    """``out`` extended by the children of a ``same`` connective, through
-    nested ``same``s."""
-    for child in node.children:
-        if type(child) is same:
-            _flat(child, same, out)
-        else:
-            out.append(child)
-    return out
-
-
 def canonicalize(formula: Formula) -> Formula:
     """Rewrite a formula to its canonical normal form.
 
@@ -243,7 +210,9 @@ def canonicalize(formula: Formula) -> Formula:
     disjunctions, sorts the children of each connective by their text
     rendering, and drops duplicate siblings.  No rewriting crosses a
     temporal operator, so e.g. an F over a disjunction is left as is.
-    Idempotent.  :func:`canonical_form` also returns the rendering.
+    Idempotent: a canonical formula is returned itself.
+    :func:`canonical_form` also returns the rendering, the key by which the
+    pipeline packs meanings and groups candidates.
     """
     return canonical_form(formula)[0]
 
@@ -251,36 +220,52 @@ def canonicalize(formula: Formula) -> Formula:
 def canonical_form(formula: Formula) -> tuple[Formula, str]:
     """:func:`canonicalize` and :func:`format_formula` of the result, in one
     pass: each subtree is rendered once, and the sort keys of a connective's
-    children are the renderings its children already returned."""
+    children are the renderings its children already returned.
+
+    The canonical node keeps its rendering, so canonicalizing it again, or
+    a formula built over it, reads that rendering instead of walking the
+    node.  A formula that is already canonical is returned itself, and a new
+    node is built only where flattening, order, deduplication or double
+    negation change something.
+    """
+    text = getattr(formula, "_canonical", None)
+    if text is not None:
+        return formula, text
     kind = type(formula)
     try:
         if kind is Not:
             child, text = canonical_form(formula.child)
             if type(child) is Not:
                 return child.child, text[1:]
-            node = Not(child)
-            return node, _text(node, [text])
-        if kind is And or kind is Or:
+            node = formula if child is formula.child else Not(child)
+            parts = [text]
+        elif kind is And or kind is Or:
             members: dict[str, Formula] = {}
             _collect_members(formula, kind, members)
             if len(members) == 1:
                 ((text, only),) = members.items()
                 return only, text
-            texts = sorted(members)
-            node = kind(tuple(members[t] for t in texts))
-            return node, _text(node, texts)
-        if kind is F or kind is G:
+            parts = sorted(members)
+            children = tuple(map(members.__getitem__, parts))
+            same = len(children) == len(formula.children)
+            node = formula if same and all(map(is_, children, formula.children)) else kind(children)
+        elif kind is F or kind is G:
             child, body = canonical_form(formula.child)
-            node = kind(formula.interval, child)
-            return node, _text(node, [body])
-        if kind is Until:
+            node = formula if child is formula.child else kind(formula.interval, child)
+            parts = [body]
+        elif kind is Until:
             left, left_text = canonical_form(formula.left)
             right, right_text = canonical_form(formula.right)
-            node = Until(formula.interval, left, right)
-            return node, _text(node, [left_text, right_text])
+            same = left is formula.left and right is formula.right
+            node = formula if same else Until(formula.interval, left, right)
+            parts = [left_text, right_text]
+        else:
+            node, parts = formula, []
     except RecursionError:
         raise FormulaDepthError(_TOO_DEEP) from None
-    return formula, _text(formula, [])
+    text = _text(node, parts)
+    object.__setattr__(node, "_canonical", text)  # immutable: bypass Record.__setattr__
+    return node, text
 
 
 def _collect_members(formula: Formula, same: type, members: dict[str, Formula]) -> None:

@@ -22,8 +22,11 @@ _TOKEN = re.compile(r"\d+|\w+|\S")
 
 def lines(source: TextSource) -> io.StringIO:
     """The source's lines, broken at ``\\n``, ``\\r`` and ``\\r\\n`` only, as in a
-    file opened with ``newline=""``; a stream is read whole."""
-    return io.StringIO(source if isinstance(source, str) else source.read(), newline="")
+    file opened with ``newline=""``; a stream is read whole.  One leading
+    byte-order mark (U+FEFF, as spreadsheet "CSV UTF-8" exports write it)
+    is dropped."""
+    text = source if isinstance(source, str) else source.read()
+    return io.StringIO(text.removeprefix("\ufeff"), newline="")
 
 
 def scan(text: str, punctuation: str, error: type[Exception]) -> list[str]:

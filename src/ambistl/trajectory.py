@@ -59,10 +59,11 @@ def load_trajectory(source: TextSource) -> Trajectory:
     ``int()`` and ``float()`` do.  All other text, and any the C parser
     refuses, goes through the CSV row loop, which returns the same array and
     is the source of every error text.  Every source is read whole and broken
-    into lines as a file opened with ``newline=""`` is.
+    into lines as a file opened with ``newline=""`` is; one leading
+    byte-order mark is dropped, as :func:`~ambistl.text.lines` drops it.
     """
     text = source if isinstance(source, str) else source.read()
-    states = _canonical_states(text)
+    states = _canonical_states(text.removeprefix("\ufeff"))
     if states is None:
         states = _states_row_by_row(text)
     try:

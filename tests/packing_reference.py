@@ -1,33 +1,30 @@
-"""A reference for ``stl.ac_key``: the packing key as the pipeline first
-computed it, one full walk per formula and no cache.
-
-:func:`reference_key` spells the syntax out itself and always puts a space
-after a temporal operator's interval, so its keys differ in text from
-``ac_key``'s; the two must still split formulas into the same groups.
-"""
+"""The uncached reference for ``stl.canonical_form``, the key the packing
+pass groups meanings by: one full walk per formula, each connective's
+children sorted by re-rendering them with ``format_formula``."""
 
 from __future__ import annotations
 
-from ambistl.stl import And, F, Formula, G, Not, Or, format_formula
+from ambistl.stl import And, F, Formula, G, Not, Or, Until, format_formula
 
 
-def reference_key(formula: Formula) -> str:
-    """The rendering of ``formula`` with nested conjunctions and
-    disjunctions flattened and their children sorted, duplicates kept."""
-    if isinstance(formula, (And, Or)):
-        parts = sorted(reference_key(c) for c in _flat_children(formula, type(formula)))
-        return "(" + (" & " if isinstance(formula, And) else " | ").join(parts) + ")"
+def reference_canonicalize(formula: Formula) -> Formula:
+    """Canonical form by re-rendering each connective's children to sort them."""
     if isinstance(formula, Not):
-        return "!" + reference_key(formula.child)
+        child = reference_canonicalize(formula.child)
+        return child.child if isinstance(child, Not) else Not(child)
+    if isinstance(formula, (And, Or)):
+        flat = []
+        for item in formula.children:
+            c = reference_canonicalize(item)
+            flat.extend(c.children if isinstance(c, type(formula)) else [c])
+        seen = {}
+        for c in flat:
+            seen.setdefault(format_formula(c), c)
+        ordered = [seen[k] for k in sorted(seen)]
+        return ordered[0] if len(ordered) == 1 else type(formula)(tuple(ordered))
     if isinstance(formula, (F, G)):
-        op = "F" if isinstance(formula, F) else "G"
-        return f"{op}{formula.interval} {reference_key(formula.child)}"
-    return format_formula(formula)
-
-
-def _flat_children(formula: Formula, same: type):
-    for child in formula.children:
-        if isinstance(child, same):
-            yield from _flat_children(child, same)
-        else:
-            yield child
+        return type(formula)(formula.interval, reference_canonicalize(formula.child))
+    if isinstance(formula, Until):
+        left, right = map(reference_canonicalize, (formula.left, formula.right))
+        return Until(formula.interval, left, right)
+    return formula

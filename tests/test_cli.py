@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from ambistl.cli import main
-from ambistl.lexicon import format_lexicon, load_default_lexicon
+from ambistl.cli import _read_corpus, _read_expectations, main
+from ambistl.lexicon import format_lexicon, load_default_lexicon, load_lexicon
+from ambistl.regions import load_regions
+from ambistl.trajectory import load_trajectory
 
 from conftest import CUSTOM_ENTRIES, kstep_sentence, run_python
 
@@ -31,6 +33,13 @@ def test_translate_simple(capsys):
     assert main(["translate", "Reach B within 10 seconds."]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "1  1.000000  F[0,10] phi_b"
+
+
+def test_translate_reads_a_sequence_head_in_canonical_form(capsys):
+    """The head ``F b & F b`` is ``F b`` in canonical form, so it takes the tail."""
+    sentence = "Reach B while reach B within 10 seconds and then reach C within 5 seconds."
+    assert main(["translate", sentence]) == 0
+    assert capsys.readouterr().out == "1  1.000000  F[0,10](F[0,5] phi_c & phi_b)\n"
 
 
 def test_translate_empty_sentence_is_usage_error(capsys):
@@ -266,6 +275,41 @@ def test_corpus_json_with_expectations_keeps_stdout_json(capsys):
     captured = capsys.readouterr()
     assert len(json.loads(captured.out)) == 12
     assert captured.err == "all 12 sentences match expectations\n"
+
+
+# --- readers ---------------------------------------------------------------------
+
+def _opened(load):
+    """``load`` of the file at a path, opened as ``eval`` opens a trajectory."""
+    def read(path):
+        with open(path, encoding="utf-8", newline="") as handle:
+            return load(handle)
+    return read
+
+
+def _states(path):
+    return _opened(load_trajectory)(path).states.tolist()
+
+
+BOM_READERS = {
+    "lexicon": (_opened(load_lexicon), format_lexicon(load_default_lexicon())),
+    "regions": (_opened(load_regions), REGIONS_TEXT),
+    "trajectory": (_states, THROUGH_A_CSV),
+    "trajectory-rows": (_states, THROUGH_A_CSV.replace("\n", "\r\n")),  # the CSV row loop
+    "corpus": (_read_corpus, "S1\tReach B within 10 seconds.\n"),
+    "expectations": (_read_expectations, "S1\t1\tF[0,10] phi_b\n"),
+}
+
+
+@pytest.mark.parametrize("reader", BOM_READERS)
+def test_readers_drop_a_leading_byte_order_mark(tmp_path, reader):
+    """A UTF-8 file that starts with a byte-order mark, as spreadsheet
+    "CSV UTF-8" exports do, reads as the same file without it."""
+    read, text = BOM_READERS[reader]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8", newline="")
+    marked.write_text("\ufeff" + text, encoding="utf-8", newline="")
+    assert read(str(marked)) == read(str(plain))
 
 
 # --- eval ------------------------------------------------------------------------

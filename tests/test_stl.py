@@ -20,7 +20,6 @@ from ambistl.stl import (
     TrueF,
     UnknownAtomError,
     Until,
-    ac_key,
     atoms_of,
     canonical_form,
     canonicalize,
@@ -33,6 +32,7 @@ from ambistl.regions import Box, RegionMap
 from ambistl.trajectory import Trajectory
 
 from oracle import brute_force_robustness
+from packing_reference import reference_canonicalize
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -120,34 +120,33 @@ def test_canonicalize_keeps_temporal_structure():
     assert canonicalize(f) == f
 
 
-def _reference_canonicalize(formula):
-    """Canonical form by re-rendering each connective's children to sort them."""
-    if isinstance(formula, Not):
-        child = _reference_canonicalize(formula.child)
-        return child.child if isinstance(child, Not) else Not(child)
+def _subformulas(formula):
+    """Every subformula of ``formula``, children before their parents."""
     if isinstance(formula, (And, Or)):
-        flat = []
-        for item in formula.children:
-            c = _reference_canonicalize(item)
-            flat.extend(c.children if isinstance(c, type(formula)) else [c])
-        seen = {}
-        for c in flat:
-            seen.setdefault(format_formula(c), c)
-        ordered = [seen[k] for k in sorted(seen)]
-        return ordered[0] if len(ordered) == 1 else type(formula)(tuple(ordered))
-    if isinstance(formula, (F, G)):
-        return type(formula)(formula.interval, _reference_canonicalize(formula.child))
-    if isinstance(formula, Until):
-        left, right = map(_reference_canonicalize, (formula.left, formula.right))
-        return Until(formula.interval, left, right)
-    return formula
+        children = formula.children
+    elif isinstance(formula, Until):
+        children = (formula.left, formula.right)
+    else:
+        children = (formula.child,) if isinstance(formula, (Not, F, G)) else ()
+    for child in children:
+        yield from _subformulas(child)
+    yield formula
 
 
 @given(formulas)
 def test_canonical_form_renders_the_reference_canonical_form(f):
+    reference = reference_canonicalize(f)
     canonical, text = canonical_form(f)
-    assert canonical == _reference_canonicalize(f)
+    assert canonical == reference
     assert text == format_formula(canonical)
+    # The cached path: canonical subformulas keep their renderings, which
+    # canonicalizing a formula built over them reads instead of walking.
+    fresh = parse_formula(format_formula(f))
+    for sub in _subformulas(fresh):
+        expected = reference_canonicalize(sub)
+        assert canonical_form(sub) == (expected, format_formula(expected))
+    for _ in range(2):
+        assert canonical_form(fresh) == (reference, text)
 
 
 def test_canonical_form_flattens_a_connective_that_canonicalizes_into_its_parent():
@@ -162,6 +161,7 @@ def test_canonical_form_flattens_a_connective_that_canonicalizes_into_its_parent
 def test_canonicalize_idempotent(f):
     once = canonicalize(f)
     assert canonicalize(once) == once
+    assert canonicalize(once) is once
 
 
 @given(formulas, st.randoms(use_true_random=False))
@@ -353,7 +353,7 @@ def test_over_deep_formula_is_a_typed_error():
     for _ in range(10_000):
         deep = Not(deep)
     x = Trajectory(np.array([(1.0, 5.0)]))
-    walks = [canonicalize, format_formula, str, extent, atoms_of, ac_key,
+    walks = [canonicalize, format_formula, str, extent, atoms_of,
              lambda f: robustness(f, x, UNIT_REGIONS, 0)]
     for walk in walks:
         with pytest.raises(FormulaDepthError, match="recursion limit"):
@@ -367,7 +367,7 @@ def test_over_deep_formula_is_a_typed_error():
         robustness(chain, x, UNIT_REGIONS, 0)
 
 
-@pytest.mark.parametrize("walk", [format_formula, canonical_form, extent, atoms_of, ac_key])
+@pytest.mark.parametrize("walk", [format_formula, canonical_form, extent, atoms_of])
 def test_walks_reject_a_non_formula(walk):
     for node in (Interval(0, 1), And((Interval(0, 1), M))):
         with pytest.raises(TypeError, match="not a formula node"):

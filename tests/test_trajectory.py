@@ -300,6 +300,7 @@ def test_canonical_text_skips_the_row_loop(monkeypatch):
 
     monkeypatch.setattr(trajectory_module, "_states_row_by_row", no_row_loop)
     assert load_trajectory(text).states.tobytes() == want
+    assert load_trajectory("\ufeff" + text).states.tobytes() == want  # a byte-order mark
     with pytest.raises(TrajectoryFileError, match="^row 3: non-finite coordinate$"):
         load_trajectory("t,x,y\n0,0,0\n1,1e999,0\n")
 
