@@ -25,15 +25,17 @@ Lines break at ``\\n``, ``\\r`` and ``\\r\\n`` only
 (:func:`ambistl.text.lines`), so a form feed or U+2028 inside a line is
 whitespace, as in the other line-based files.
 
-Numerals are not listed: any token of decimal digits (``str.isdecimal``,
-exactly the digits ``int`` reads) becomes a NUM leaf carrying its integer
-value.
+Numerals are not listed: any token of at most ``MAX_NUMERAL_DIGITS``
+decimal digits (``str.isdecimal``, exactly the digits ``int`` reads)
+becomes a NUM leaf carrying its integer value.  A longer digit token is not
+a numeral, so unless the lexicon lists it, it is a coverage gap.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence, Union
 
@@ -57,6 +59,10 @@ BACKWARD = "\\"
 KNOWN_RULES = ("fa", "ba")
 # The most tokens an entry's surface may hold.
 MAX_SURFACE_TOKENS = 3
+# The most digits a numeral may have.  Python converts integers of at most
+# 4,300 digits to and from text, and a guard's window is the sum of the
+# bounds it spans, so numerals stay well below that limit.
+MAX_NUMERAL_DIGITS = 4_000
 
 
 class LexiconError(ValueError):
@@ -171,9 +177,10 @@ def format_category(cat: Category) -> str:
 
 
 class LexEntry(Record):
-    """One lexical reading: surface tokens, category, weight, template."""
+    """One lexical reading: surface tokens, category, weight, template.
+    The pipeline keeps the template's compiled value in ``_value``."""
 
-    __slots__ = ("surface", "category", "weight", "template")
+    __slots__ = ("surface", "category", "weight", "template", "_value")
 
     def __init__(
         self, surface: tuple[str, ...], category: Category, weight: float, template: Term
@@ -227,8 +234,10 @@ class Lexicon(Record):
         return self._task_verbs
 
 
+@lru_cache(maxsize=1024)
 def numeral_entry(token: str) -> LexEntry:
-    """Synthesised NUM leaf for a digit token; its value rides in the template."""
+    """Synthesised NUM leaf for a digit token; its value rides in the
+    template.  A token's entry is made once, so its template is compiled once."""
     return LexEntry((token,), NUM, 0.0, IntC(int(token)))
 
 
@@ -246,7 +255,7 @@ def lookup(lexicon: Lexicon, words: Sequence[str], position: int) -> list[tuple[
         for entry in lexicon.entries.get(key, ()):
             matches.append((span, entry))
     word = words[position]
-    if word.isdecimal():
+    if word.isdecimal() and len(word) <= MAX_NUMERAL_DIGITS:
         matches.append((1, numeral_entry(word)))
     return matches
 

@@ -1,28 +1,40 @@
 """End-to-end translation: sentence -> deduplicated, ranked STL candidates.
 
-Conversion turns a beta-normal meaning term into an STL formula or rejects
-it as ill-formed.  Two symbolic devices are resolved here rather than
-during reduction:
+Each constructor of the meaning language has one conversion rule here,
+which builds its value from the values of its arguments or rejects them as
+ill-formed: I builds an interval, F, G, NOT, AND and OR build formulas, and
+two symbolic devices are resolved rather than left to reduction:
 
-* SEQ(P, Q) becomes temporal tail insertion: the converted Q is conjoined
-  into the innermost reach of P's eventually-chain, so different
-  bracketings of the same sequence converge on one formula.  P is read
-  through its canonical form, so P may be a guarded task such as
-  ``F(...) & G(...)`` as long as its canonical form holds exactly one
-  eventually task (``F b & F b`` holds one);
+* SEQ(P, Q) becomes temporal tail insertion: Q is conjoined into the
+  innermost reach of P's eventually-chain, so different bracketings of the
+  same sequence converge on one formula.  P is read through its canonical
+  form, so P may be a guarded task such as ``F(...) & G(...)`` as long as
+  its canonical form holds exactly one eventually task (``F b & F b``
+  holds one);
 * EXTG(guard, anchor) applies the guard to the interval [0, extent(anchor)],
   yielding the avoidance condition that spans its sibling's full horizon.
 
-Translation is :func:`fill_chart`, a packing pass (:func:`pack_meanings`)
-and ranking.  The packing pass composes meanings over the packed chart, not
-over trees: per chart item, meanings whose formulas have the same
+Two paths share the rules.  Translation is :func:`fill_chart`, a packing
+pass (:func:`pack_meanings`) and ranking.  The packing pass composes
+compiled templates: on its first use, an entry's template is beta-reduced
+and compiled into a value, a lambda into a Python closure, an application
+into a call and a constructor into a call of its rule, and a composition
+is :func:`apply` of one daughter's value to the other's, with no meaning
+term built, reduced or converted.  It composes over the packed chart, not
+over trees: per chart item, values that are formulas with the same
 canonical form are merged, carrying the sum of exp(score) and the count of
 the derivations behind them, so the candidate set covers every derivation
-and no tree is built or walked.  A merged meaning that converted enters
-its mothers as its canonical formula, a closed constant of the meaning
-language, so a finished formula is composed over, not reduced, converted
-or canonicalized again.  Only :func:`analyze` unpacks trees, for those it
-lists.
+and no tree is built or walked.  A merged formula enters its mothers as
+its canonical formula, so a finished formula is not built or canonicalized
+again.  The term path, :func:`compose` and :func:`to_stl`, builds the
+beta-normal meaning term of one derivation and converts it; :func:`analyze`
+lists derivations and their terms with it, and only it unpacks trees.
+
+A composition whose value is a closure is evaluated only when a mother
+applies it, not under its binder as :func:`compose` reduces: a lexicon
+whose templates are not simply typed can see a divergence inside a closure
+that is never applied discarded by :func:`translate`, where the term path
+raises :class:`~ambistl.semantics.ReductionBudgetError`.
 
 A sequence whose head holds no eventually task (``avoid A ... and then
 ...``) has no reading, and a custom lexicon can build a meaning that
@@ -38,7 +50,10 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Optional, Sequence, Union
+from functools import partial
+from itertools import count
+from types import FunctionType
+from typing import Iterator, Optional, Sequence, Union
 
 from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
 from .parser import (
@@ -46,7 +61,9 @@ from .parser import (
     tokenize, unpack_nbest,
 )
 from .record import Record
-from .semantics import App, Con, IntC, Lam, Term, Var, beta_reduce
+from .semantics import (
+    REDUCTION_BUDGET, App, Con, IntC, Lam, ReductionBudgetError, Term, Var, beta_reduce
+)
 from .stl import (
     And, F, Formula, G, Interval, Not, Or, canonical_form, canonicalize, extent
 )
@@ -123,44 +140,88 @@ class CandidateSet(Record):
         }
 
 
+# Conversion rules: each builds the value of one constructor from the values
+# of its arguments, or raises IllFormedMeaningError.  :func:`to_stl` calls
+# them on converted subterms, compiled templates on computed values.
+
+
+def _formula(value: object) -> Formula:
+    if isinstance(value, Formula):
+        return value
+    raise IllFormedMeaningError(f"{type(value).__name__} is not a formula position")
+
+
+def _interval(lo: object, hi: object) -> Interval:
+    try:
+        return Interval(lo, hi)
+    except ValueError as exc:
+        raise IllFormedMeaningError(str(exc)) from None
+
+
+def _temporal(kind: type[F] | type[G]):
+    def build(interval: object, body: object) -> Formula:
+        if type(interval) is not Interval:
+            raise IllFormedMeaningError(f"not an interval: {interval!r}")
+        return kind(interval, _formula(body))
+
+    return build
+
+
+def _seq(first: object, second: object) -> Formula:
+    """Tail insertion into the one eventually task of the canonical head."""
+    head = canonicalize(_formula(first))
+    if _chains(head) != 1:
+        raise IllFormedMeaningError("sequence head is not an eventually task")
+    return _seq_insert(head, _formula(second))
+
+
+def _extg(guard: object, anchor: object, call) -> Formula:
+    """The guard applied, by ``call(guard, window)``, to the window
+    [0, extent(anchor)]."""
+    return _formula(call(guard, Interval(0, extent(_formula(anchor)))))
+
+
+_RULES = {
+    "I": _interval,
+    "F": _temporal(F),
+    "G": _temporal(G),
+    "NOT": lambda body: Not(_formula(body)),
+    "AND": lambda left, right: And((_formula(left), _formula(right))),
+    "OR": lambda left, right: Or((_formula(left), _formula(right))),
+    "SEQ": _seq,
+}
+
+
 def _interval_of(term: Term) -> Interval:
     match term:
         case Con("I", (IntC(lo), IntC(hi))):
-            try:
-                return Interval(lo, hi)
-            except ValueError as exc:
-                raise IllFormedMeaningError(str(exc)) from None
+            return _interval(lo, hi)
     raise IllFormedMeaningError(f"not a literal interval: {term}")
 
 
 def to_stl(term: Term | Formula) -> Formula:
     """Convert a beta-normal meaning term to STL, or raise
-    :class:`IllFormedMeaningError`; a formula constant is its own value."""
+    :class:`IllFormedMeaningError`; a formula constant is its own value.
+    This is the term path of :func:`analyze`; :func:`translate` computes
+    the same formulas with compiled templates (:func:`apply`)."""
     match term:
         case Formula():
             return term
-        case Con("NOT", (body,)):
-            return Not(to_stl(body))
-        case Con("AND", (left, right)):
-            return And((to_stl(left), to_stl(right)))
-        case Con("OR", (left, right)):
-            return Or((to_stl(left), to_stl(right)))
-        case Con("F", (interval, body)):
-            return F(_interval_of(interval), to_stl(body))
-        case Con("G", (interval, body)):
-            return G(_interval_of(interval), to_stl(body))
-        case Con("SEQ", (first, second)):
-            head = canonicalize(to_stl(first))
-            if _chains(head) != 1:
-                raise IllFormedMeaningError("sequence head is not an eventually task")
-            return _seq_insert(head, to_stl(second))
+        case Con("NOT" | "AND" | "OR" | "SEQ" as name, args):
+            return _RULES[name](*map(to_stl, args))
+        case Con("F" | "G" as name, (interval, body)):
+            return _RULES[name](_interval_of(interval), to_stl(body))
         case Con("EXTG", (guard, anchor)):
-            window = Con("I", (IntC(0), IntC(extent(to_stl(anchor)))))
-            return to_stl(beta_reduce(App(guard, window)))
+            return _extg(guard, to_stl(anchor), _reduce_applied)
         case Lam() | Var() | App():
             raise IllFormedMeaningError(f"residual {type(term).__name__} in meaning: {term}")
     kind = term.name if isinstance(term, Con) else type(term).__name__
     raise IllFormedMeaningError(f"{kind} is not a formula position")
+
+
+def _reduce_applied(guard: Term, window: Interval) -> Formula:
+    bounds = (IntC(window.lo), IntC(window.hi))
+    return to_stl(beta_reduce(App(guard, Con("I", bounds))))
 
 
 def _chains(chi: Formula) -> int:
@@ -259,28 +320,23 @@ def aggregate(
     )
 
 
-def _pack(merged: dict, meaning: Term | Formula, weight: float, count: int) -> None:
-    """Add ``count`` derivations of summed exp(score) ``weight`` and meaning
-    ``meaning`` to a chart item's merged meanings.
+def _pack(merged: dict, value: object, weight: float, count: int) -> None:
+    """Add ``count`` derivations of summed exp(score) ``weight`` and value
+    ``value`` to a chart item's merged meanings.
 
-    Meanings whose formulas have the same canonical form are
-    interchangeable in every context, so they share an entry keyed by the
-    canonical rendering: conversion is compositional, sequence insertion
-    reads the head's canonical form, and a guard window reads the extent,
-    which canonicalization keeps.  A converted entry holds the canonical
-    formula of its first meaning, the constant mothers compose over; every
-    other meaning gets an entry of its own.
+    Formulas with the same canonical form are interchangeable in every
+    context, so they share an entry keyed by the canonical rendering:
+    conversion is compositional, sequence insertion reads the head's
+    canonical form, and a guard window reads the extent, which
+    canonicalization keeps.  A formula entry holds the canonical formula of
+    its first meaning, the value mothers compose over; every other value (a
+    closure, an integer, an interval or an ill-formed meaning) gets an
+    entry of its own.
     """
-    formula = None
-    if not isinstance(meaning, Lam):
-        try:
-            formula = to_stl(meaning)
-        except IllFormedMeaningError:
-            pass
-    if formula is None:
-        merged[object()] = [meaning, weight, count]
+    if not isinstance(value, Formula):
+        merged[object()] = [value, weight, count]
         return
-    canonical, key = canonical_form(formula)
+    canonical, key = canonical_form(value)
     entry = merged.get(key)
     if entry is None:
         merged[key] = [canonical, weight, count]
@@ -289,8 +345,80 @@ def _pack(merged: dict, meaning: Term | Formula, weight: float, count: int) -> N
         entry[2] += count
 
 
+# Compiled templates.  A beta-normal template compiles to code, a function
+# ``code(env, steps)`` that computes its value: ``env`` holds the values of
+# the variables in scope, innermost last, and ``steps`` numbers the
+# contractions of one composition.  A value is a closure ``fn(arg, steps)``
+# (from a lambda), an integer, an interval, a formula, or ``None`` for an
+# ill-formed meaning: a stuck application, or a constructor whose rule
+# rejected its arguments.  A closure returns a call in tail position as the
+# pair ``(fn, arg)``, which :func:`_apply` makes in its loop, so a template
+# that diverges counts contractions instead of nesting Python frames.
+
+
+def _compile(term: Term | Formula, scope: tuple[str, ...] = (), tail: bool = False):
+    if isinstance(term, Var):
+        index = len(scope) - 1 - scope[::-1].index(term.name)
+        return lambda env, steps: env[index]
+    if isinstance(term, Lam):
+        body = _compile(term.body, scope + (term.var,), tail=True)
+        return lambda env, steps: lambda arg, steps: body(env + (arg,), steps)
+    if isinstance(term, App):
+        fn, arg = _compile(term.fn, scope), _compile(term.arg, scope)
+        if tail:
+            return lambda env, steps: (fn(env, steps), arg(env, steps))
+        return lambda env, steps: _apply(fn(env, steps), arg(env, steps), steps)
+    if isinstance(term, Con):
+        codes = [_compile(arg, scope) for arg in term.args]
+        rule = _RULES.get(term.name)  # None for EXTG, which applies its guard
+
+        def construct(env, steps):
+            values = [code(env, steps) for code in codes]
+            try:
+                if rule is None:
+                    return _extg(*values, partial(_apply, steps=steps))
+                return rule(*values)
+            except IllFormedMeaningError:
+                return None
+
+        return construct
+    value = term.value if isinstance(term, IntC) else term
+    return lambda env, steps: value
+
+
+def _apply(fn: object, arg: object, steps: Iterator[int]) -> object:
+    while type(fn) is FunctionType:
+        if next(steps) > REDUCTION_BUDGET:
+            raise ReductionBudgetError()
+        value = fn(arg, steps)
+        if type(value) is not tuple:
+            return value
+        fn, arg = value
+    return None
+
+
+def apply(fn: object, arg: object) -> object:
+    """The value of ``fn`` applied to ``arg``, one composition: more than
+    :data:`REDUCTION_BUDGET` closure calls raise
+    :class:`ReductionBudgetError`.  Applying a value that is not a closure
+    is stuck and gives ``None``, an ill-formed meaning."""
+    return _apply(fn, arg, count(1))
+
+
+def _value_of(entry: LexEntry) -> object:
+    """The value of an entry's template, normalized with ``beta_reduce``
+    and compiled on first use and then kept on the entry."""
+    try:
+        return entry._value
+    except AttributeError:
+        value = _compile(beta_reduce(entry.template))((), count(1))
+        object.__setattr__(entry, "_value", value)  # a cache slot of the immutable entry
+        return value
+
+
 def compose(derivation: Union[Derivation, DerivationTree]) -> Term:
-    """Compose lexical templates along a derivation and beta-reduce.
+    """Compose lexical templates along a derivation and beta-reduce: the
+    term path, which :func:`analyze` lists and :func:`translate` does not take.
 
     Leaves contribute their entry templates; a forward-application node
     applies the left meaning to the right one, a backward-application node
@@ -368,9 +496,10 @@ def pack_meanings(
     number of derivations and of those discarded as ill-formed.
 
     Meanings are composed bottom-up over the chart items that lie under a
-    root, merging interchangeable meanings per item (see :func:`_pack`);
-    a daughter's converted meaning is passed to the templates of its
-    mothers as its canonical formula.
+    root: a leaf's value is its entry's compiled template, and a mother's is
+    :func:`apply` of one daughter's value to the other's.  Interchangeable
+    meanings are merged per item (see :func:`_pack`), so a daughter that is
+    a formula is passed to its mothers as its canonical formula.
     Each merged meaning carries the sum of exp(score) over its derivations
     and their count, so ranking the result equals aggregating every
     derivation.  An item's meanings are dropped as soon as the last
@@ -383,14 +512,14 @@ def pack_meanings(
         merged = packed[(i, j, cat)] = {}
         for back in chart.cells[(i, j)][cat]:
             if isinstance(back, LexEntry):
-                _pack(merged, beta_reduce(back.template), _exp(back.weight), 1)
+                _pack(merged, _value_of(back), _exp(back.weight), 1)
                 continue
             rule, k, cat_l, cat_r = back
             factor = _exp(score_of(*increment(lexicon, chart.words, rule, i, k)))
             for left, weight_l, count_l in packed[(i, k, cat_l)].values():
                 for right, weight_r, count_r in packed[(k, j, cat_r)].values():
-                    meaning = beta_reduce(App(left, right) if rule == "fa" else App(right, left))
-                    _pack(merged, meaning, weight_l * weight_r * factor, count_l * count_r)
+                    value = apply(left, right) if rule == "fa" else apply(right, left)
+                    _pack(merged, value, weight_l * weight_r * factor, count_l * count_r)
             for daughter in ((i, k, cat_l), (k, j, cat_r)):
                 readers[daughter] -= 1
                 if not readers[daughter]:

@@ -7,10 +7,13 @@ names and arities are fixed by ``_CONSTRUCTORS``: the interval literal I,
 the temporal constructors F and G, the boolean constructors NOT/AND/OR,
 symbolic sequencing SEQ, and EXTG, the guard whose interval is anchored to
 the temporal extent of its sibling (resolved during conversion to STL).
-Lexical templates are closed terms in this language; composition (in
-``pipeline``) applies them along a derivation and beta-reduces the result
-with a single normal-order normalizer, capped at ``REDUCTION_BUDGET`` beta
-contractions.
+Lexical templates are closed terms in this language, reduced by a single
+normal-order normalizer, :func:`beta_reduce`, capped at
+``REDUCTION_BUDGET`` beta contractions.  ``pipeline`` normalizes each
+template once and compiles it into closures, which ``translate`` composes
+by calling them, within the same budget; the reducer also serves the term
+path, ``pipeline.compose``, which applies the templates along one
+derivation and reduces the result for ``analyze`` and ``explain``.
 
 Constructors are opaque to reduction: an application whose head is a
 constructor is stuck and survives into the normal form, where the
@@ -19,11 +22,9 @@ categories of the bundled lexicon never build such an application.
 
 A formula constant is a :class:`~ambistl.stl.Formula` object inside a term.
 Templates hold only atoms, which :func:`parse_term` reads from and
-:func:`format_term` writes as ``phi_<name>``; the packing pass composes
-over the formulas its daughters have already converted to, so a finished
-formula is not reduced, converted or hashed again in every mother that uses
-it.  Reduction, substitution and ``free_vars`` pass a formula through as
-they pass an integer, and an application of one is stuck.
+:func:`format_term` writes as ``phi_<name>``.  Reduction, substitution and
+``free_vars`` pass a formula through as they pass an integer, and an
+application of one is stuck.
 """
 
 from __future__ import annotations
@@ -45,6 +46,12 @@ class TermError(Exception):
 
 class ReductionBudgetError(TermError):
     """Reduction did not reach a normal form within the contraction budget."""
+
+    def __init__(
+        self,
+        message: str = f"no normal form within {REDUCTION_BUDGET} contractions (ill-typed template?)",
+    ) -> None:
+        super().__init__(message)
 
 
 class TemplateSyntaxError(TermError):
@@ -214,9 +221,7 @@ def _head_normal(t: Term, contractions: Iterator[int]) -> Term:
         if not isinstance(fn, Lam):
             return t if fn is t.fn else App(fn, t.arg)
         if next(contractions) > REDUCTION_BUDGET:
-            raise ReductionBudgetError(
-                f"no normal form within {REDUCTION_BUDGET} contractions (ill-typed template?)"
-            )
+            raise ReductionBudgetError()
         t = substitute(fn.body, fn.var, t.arg)
     return t
 

@@ -58,6 +58,26 @@ def test_translate_superscript_digit_is_a_coverage_gap(capsys):
     assert "'²'" in capsys.readouterr().err
 
 
+SUMMED_BOUNDS = "Reach B within {0} seconds and then reach C within {0} seconds while avoiding A."
+
+
+@pytest.mark.parametrize(
+    "sentence",
+    ["Reach B within " + "9" * 5000 + " seconds.", SUMMED_BOUNDS.format("9" * 4300)],
+    ids=["5000", "4300x2"],
+)
+def test_translate_overlong_numeral_is_a_coverage_gap(capsys, sentence):
+    """A bound too long to be a numeral exits 2, not as an input error."""
+    assert main(["translate", sentence]) == 2
+    err = capsys.readouterr().err
+    assert "no lexical entry covers token" in err and "input error" not in err
+
+
+def test_translate_longest_numerals_exit_0(capsys):
+    assert main(["translate", SUMMED_BOUNDS.format("9" * 4000)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_translate_json_schema(capsys):
     assert main(["translate", "--format", "json",
                  "Within 10 seconds, reach B or reach C while avoiding A."]) == 0
@@ -128,6 +148,17 @@ def test_template_without_normal_form_exits_2(tmp_path, capsys):
         format_lexicon(load_default_lexicon()) + "zz | NP | 0.0 | (lam x. x(x))(lam x. x(x))\n"
     )
     assert main(["translate", "--lexicon", str(path), "reach zz within 10 seconds"]) == 2
+    assert "no normal form" in capsys.readouterr().err
+
+
+def test_composition_without_normal_form_exits_2(tmp_path, capsys):
+    """Each template has a normal form; applying one to the other has none."""
+    path = tmp_path / "lex.txt"
+    path.write_text(
+        format_lexicon(load_default_lexicon())
+        + "yy | T/NP | 0.0 | lam x. x(x)\nzz | NP | 0.0 | lam x. x(x)\n"
+    )
+    assert main(["translate", "--lexicon", str(path), "yy zz within 10 seconds"]) == 2
     assert "no normal form" in capsys.readouterr().err
 
 

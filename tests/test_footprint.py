@@ -5,6 +5,8 @@ import gc
 import textwrap
 
 import ambistl
+import ambistl.pipeline as pipeline
+import ambistl.semantics as semantics
 from ambistl import analyze, evaluate_candidates, translate
 
 from conftest import kstep_sentence, run_python
@@ -50,6 +52,21 @@ def test_translate_path_does_not_load_numpy():
     done = run_python(["-c", COLD_PATH])
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == b"ok\n"
+
+
+def test_translate_path_calls_neither_reducer_nor_converter(lexicon, corpus, monkeypatch):
+    """Once the entries a sentence uses are compiled, translating it again
+    composes compiled values only: no beta reduction, no term conversion."""
+    sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 7)]
+    first = [translate(sentence, lexicon) for sentence in sentences]
+
+    def forbidden(*args):
+        raise AssertionError("the translate path reduced or converted a term")
+
+    monkeypatch.setattr(semantics, "beta_reduce", forbidden)
+    monkeypatch.setattr(pipeline, "beta_reduce", forbidden)
+    monkeypatch.setattr(pipeline, "to_stl", forbidden)
+    assert [translate(sentence, lexicon) for sentence in sentences] == first
 
 
 def test_calls_leave_no_cyclic_garbage(lexicon, demo_regions, through_a_trajectory):

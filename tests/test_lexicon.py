@@ -14,6 +14,7 @@ from ambistl.lexicon import (
     load_default_lexicon,
     load_lexicon,
     lookup,
+    MAX_NUMERAL_DIGITS,
     numeral_entry,
     parse_category,
     validate_lexicon,
@@ -221,6 +222,30 @@ def test_lookup_numerals_are_decimal_digits_only(lexicon):
     assert lookup(lexicon, ["²"], 0) == []
     with pytest.raises(CoverageError):
         translate("reach b within ² seconds", lexicon)
+
+
+# Python converts integers of more than 4,300 digits to or from text only
+# on request, so a longer numeral, or a guard window summing two bounds of
+# 4,300 digits, could not be read or rendered.
+OVERLONG_BOUND = "Reach B within " + "9" * 5000 + " seconds."
+SUMMED_BOUNDS = "Reach B within {0} seconds and then reach C within {0} seconds while avoiding A."
+
+
+@pytest.mark.parametrize(
+    "sentence", [OVERLONG_BOUND, SUMMED_BOUNDS.format("9" * 4300)], ids=["5000", "4300x2"]
+)
+def test_lookup_overlong_digit_token_is_a_coverage_gap(lexicon, sentence):
+    with pytest.raises(CoverageError):
+        translate(sentence, lexicon)
+
+
+def test_lookup_longest_numerals_translate(lexicon):
+    """Two bounds of ``MAX_NUMERAL_DIGITS`` digits sum to a renderable window."""
+    assert MAX_NUMERAL_DIGITS == 4000
+    assert lookup(lexicon, ["9" * 4000], 0) == [(1, numeral_entry("9" * 4000))]
+    assert lookup(lexicon, ["9" * 4001], 0) == []
+    result = translate(SUMMED_BOUNDS.format("9" * 4000), lexicon)
+    assert any(f"G[0,{2 * (10 ** 4000 - 1)}] !phi_a" in text for text in result.formulas())
 
 
 def test_lookup_out_of_vocabulary(lexicon):

@@ -17,7 +17,7 @@ from ambistl.pipeline import (
     to_stl,
     translate,
 )
-from ambistl.semantics import App, Con, IntC, Lam, Var, parse_term
+from ambistl.semantics import App, Con, IntC, Lam, ReductionBudgetError, Var, parse_term
 from ambistl.stl import (
     And, Atom, F, G, Interval, Not, Or, canonical_form, canonicalize, format_formula
 )
@@ -396,6 +396,29 @@ def test_task_verbs_come_from_the_lexicon(lexicon):
     probabilities = [c.probability for c in visited.candidates]
     assert probabilities == [c.probability for c in reached.candidates]
     assert probabilities[0] > probabilities[1]
+
+
+SELF_APPLY = "zz | NP | 0.0 | lam x. x(x)\n"
+
+
+def test_reduction_budget_holds_inside_a_composition(lexicon):
+    """Each template has a normal form; applying one to the other has none,
+    and the compiled application counts its contractions against the budget."""
+    lex = load_lexicon(format_lexicon(lexicon) + "yy | T/NP | 0.0 | lam x. x(x)\n" + SELF_APPLY)
+    with pytest.raises(ReductionBudgetError, match="no normal form within 10000 contractions"):
+        translate("yy zz within 10 seconds", lex)
+
+
+def test_a_closure_is_not_normalized_under_its_binder(lexicon):
+    """A composition whose value is a closure is evaluated only when it is
+    applied: a root closure is discarded, where reducing the term diverges
+    under its binder."""
+    yy = "yy | S/NP | 0.0 | lam x. lam i. x(x)\n"
+    lex = load_lexicon(format_lexicon(lexicon) + yy + SELF_APPLY)
+    with pytest.raises(EmptyCandidateSetError, match="all 1 derivations"):
+        translate("yy zz", lex)
+    with pytest.raises(ReductionBudgetError):
+        _enumerated("yy zz", lex)
 
 
 def test_applying_a_converted_meaning_is_discarded_and_counted(lexicon):
