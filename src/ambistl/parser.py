@@ -22,14 +22,17 @@ within-phrase, recognised by the token at the split of a backward
 application) pays 0.7 per task-verb token (a word the lexicon lists as a
 one-token T/NP entry) it skips inside its attachment site beyond the
 nearest one.  Local attachments are therefore preferred, and the penalty
-grows with the amount of material the modifier takes scope over.  What a
-backpointer adds to the score (:func:`increment`) depends only on its span
-and its split, so scores can be summed over the packed chart.
+grows with the amount of material the modifier takes scope over.  The
+chart is weighted: each binary backpointer carries what it adds to the
+score of every derivation through it, its rule weight and the task verbs
+it skips, so the readers sum scores over the chart without the lexicon or
+the words.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .lexicon import (
@@ -54,7 +57,8 @@ class CoverageError(ParserError):
     """Some token has no lexical entry; carries the token and its position."""
 
     def __init__(self, token: str, position: int) -> None:
-        super().__init__(f"no lexical entry covers token '{token}' at position {position}")
+        quoted = f"'{token}'" if len(token) <= 40 else f"'{token[:40]}...' ({len(token)} characters)"
+        super().__init__(f"no lexical entry covers token {quoted} at position {position}")
         self.token = token
         self.position = position
 
@@ -131,18 +135,6 @@ def pretty_derivation(tree: DerivationTree, indent: int = 0) -> str:
     )
 
 
-def increment(
-    lexicon: Lexicon, words: Sequence[str], rule: str, start: int, split: int
-) -> tuple[float, int]:
-    """What a binary rule over ``start`` split at ``split`` adds to the score
-    of every derivation through it: its weight, and the task verbs beyond the
-    nearest one that a modifier head at the split skips under ``ba``."""
-    skipped = 0
-    if rule == "ba" and words[split] in POST_MODIFIER_HEADS:
-        skipped = max(0, sum(word in lexicon.task_verbs for word in words[start:split]) - 1)
-    return lexicon.rule_weight(rule), skipped
-
-
 def score_of(weight: float, skipped: int) -> float:
     """The score of summed leaf and rule weights less the locality penalty
     of ``skipped`` task verbs.  Skips are counted as an int up to here, so
@@ -151,14 +143,16 @@ def score_of(weight: float, skipped: int) -> float:
 
 
 # A backpointer is a lexical entry spanning the whole cell, or a binary rule
-# with the split point and the categories of its two daughters.
-Backpointer = Union[LexEntry, tuple[str, int, Category, Category]]
+# with the split point, the categories of its two daughters, and what it
+# adds to the score of every derivation through it: the rule's weight and
+# the task verbs its post-modifier skips.
+Backpointer = Union[LexEntry, tuple[str, int, Category, Category, float, int]]
 
 
 class Chart(Record):
-    """Packed parse forest: for each span that some category is built over,
-    every such category, each with the backpointers that build it.  A span
-    with no category has no key in ``cells``."""
+    """Packed, weighted parse forest: for each span that some category is
+    built over, every such category, each with the backpointers that build
+    it.  A span with no category has no key in ``cells``."""
 
     __slots__ = ("words", "cells")
 
@@ -186,7 +180,7 @@ class Chart(Record):
                     continue
                 for back in backs:
                     if isinstance(back, tuple):
-                        _, k, cat_l, cat_r = back
+                        _, k, cat_l, cat_r, _, _ = back
                         for daughter in ((i, k, cat_l), (k, j, cat_r)):
                             readers[daughter] = readers.get(daughter, 0) + 1
         return dict(sorted(readers.items(), key=lambda item: item[0][1] - item[0][0]))
@@ -214,45 +208,46 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     # rows[i][j] is the cell (i, j); only non-empty cells have a key
     rows: list[dict[int, dict[Category, list[Backpointer]]]] = [{} for _ in range(length)]
 
-    covered = [False] * length
+    covered = 0  # words[:covered] lie under some entry
     for i in range(length):
         for span, entry in lookup(lexicon, words, i):
             rows[i].setdefault(i + span, {}).setdefault(entry.category, []).append(entry)
-            for k in range(i, i + span):
-                covered[k] = True
-    for i, ok in enumerate(covered):
-        if not ok:
+            covered = max(covered, i + span)
+        if covered <= i:
             raise CoverageError(words[i], i)
 
     # ends[i]: ascending ends j of the non-empty cells (i, j)
     ends = [sorted(row) for row in rows]
+    # verbs[i]: task verbs among words[:i], whose differences count skips
+    verbs = list(accumulate((word in lexicon.task_verbs for word in words), initial=0))
+    fa_weight, ba_weight = lexicon.rule_weight("fa"), lexicon.rule_weight("ba")
     for span in range(2, length + 1):
         for i in range(0, length - span + 1):
             j = i + span
             row = rows[i]
-            was_empty = j not in row
+            cell = row.get(j, {})
             for k in ends[i]:
                 if k >= j:
                     break
                 right = rows[k].get(j)
                 if right is None:
                     continue
+                skipped = max(0, verbs[k] - verbs[i] - 1) if words[k] in POST_MODIFIER_HEADS else 0
                 for cat_l in row[k]:
                     forward = isinstance(cat_l, Slash) and cat_l.slash == FORWARD
                     for cat_r in right:
                         if forward and cat_l.argument == cat_r:
-                            row.setdefault(j, {}).setdefault(cat_l.result, []).append(
-                                ("fa", k, cat_l, cat_r)
-                            )
+                            back = ("fa", k, cat_l, cat_r, fa_weight, 0)
+                            cell.setdefault(cat_l.result, []).append(back)
                         if (
                             isinstance(cat_r, Slash)
                             and cat_r.slash == BACKWARD
                             and cat_r.argument == cat_l
                         ):
-                            row.setdefault(j, {}).setdefault(cat_r.result, []).append(
-                                ("ba", k, cat_l, cat_r)
-                            )
-            if was_empty and j in row:
+                            back = ("ba", k, cat_l, cat_r, ba_weight, skipped)
+                            cell.setdefault(cat_r.result, []).append(back)
+            if cell and j not in row:
+                row[j] = cell
                 insort(ends[i], j)
 
     cells = {(i, j): cell for i, row in enumerate(rows) for j, cell in row.items()}
@@ -262,7 +257,7 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     return chart
 
 
-def unpack_nbest(chart: Chart, lexicon: Lexicon, n: int = DEFAULT_N_BEST) -> list[Derivation]:
+def unpack_nbest(chart: Chart, n: int = DEFAULT_N_BEST) -> list[Derivation]:
     """The ``n`` best complete derivations of a filled chart, best-first.
 
     One stable sort by score: ties keep the order in which the chart builds
@@ -279,8 +274,7 @@ def unpack_nbest(chart: Chart, lexicon: Lexicon, n: int = DEFAULT_N_BEST) -> lis
             if isinstance(back, LexEntry):
                 built.append((Leaf(back, i, j), back.weight, 0))
                 continue
-            rule, k, cat_l, cat_r = back
-            weight, skipped = increment(lexicon, chart.words, rule, i, k)
+            rule, k, cat_l, cat_r, weight, skipped = back
             built += [
                 (Node(rule, cat, left, right, i, j), weight + w_l + w_r, skipped + s_l + s_r)
                 for left, w_l, s_l in trees[(i, k, cat_l)]
@@ -296,4 +290,4 @@ def parse_nbest(
     words: Sequence[str], lexicon: Lexicon, n: int = DEFAULT_N_BEST
 ) -> list[Derivation]:
     """The ``n`` best derivations of ``words``: :func:`unpack_nbest` of :func:`fill_chart`."""
-    return unpack_nbest(fill_chart(words, lexicon), lexicon, n)
+    return unpack_nbest(fill_chart(words, lexicon), n)

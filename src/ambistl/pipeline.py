@@ -57,8 +57,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
 from .parser import (
-    DEFAULT_N_BEST, Chart, Derivation, DerivationTree, Leaf, fill_chart, increment, score_of,
-    tokenize, unpack_nbest,
+    DEFAULT_N_BEST, Chart, Derivation, DerivationTree, Leaf, fill_chart, score_of, tokenize,
+    unpack_nbest,
 )
 from .record import Record
 from .semantics import (
@@ -353,7 +353,8 @@ def _pack(merged: dict, value: object, weight: float, count: int) -> None:
 # ill-formed meaning: a stuck application, or a constructor whose rule
 # rejected its arguments.  A closure returns a call in tail position as the
 # pair ``(fn, arg)``, which :func:`_apply` makes in its loop, so a template
-# that diverges counts contractions instead of nesting Python frames.
+# that diverges counts contractions instead of nesting Python frames (a
+# nested call past the recursion limit is no normal form, too).
 
 
 def _compile(term: Term | Formula, scope: tuple[str, ...] = (), tail: bool = False):
@@ -399,10 +400,13 @@ def _apply(fn: object, arg: object, steps: Iterator[int]) -> object:
 
 def apply(fn: object, arg: object) -> object:
     """The value of ``fn`` applied to ``arg``, one composition: more than
-    :data:`REDUCTION_BUDGET` closure calls raise
-    :class:`ReductionBudgetError`.  Applying a value that is not a closure
-    is stuck and gives ``None``, an ill-formed meaning."""
-    return _apply(fn, arg, count(1))
+    :data:`REDUCTION_BUDGET` closure calls, or calls nested past the
+    recursion limit, raise :class:`ReductionBudgetError`.  Applying a value
+    that is not a closure is stuck and gives ``None``, an ill-formed meaning."""
+    try:
+        return _apply(fn, arg, count(1))
+    except RecursionError:
+        raise ReductionBudgetError("the recursion limit") from None
 
 
 def _value_of(entry: LexEntry) -> object:
@@ -411,7 +415,10 @@ def _value_of(entry: LexEntry) -> object:
     try:
         return entry._value
     except AttributeError:
-        value = _compile(beta_reduce(entry.template))((), count(1))
+        try:
+            value = _compile(beta_reduce(entry.template))((), count(1))
+        except RecursionError:
+            raise ReductionBudgetError("the recursion limit") from None
         object.__setattr__(entry, "_value", value)  # a cache slot of the immutable entry
         return value
 
@@ -473,10 +480,9 @@ def analyze(
     Each report carries the canonical formula of its derivation, or the
     reason it was discarded; it belongs to the candidate with that formula.
     """
-    lex = lexicon if lexicon is not None else load_default_lexicon()
-    chart = fill_chart(tokenize(sentence), lex)
+    chart = fill_chart(tokenize(sentence), load_default_lexicon() if lexicon is None else lexicon)
     reports: list[DerivationReport] = []
-    for index, derivation in enumerate(unpack_nbest(chart, lex, n)):
+    for index, derivation in enumerate(unpack_nbest(chart, n)):
         meaning = compose(derivation)
         try:
             formula, error = canonicalize(to_stl(meaning)), None
@@ -485,12 +491,10 @@ def analyze(
         reports.append(
             DerivationReport(index, derivation.score, derivation.root, meaning, formula, error)
         )
-    return _rank(sentence, *pack_meanings(chart, lex)), reports
+    return _rank(sentence, *pack_meanings(chart)), reports
 
 
-def pack_meanings(
-    chart: Chart, lexicon: Lexicon
-) -> tuple[list[tuple[Formula, float, int]], int, int]:
+def pack_meanings(chart: Chart) -> tuple[list[tuple[Formula, float, int]], int, int]:
     """The packing pass over a filled chart: every well-formed root reading
     as (canonical formula, summed exp(score), derivation count), with the
     number of derivations and of those discarded as ill-formed.
@@ -514,8 +518,8 @@ def pack_meanings(
             if isinstance(back, LexEntry):
                 _pack(merged, _value_of(back), _exp(back.weight), 1)
                 continue
-            rule, k, cat_l, cat_r = back
-            factor = _exp(score_of(*increment(lexicon, chart.words, rule, i, k)))
+            rule, k, cat_l, cat_r, weight, skipped = back
+            factor = _exp(score_of(weight, skipped))
             for left, weight_l, count_l in packed[(i, k, cat_l)].values():
                 for right, weight_r, count_r in packed[(k, j, cat_r)].values():
                     value = apply(left, right) if rule == "fa" else apply(right, left)
@@ -547,4 +551,4 @@ def translate(
     ``n`` has no effect and is accepted for existing callers.  No name
     holds the chart, so it is freed before ranking starts."""
     lex = lexicon if lexicon is not None else load_default_lexicon()
-    return _rank(sentence, *pack_meanings(fill_chart(tokenize(sentence), lex), lex))
+    return _rank(sentence, *pack_meanings(fill_chart(tokenize(sentence), lex)))

@@ -8,10 +8,10 @@ the temporal constructors F and G, the boolean constructors NOT/AND/OR,
 symbolic sequencing SEQ, and EXTG, the guard whose interval is anchored to
 the temporal extent of its sibling (resolved during conversion to STL).
 Lexical templates are closed terms in this language, reduced by a single
-normal-order normalizer, :func:`beta_reduce`, capped at
-``REDUCTION_BUDGET`` beta contractions.  ``pipeline`` normalizes each
+normal-order normalizer, :func:`beta_reduce`, within ``REDUCTION_BUDGET``
+beta contractions and the recursion limit.  ``pipeline`` normalizes each
 template once and compiles it into closures, which ``translate`` composes
-by calling them, within the same budget; the reducer also serves the term
+by calling them, within the same limits; the reducer also serves the term
 path, ``pipeline.compose``, which applies the templates along one
 derivation and reduces the result for ``analyze`` and ``explain``.
 
@@ -45,13 +45,10 @@ class TermError(Exception):
 
 
 class ReductionBudgetError(TermError):
-    """Reduction did not reach a normal form within the contraction budget."""
+    """No normal form within the contraction budget or the recursion limit."""
 
-    def __init__(
-        self,
-        message: str = f"no normal form within {REDUCTION_BUDGET} contractions (ill-typed template?)",
-    ) -> None:
-        super().__init__(message)
+    def __init__(self, limit: str = f"{REDUCTION_BUDGET} contractions") -> None:
+        super().__init__(f"no normal form within {limit} (ill-typed template?)")
 
 
 class TemplateSyntaxError(TermError):
@@ -191,11 +188,14 @@ def beta_reduce(term: Term) -> Term:
     constructor children.  A node none of whose pieces changed is returned
     as it is, so a term already in normal form comes back as the same
     object and a reduct shares every subterm the reduction left alone.
-    More than :data:`REDUCTION_BUDGET` contractions raise
-    :class:`ReductionBudgetError`, the signal for an ill-typed template
-    that has no normal form.
+    More than :data:`REDUCTION_BUDGET` contractions, or nesting past the
+    recursion limit, raise :class:`ReductionBudgetError`, the signal for an
+    ill-typed template that has no normal form.
     """
-    return _normalize(term, count(1))
+    try:
+        return _normalize(term, count(1))
+    except RecursionError:
+        raise ReductionBudgetError("the recursion limit") from None
 
 
 def _normalize(t: Term, contractions: Iterator[int]) -> Term:

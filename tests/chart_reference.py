@@ -2,8 +2,9 @@
 
 :func:`dense_fill_chart` tries every ``k`` between the ends of each span,
 empty daughter cells included, so it fixes the backpointer order that the
-sparse fill must keep.  It returns the cells without checking coverage or
-roots.
+sparse fill must keep.  Each binary backpointer carries the rule's weight
+and the task verbs it skips, counted by scanning its left daughter's
+words.  It returns the cells without checking coverage or roots.
 """
 
 from __future__ import annotations
@@ -11,6 +12,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from ambistl.lexicon import BACKWARD, FORWARD, Lexicon, Slash, lookup
+from ambistl.parser import POST_MODIFIER_HEADS
+
+
+def skipped_verbs(lexicon: Lexicon, words: Sequence[str], rule: str, i: int, k: int) -> int:
+    """Task verbs beyond the first in ``words[i:k]`` when a ``ba`` over
+    ``i`` splits at ``k`` on a post-modifier head, else 0."""
+    if rule != "ba" or words[k] not in POST_MODIFIER_HEADS:
+        return 0
+    return max(0, sum(word in lexicon.task_verbs for word in words[i:k]) - 1)
 
 
 def dense_fill_chart(words: Sequence[str], lexicon: Lexicon) -> dict:
@@ -31,5 +41,8 @@ def dense_fill_chart(words: Sequence[str], lexicon: Lexicon) -> dict:
                             ("ba", cat_r, cat_l, BACKWARD),
                         ):
                             if isinstance(fn, Slash) and fn.slash == slash and fn.argument == arg:
-                                cell.setdefault(fn.result, []).append((rule, k, cat_l, cat_r))
+                                cell.setdefault(fn.result, []).append((
+                                    rule, k, cat_l, cat_r, lexicon.rule_weight(rule),
+                                    skipped_verbs(lexicon, words, rule, i, k),
+                                ))
     return cells

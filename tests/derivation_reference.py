@@ -1,7 +1,9 @@
 """Reference readers for derivation trees, independent of ``unpack_nbest``.
 
 :func:`format_derivation` renders a tree as a compact bracketing that
-identifies it; :func:`reference_score` scores a finished tree by one walk;
+identifies it; :func:`reference_score` scores a finished tree by one walk,
+reading rule weights off the lexicon and counting skipped task verbs in
+the words as ``chart_reference`` does;
 :func:`chart_order_derivations` enumerates every complete derivation
 straight from ``chart.cells`` and sorts them stably by that score, which
 is the order ``unpack_nbest`` documents.
@@ -12,8 +14,10 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from ambistl.lexicon import Category, LexEntry, Lexicon, format_category
-from ambistl.parser import LOCALITY_PENALTY, Chart, DerivationTree, Leaf, Node, increment
+from ambistl.parser import LOCALITY_PENALTY, Chart, DerivationTree, Leaf, Node
 from ambistl.semantics import format_term
+
+from chart_reference import skipped_verbs
 
 
 def format_derivation(tree: DerivationTree) -> str:
@@ -39,9 +43,8 @@ def reference_score(tree: DerivationTree, lexicon: Lexicon, words: Sequence[str]
         if isinstance(node, Leaf):
             total += node.entry.weight
             continue
-        weight, node_skipped = increment(lexicon, words, node.rule, node.start, node.left.end)
-        total += weight
-        skipped += node_skipped
+        total += lexicon.rule_weight(node.rule)
+        skipped += skipped_verbs(lexicon, words, node.rule, node.start, node.left.end)
         stack.append(node.left)
         stack.append(node.right)
     return total - LOCALITY_PENALTY * skipped
@@ -54,7 +57,7 @@ def _item_trees(chart: Chart, i: int, j: int, cat: Category) -> Iterator[Derivat
         if isinstance(back, LexEntry):
             yield Leaf(back, i, j)
             continue
-        rule, k, cat_l, cat_r = back
+        rule, k, cat_l, cat_r, _, _ = back
         for left in _item_trees(chart, i, k, cat_l):
             for right in _item_trees(chart, k, j, cat_r):
                 yield Node(rule, cat, left, right, i, j)

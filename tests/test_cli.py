@@ -49,7 +49,9 @@ def test_translate_empty_sentence_is_usage_error(capsys):
 
 def test_translate_coverage_failure(capsys):
     assert main(["translate", "zebra the moon"]) == 2
-    assert "zebra" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "translation failed: no lexical entry covers token 'zebra' at position 0\n"
+    )
 
 
 def test_translate_superscript_digit_is_a_coverage_gap(capsys):
@@ -67,10 +69,14 @@ SUMMED_BOUNDS = "Reach B within {0} seconds and then reach C within {0} seconds 
     ids=["5000", "4300x2"],
 )
 def test_translate_overlong_numeral_is_a_coverage_gap(capsys, sentence):
-    """A bound too long to be a numeral exits 2, not as an input error."""
+    """A bound too long to be a numeral exits 2, not as an input error; the
+    message quotes the token's first 40 characters and gives its length."""
     assert main(["translate", sentence]) == 2
     err = capsys.readouterr().err
     assert "no lexical entry covers token" in err and "input error" not in err
+    digits = len(sentence.split()[3])
+    assert f" token '{'9' * 40}...' ({digits} characters) at position 3\n" in err
+    assert len(err) < 200
 
 
 def test_translate_longest_numerals_exit_0(capsys):
@@ -160,6 +166,23 @@ def test_composition_without_normal_form_exits_2(tmp_path, capsys):
     )
     assert main(["translate", "--lexicon", str(path), "yy zz within 10 seconds"]) == 2
     assert "no normal form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["translate", "explain"])
+def test_nested_self_application_exits_2(tmp_path, capsys, command):
+    """A self-application under a constructor nests past the recursion
+    limit: no normal form, not a traceback."""
+    path = tmp_path / "lex.txt"
+    path.write_text(
+        format_lexicon(load_default_lexicon())
+        + "yy | T/NP | 0.0 | lam x. AND(x(x), phi_a)\nzz | NP | 0.0 | lam x. AND(x(x), phi_a)\n"
+    )
+    assert main([command, "--lexicon", str(path), "yy zz within 10 seconds"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "translation failed: no normal form within the recursion limit (ill-typed template?)\n"
+    )
 
 
 @pytest.mark.parametrize("weight", [800.0, -800.0])

@@ -11,7 +11,6 @@ from ambistl.parser import (
     Leaf,
     NoParseError,
     fill_chart,
-    increment,
     parse_nbest,
     pretty_derivation,
     tokenize,
@@ -81,6 +80,9 @@ def test_coverage_error_names_first_unknown_token(lexicon):
         parse_nbest(tokenize("zebra the moon"), lexicon)
     assert exc_info.value.token == "zebra"
     assert exc_info.value.position == 0
+    with pytest.raises(CoverageError) as exc_info:  # quoted in part, kept whole
+        parse_nbest(tokenize("reach b within " + "9" * 5000), lexicon)
+    assert (exc_info.value.token, exc_info.value.position) == ("9" * 5000, 3)
 
 
 def test_no_parse_error(lexicon):
@@ -232,7 +234,7 @@ def test_sparse_fill_equals_the_dense_reference(lexicon, corpus, custom):
     """Visiting only non-empty cells builds the chart a loop over every
     split point builds, less its empty cells: the same spans, categories in
     the same order, and backpointer lists equal element by element and in
-    order."""
+    order, each binary one with its rule weight and skipped task verbs."""
     lex = lexicon if custom is None else custom_lexicon(lexicon, custom)
     sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 11)]
     sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in range(2, 6)]
@@ -261,9 +263,10 @@ def test_sparse_fill_equals_the_dense_reference(lexicon, corpus, custom):
 
 
 def test_skipped_verbs_counts_task_verb_leaves(lexicon):
-    """The skip count read off the tokens at a node's split equals the
+    """The skip count the chart stores on a node's backpointer equals the
     count read off the leaves of the node's daughters."""
     words = tokenize(kstep_sentence(4))
+    chart = fill_chart(words, lexicon)
     stack = [d.root for d in parse_nbest(words, lexicon, n=sys.maxsize)]
     checked = 0
     while stack:
@@ -271,7 +274,12 @@ def test_skipped_verbs_counts_task_verb_leaves(lexicon):
         if isinstance(node, Leaf):
             continue
         own = _skipped_verbs(node) - _skipped_verbs(node.left) - _skipped_verbs(node.right)
-        assert increment(lexicon, words, node.rule, node.start, node.left.end)[1] == own
+        key = (node.rule, node.left.end, node.left.category, node.right.category)
+        (stored,) = [
+            back[5] for back in chart.cells[(node.start, node.end)][node.category]
+            if isinstance(back, tuple) and back[:4] == key
+        ]
+        assert stored == own
         checked += 1
         stack += [node.left, node.right]
     assert checked > 300

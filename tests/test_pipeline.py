@@ -373,6 +373,13 @@ DUPLICATE_TASKS = (
 )
 
 
+# The tail meets two eventually tasks inside an F and is conjoined beside them.
+TWO_TASKS_IN_A_STEP = (
+    "Reach B within 20 seconds and then reach C while reach D within 10 seconds "
+    "and then reach A within 5 seconds."
+)
+
+
 def test_while_clause_inside_a_chain_keeps_the_sequence(lexicon):
     """D's deadline runs from reaching C, whichever task the guard covers."""
     result = translate(MIDDLE_GUARD, lexicon)
@@ -383,6 +390,15 @@ def test_while_clause_inside_a_chain_keeps_the_sequence(lexicon):
     ]
     assert [c.support_count for c in result.candidates] == [2, 1]
     assert result.candidates[0].probability == pytest.approx(0.801, abs=1e-3)
+
+
+def test_a_tail_beside_two_eventually_tasks(lexicon):
+    """Two eventually tasks inside an F take the tail beside them; the
+    bracketing that puts them at the sequence head is discarded."""
+    result, reports = analyze(TWO_TASKS_IN_A_STEP, lexicon)
+    assert result.formulas() == ["F[0,20](F[0,10] phi_c & F[0,10] phi_d & F[0,5] phi_a & phi_b)"]
+    assert (result.n_derivations, result.discarded_count) == (2, 1)
+    assert [r.error for r in reports] == ["sequence head is not an eventually task", None]
 
 
 def test_task_verbs_come_from_the_lexicon(lexicon):
@@ -407,6 +423,24 @@ def test_reduction_budget_holds_inside_a_composition(lexicon):
     lex = load_lexicon(format_lexicon(lexicon) + "yy | T/NP | 0.0 | lam x. x(x)\n" + SELF_APPLY)
     with pytest.raises(ReductionBudgetError, match="no normal form within 10000 contractions"):
         translate("yy zz within 10 seconds", lex)
+
+
+NESTED_SELF_APPLY = (
+    "yy | T/NP | 0.0 | lam x. AND(x(x), phi_a)\n"
+    "zz | NP | 0.0 | lam x. AND(x(x), phi_a)\n"
+)
+
+
+def test_nested_self_application_has_no_normal_form(lexicon):
+    """A self-application under a constructor nests a call per contraction;
+    past the recursion limit, long before the contraction budget, both
+    paths fail as having no normal form instead of crashing."""
+    lex = load_lexicon(format_lexicon(lexicon) + NESTED_SELF_APPLY)
+    sentence = "yy zz within 10 seconds"
+    with pytest.raises(ReductionBudgetError, match="no normal form within the recursion limit"):
+        translate(sentence, lex)
+    with pytest.raises(ReductionBudgetError, match="no normal form within the recursion limit"):
+        analyze(sentence, lex)
 
 
 def test_a_closure_is_not_normalized_under_its_binder(lexicon):
@@ -464,7 +498,7 @@ def test_packing_key_groups_as_the_reference_does(lexicon, corpus, monkeypatch):
 
     def pack(sentence, lex):
         try:
-            pipeline.pack_meanings(parser.fill_chart(tokenize(sentence), lex), lex)
+            pipeline.pack_meanings(parser.fill_chart(tokenize(sentence), lex))
         except (NoParseError, EmptyCandidateSetError):
             pass
 
@@ -492,7 +526,7 @@ def test_translate_equals_enumerating_every_derivation(lexicon, corpus, custom):
     exactly, probabilities within 1e-12."""
     lex = lexicon if custom is None else custom_lexicon(lexicon, custom)
     sentences = list(corpus.values()) + [MIDDLE_GUARD, FOUR_WAY, UNGUARDED_HEAD, CLOSED_WHILE]
-    sentences += [DUPLICATE_HEAD, DUPLICATE_TASKS]
+    sentences += [DUPLICATE_HEAD, DUPLICATE_TASKS, TWO_TASKS_IN_A_STEP]
     sentences += [kstep_sentence(k) for k in range(2, 7 if custom is None else 5)]
     sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in (2, 3, 4)]
     uncompared, discards = set(), 0
@@ -520,6 +554,29 @@ def test_translate_equals_enumerating_every_derivation(lexicon, corpus, custom):
     # Only the inputs built to have no reading under some lexicon go uncompared.
     assert uncompared <= {UNGUARDED_HEAD, CLOSED_WHILE, DUPLICATE_TASKS}
     assert discards > 0  # the discard path is exercised
+
+
+@pytest.mark.parametrize(
+    "template, reason",
+    [
+        ("p(I(n, 0))", "invalid interval [10,0]"),
+        ("p(n)", "not a literal interval: 10"),
+        ("AND(p(I(0, n)), I(0, n))", "I is not a formula position"),
+    ],
+)
+def test_ill_formed_conversions_are_discarded_on_both_paths(lexicon, template, reason):
+    """A second trailing within whose template builds a bad interval, puts
+    a number where an interval goes, or puts an interval where a formula
+    goes: its derivation is discarded by the packing pass as by
+    enumeration, and the trace names why."""
+    within = f"within | ((S\\T)/UNIT)/NUM | 0.0 | lam n. lam u. lam p. {template}\n"
+    lex = load_lexicon(format_lexicon(lexicon) + within)
+    sentence = "Reach B within 10 seconds."
+    got, reports = analyze(sentence, lex)
+    assert got == _enumerated(sentence, lex) == translate(sentence, lex)
+    assert (got.n_derivations, got.discarded_count) == (2, 1)
+    assert got.formulas() == ["F[0,10] phi_b"]
+    assert [r.error for r in reports] == [None, reason]
 
 
 def test_translate_deterministic_output(lexicon, corpus):
