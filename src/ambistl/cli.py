@@ -290,7 +290,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     sentence = _require_sentence(args)
     lexicon = _load_lexicon(args)
-    candidate_set, reports = analyze(sentence, lexicon, args.n_best)
+    failure = None
+    try:
+        candidate_set, reports = analyze(sentence, lexicon, args.n_best)
+    except EmptyCandidateSetError as exc:  # list the discarded derivations, then fail
+        total = exc.n_derivations
+        candidate_set, reports, failure = CandidateSet(sentence, (), total, total), exc.reports, exc
 
     print(f"sentence: {sentence}")
     print(
@@ -314,6 +319,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"discarded ({len(discarded)}):")
         for report in discarded:
             print(f"  derivation {report.index}  score={report.score:.4f}  ill-formed: {report.error}")
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 

@@ -7,10 +7,10 @@ two symbolic devices are resolved rather than left to reduction:
 
 * SEQ(P, Q) becomes temporal tail insertion: Q is conjoined into the
   innermost reach of P's eventually-chain, so different bracketings of the
-  same sequence converge on one formula.  P is read through its canonical
-  form, so P may be a guarded task such as ``F(...) & G(...)`` as long as
-  its canonical form holds exactly one eventually task (``F b & F b``
-  holds one);
+  same sequence converge on one formula.  P is canonical, as every
+  formula value is, so P may be a guarded task such as ``F(...) & G(...)``
+  as long as its canonical form holds exactly one eventually task
+  (``F b & F b`` holds one);
 * EXTG(guard, anchor) applies the guard to the interval [0, extent(anchor)],
   yielding the avoidance condition that spans its sibling's full horizon.
 
@@ -21,14 +21,16 @@ and compiled into a value, a lambda into a Python closure, an application
 into a call and a constructor into a call of its rule, and a composition
 is :func:`apply` of one daughter's value to the other's, with no meaning
 term built, reduced or converted.  It composes over the packed chart, not
-over trees: per chart item, values that are formulas with the same
-canonical form are merged, carrying the sum of exp(score) and the count of
-the derivations behind them, so the candidate set covers every derivation
-and no tree is built or walked.  A merged formula enters its mothers as
-its canonical formula, so a finished formula is not built or canonicalized
-again.  The term path, :func:`compose` and :func:`to_stl`, builds the
-beta-normal meaning term of one derivation and converts it; :func:`analyze`
-lists derivations and their terms with it, and only it unpacks trees.
+over trees: per chart item, formula values with the same canonical
+rendering are merged, carrying the sum of exp(score) and the count of the
+derivations behind them, so the candidate set covers every derivation and
+no tree is built or walked.  The rules build formulas through the
+canonical constructors of :mod:`ambistl.stl`, and a formula constant is
+canonicalized when its template is compiled, so no formula is
+canonicalized again.  The term path, :func:`compose` and :func:`to_stl`,
+builds the beta-normal meaning term of one derivation and converts it;
+:func:`analyze` lists derivations and their terms with it, and only it
+unpacks trees.
 
 A composition whose value is a closure is evaluated only when a mother
 applies it, not under its binder as :func:`compose` reduces: a lexicon
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import count
 from types import FunctionType
 from typing import Iterator, Optional, Sequence, Union
@@ -65,7 +67,8 @@ from .semantics import (
     REDUCTION_BUDGET, App, Con, IntC, Lam, ReductionBudgetError, Term, Var, beta_reduce
 )
 from .stl import (
-    And, F, Formula, G, Interval, Not, Or, canonical_form, canonicalize, extent
+    And, F, Formula, G, Interval, Or, canonical_form, canonical_junction, canonical_not,
+    canonical_temporal, canonicalize, extent,
 )
 
 
@@ -74,7 +77,16 @@ class IllFormedMeaningError(Exception):
 
 
 class EmptyCandidateSetError(Exception):
-    """Every derivation's meaning was discarded as ill-formed."""
+    """Every derivation's meaning was discarded as ill-formed.
+
+    ``n_derivations`` counts the derivations of the chart (0 from
+    :func:`aggregate`); raised by :func:`analyze`, ``reports`` holds its
+    trace of the derivations, with the reason each was discarded."""
+
+    def __init__(self, message: str, n_derivations: int = 0) -> None:
+        super().__init__(message)
+        self.n_derivations = n_derivations
+        self.reports: list[DerivationReport] = []
 
 
 class ScoreRangeError(ArithmeticError):
@@ -162,14 +174,14 @@ def _temporal(kind: type[F] | type[G]):
     def build(interval: object, body: object) -> Formula:
         if type(interval) is not Interval:
             raise IllFormedMeaningError(f"not an interval: {interval!r}")
-        return kind(interval, _formula(body))
+        return canonical_temporal(kind, interval, _formula(body))
 
     return build
 
 
 def _seq(first: object, second: object) -> Formula:
-    """Tail insertion into the one eventually task of the canonical head."""
-    head = canonicalize(_formula(first))
+    """Tail insertion into the one eventually task of the head."""
+    head = _formula(first)
     if _chains(head) != 1:
         raise IllFormedMeaningError("sequence head is not an eventually task")
     return _seq_insert(head, _formula(second))
@@ -185,9 +197,9 @@ _RULES = {
     "I": _interval,
     "F": _temporal(F),
     "G": _temporal(G),
-    "NOT": lambda body: Not(_formula(body)),
-    "AND": lambda left, right: And((_formula(left), _formula(right))),
-    "OR": lambda left, right: Or((_formula(left), _formula(right))),
+    "NOT": lambda body: canonical_not(_formula(body)),
+    "AND": lambda left, right: canonical_junction(And, (_formula(left), _formula(right))),
+    "OR": lambda left, right: canonical_junction(Or, (_formula(left), _formula(right))),
     "SEQ": _seq,
 }
 
@@ -200,13 +212,13 @@ def _interval_of(term: Term) -> Interval:
 
 
 def to_stl(term: Term | Formula) -> Formula:
-    """Convert a beta-normal meaning term to STL, or raise
-    :class:`IllFormedMeaningError`; a formula constant is its own value.
+    """Convert a beta-normal meaning term to its canonical STL formula, or
+    raise :class:`IllFormedMeaningError`.
     This is the term path of :func:`analyze`; :func:`translate` computes
     the same formulas with compiled templates (:func:`apply`)."""
     match term:
         case Formula():
-            return term
+            return canonicalize(term)
         case Con("NOT" | "AND" | "OR" | "SEQ" as name, args):
             return _RULES[name](*map(to_stl, args))
         case Con("F" | "G" as name, (interval, body)):
@@ -240,15 +252,15 @@ def _seq_insert(chi: Formula, tail: Formula) -> Formula:
     several).  Every child of a canonical node is canonical, so the walk
     never meets a nested conjunction."""
     if type(chi) is F:
-        return F(chi.interval, _seq_insert(chi.child, tail))
+        return canonical_temporal(F, chi.interval, _seq_insert(chi.child, tail))
     if type(chi) is And:
         tasks = [i for i, child in enumerate(chi.children) if type(child) is F]
         if len(tasks) == 1:
             (idx,) = tasks
-            updated = _seq_insert(chi.children[idx], tail)
-            return And(chi.children[:idx] + (updated,) + chi.children[idx + 1 :])
-        return And(chi.children + (tail,))
-    return And((chi, tail))
+            updated = (_seq_insert(chi.children[idx], tail),)
+            return canonical_junction(And, chi.children[:idx] + updated + chi.children[idx + 1 :])
+        return canonical_junction(And, chi.children + (tail,))
+    return canonical_junction(And, (chi, tail))
 
 
 def _exp(score: float) -> float:
@@ -325,21 +337,20 @@ def _pack(merged: dict, value: object, weight: float, count: int) -> None:
     ``value`` to a chart item's merged meanings.
 
     Formulas with the same canonical form are interchangeable in every
-    context, so they share an entry keyed by the canonical rendering:
-    conversion is compositional, sequence insertion reads the head's
-    canonical form, and a guard window reads the extent, which
-    canonicalization keeps.  A formula entry holds the canonical formula of
-    its first meaning, the value mothers compose over; every other value (a
-    closure, an integer, an interval or an ill-formed meaning) gets an
-    entry of its own.
+    context, so they share an entry keyed by the canonical rendering a
+    formula value keeps: conversion is compositional, sequence insertion
+    reads the canonical head, and a guard window reads the extent, which
+    canonicalization keeps.  A formula entry holds its first meaning, the
+    value mothers compose over; every other value (a closure, an integer,
+    an interval or an ill-formed meaning) gets an entry of its own.
     """
     if not isinstance(value, Formula):
         merged[object()] = [value, weight, count]
         return
-    canonical, key = canonical_form(value)
+    key = value._canonical
     entry = merged.get(key)
     if entry is None:
-        merged[key] = [canonical, weight, count]
+        merged[key] = [value, weight, count]
     else:
         entry[1] += weight
         entry[2] += count
@@ -383,7 +394,7 @@ def _compile(term: Term | Formula, scope: tuple[str, ...] = (), tail: bool = Fal
                 return None
 
         return construct
-    value = term.value if isinstance(term, IntC) else term
+    value = term.value if isinstance(term, IntC) else canonicalize(term)
     return lambda env, steps: value
 
 
@@ -471,6 +482,13 @@ class DerivationReport(Record):
         object.__setattr__(self, "error", error)
 
 
+@cache
+def _bundled_lexicon() -> Lexicon:
+    """The bundled lexicon of calls given none, loaded once per process, so
+    its file is read and its templates compiled once."""
+    return load_default_lexicon()
+
+
 def analyze(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> tuple[CandidateSet, list[DerivationReport]]:
@@ -480,18 +498,22 @@ def analyze(
     Each report carries the canonical formula of its derivation, or the
     reason it was discarded; it belongs to the candidate with that formula.
     """
-    chart = fill_chart(tokenize(sentence), load_default_lexicon() if lexicon is None else lexicon)
+    chart = fill_chart(tokenize(sentence), _bundled_lexicon() if lexicon is None else lexicon)
     reports: list[DerivationReport] = []
     for index, derivation in enumerate(unpack_nbest(chart, n)):
         meaning = compose(derivation)
         try:
-            formula, error = canonicalize(to_stl(meaning)), None
+            formula, error = to_stl(meaning), None
         except IllFormedMeaningError as exc:
             formula, error = None, str(exc)
         reports.append(
             DerivationReport(index, derivation.score, derivation.root, meaning, formula, error)
         )
-    return _rank(sentence, *pack_meanings(chart)), reports
+    try:
+        return _rank(sentence, *pack_meanings(chart)), reports
+    except EmptyCandidateSetError as exc:
+        exc.reports = reports
+        raise
 
 
 def pack_meanings(chart: Chart) -> tuple[list[tuple[Formula, float, int]], int, int]:
@@ -502,8 +524,7 @@ def pack_meanings(chart: Chart) -> tuple[list[tuple[Formula, float, int]], int, 
     Meanings are composed bottom-up over the chart items that lie under a
     root: a leaf's value is its entry's compiled template, and a mother's is
     :func:`apply` of one daughter's value to the other's.  Interchangeable
-    meanings are merged per item (see :func:`_pack`), so a daughter that is
-    a formula is passed to its mothers as its canonical formula.
+    meanings are merged per item (see :func:`_pack`).
     Each merged meaning carries the sum of exp(score) over its derivations
     and their count, so ranking the result equals aggregating every
     derivation.  An item's meanings are dropped as soon as the last
@@ -539,7 +560,7 @@ def pack_meanings(chart: Chart) -> tuple[list[tuple[Formula, float, int]], int, 
             else:
                 discarded += count
     if not weighted:
-        raise EmptyCandidateSetError(f"all {total} derivations were discarded as ill-formed")
+        raise EmptyCandidateSetError(f"all {total} derivations were discarded as ill-formed", total)
     return weighted, total, discarded
 
 
@@ -550,5 +571,5 @@ def translate(
     derivation: :func:`fill_chart`, :func:`pack_meanings`, then ranking;
     ``n`` has no effect and is accepted for existing callers.  No name
     holds the chart, so it is freed before ranking starts."""
-    lex = lexicon if lexicon is not None else load_default_lexicon()
+    lex = lexicon if lexicon is not None else _bundled_lexicon()
     return _rank(sentence, *pack_meanings(fill_chart(tokenize(sentence), lex)))

@@ -7,18 +7,20 @@ each atom is grounded through a region map that assigns it a signed margin
 at every state.
 
 Every rendering is built by one node renderer, ``_text``: the text of
-:func:`format_formula` and the rendering :func:`canonical_form` returns with
-the canonical formula.  The canonical rendering is the one formula key: the
-translation pipeline packs meanings and deduplicates the candidate set by
-it, so it is deterministic down to the byte.
+:func:`format_formula` and the canonical rendering.  The canonical
+constructors (:func:`canonical_not`, :func:`canonical_junction`,
+:func:`canonical_temporal`) build a node over canonical children and keep
+its rendering; :func:`canonical_form` folds any formula through them.  The
+canonical rendering is the one formula key: the translation pipeline packs
+meanings and deduplicates the candidate set by it, so it is deterministic
+down to the byte.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from operator import is_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .record import Record
 from .text import scan
@@ -72,9 +74,9 @@ class Interval(Record):
 class Formula(Record):
     """Base class for STL formula nodes.  Nodes are immutable values
     (:class:`~ambistl.record.Record`), and the node classes are final: the
-    walkers dispatch on exact types.  A node that :func:`canonical_form`
-    returned keeps its canonical rendering in the ``_canonical`` slot; no
-    other node has one."""
+    walkers dispatch on exact types.  A canonical node that a canonical
+    constructor built or :func:`canonical_form` returned keeps its rendering
+    in the ``_canonical`` slot; a node with that slot is canonical."""
 
     __slots__ = ("_canonical",)
 
@@ -218,68 +220,62 @@ def canonicalize(formula: Formula) -> Formula:
 
 
 def canonical_form(formula: Formula) -> tuple[Formula, str]:
-    """:func:`canonicalize` and :func:`format_formula` of the result, in one
-    pass: each subtree is rendered once, and the sort keys of a connective's
-    children are the renderings its children already returned.
-
-    The canonical node keeps its rendering, so canonicalizing it again, or
-    a formula built over it, reads that rendering instead of walking the
-    node.  A formula that is already canonical is returned itself, and a new
-    node is built only where flattening, order, deduplication or double
-    negation change something.
-    """
-    text = getattr(formula, "_canonical", None)
-    if text is not None:
-        return formula, text
-    kind = type(formula)
-    try:
-        if kind is Not:
-            child, text = canonical_form(formula.child)
-            if type(child) is Not:
-                return child.child, text[1:]
-            node = formula if child is formula.child else Not(child)
-            parts = [text]
-        elif kind is And or kind is Or:
-            members: dict[str, Formula] = {}
-            _collect_members(formula, kind, members)
-            if len(members) == 1:
-                ((text, only),) = members.items()
-                return only, text
-            parts = sorted(members)
-            children = tuple(map(members.__getitem__, parts))
-            same = len(children) == len(formula.children)
-            node = formula if same and all(map(is_, children, formula.children)) else kind(children)
-        elif kind is F or kind is G:
-            child, body = canonical_form(formula.child)
-            node = formula if child is formula.child else kind(formula.interval, child)
-            parts = [body]
-        elif kind is Until:
-            left, left_text = canonical_form(formula.left)
-            right, right_text = canonical_form(formula.right)
-            same = left is formula.left and right is formula.right
-            node = formula if same else Until(formula.interval, left, right)
-            parts = [left_text, right_text]
-        else:
-            node, parts = formula, []
-    except RecursionError:
-        raise FormulaDepthError(_TOO_DEEP) from None
-    text = _text(node, parts)
-    object.__setattr__(node, "_canonical", text)  # immutable: bypass Record.__setattr__
-    return node, text
+    """:func:`canonicalize` and :func:`format_formula` of the result.  A
+    canonical node keeps its rendering, which is read; any other formula is
+    rebuilt bottom-up through the canonical constructors below, and its
+    canonical subtrees are read, not walked."""
+    if getattr(formula, "_canonical", None) is None:
+        try:
+            formula = _fold(formula)
+        except RecursionError:
+            raise FormulaDepthError(_TOO_DEEP) from None
+    return formula, formula._canonical
 
 
-def _collect_members(formula: Formula, same: type, members: dict[str, Formula]) -> None:
-    """Canonical children of a ``same`` connective, by rendering, through
-    nested ``same`` connectives, duplicates dropped."""
-    for item in formula.children:
-        if type(item) is same:
-            _collect_members(item, same, members)
-            continue
-        child, text = canonical_form(item)
-        if type(child) is same:  # e.g. a double negation of a conjunction
-            _collect_members(child, same, members)
-        else:
-            members.setdefault(text, child)
+def _fold(node: Formula) -> Formula:
+    """The canonical form of ``node``, built through the canonical constructors."""
+    if getattr(node, "_canonical", None) is not None:
+        return node
+    kind = type(node)
+    if kind is Not:
+        return canonical_not(_fold(node.child))
+    if kind is And or kind is Or:
+        return canonical_junction(kind, map(_fold, node.children))
+    if kind is F or kind is G or kind is Until:
+        return canonical_temporal(kind, node.interval, *map(_fold, _children(node)))
+    return _keep(node, [])  # a leaf is canonical as it is
+
+
+def _keep(node: Formula, parts: list[str]) -> Formula:
+    """The canonical ``node``, keeping its rendering from its children's ``parts``."""
+    object.__setattr__(node, "_canonical", _text(node, parts))  # a cache slot, not a field
+    return node
+
+
+def canonical_not(child: Formula) -> Formula:
+    """The canonical negation of a canonical ``child``: ``!!f`` is ``f``."""
+    if type(child) is Not:
+        return child.child
+    return _keep(Not(child), [child._canonical])
+
+
+def canonical_junction(kind: type[And] | type[Or], children: Iterable[Formula]) -> Formula:
+    """The canonical ``kind`` connective over canonical ``children``: flat (a
+    child of the same kind gives its members), free of duplicates and sorted
+    by rendering; a single member is returned itself."""
+    members: dict[str, Formula] = {}
+    for child in children:
+        for member in child.children if type(child) is kind else (child,):
+            members.setdefault(member._canonical, member)
+    if len(members) == 1:
+        return members.popitem()[1]
+    parts = sorted(members)
+    return _keep(kind(tuple(map(members.__getitem__, parts))), parts)
+
+
+def canonical_temporal(kind: type, interval: Interval, *children: Formula) -> Formula:
+    """The ``kind`` operator (F, G or Until) over canonical ``children``."""
+    return _keep(kind(interval, *children), [child._canonical for child in children])
 
 
 def extent(formula: Formula) -> int:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tests"))
@@ -18,6 +19,12 @@ from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, TrueF, Unti
 from ambistl.regions import Box, RegionMap
 from ambistl.text import lines
 from ambistl.trajectory import Trajectory
+
+# Property tests draw a fixed, derandomized set of examples, so tier-1 runs
+# the same inputs every time; ``pytest --hypothesis-profile long`` draws
+# more, at random.
+settings.register_profile("default", derandomize=True, max_examples=100)
+settings.register_profile("long", derandomize=False, max_examples=2000)
 
 
 def run_python(args: list[str], timeout: float | None = None, **env: str):

@@ -6,15 +6,20 @@ reading rule weights off the lexicon and counting skipped task verbs in
 the words as ``chart_reference`` does;
 :func:`chart_order_derivations` enumerates every complete derivation
 straight from ``chart.cells`` and sorts them stably by that score, which
-is the order ``unpack_nbest`` documents.
+is the order ``unpack_nbest`` documents; :func:`enumerated` is the
+candidate set of ``translate`` computed one derivation at a time.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, Sequence
 
 from ambistl.lexicon import Category, LexEntry, Lexicon, format_category
-from ambistl.parser import LOCALITY_PENALTY, Chart, DerivationTree, Leaf, Node
+from ambistl.parser import (
+    LOCALITY_PENALTY, Chart, DerivationTree, Leaf, Node, parse_nbest, tokenize
+)
+from ambistl.pipeline import CandidateSet, IllFormedMeaningError, aggregate, compose, to_stl
 from ambistl.semantics import format_term
 
 from chart_reference import skipped_verbs
@@ -72,3 +77,16 @@ def chart_order_derivations(chart: Chart, lexicon: Lexicon) -> list[tuple[float,
     scored = [(reference_score(tree, lexicon, chart.words), tree) for tree in trees]
     scored.sort(key=lambda pair: -pair[0])
     return [(score, format_derivation(tree)) for score, tree in scored]
+
+
+def enumerated(sentence: str, lexicon: Lexicon) -> CandidateSet:
+    """Reference for translate: compose, convert and aggregate every
+    derivation one by one."""
+    derivations = parse_nbest(tokenize(sentence), lexicon, n=sys.maxsize)
+    scored = []
+    for derivation in derivations:
+        try:
+            scored.append((to_stl(compose(derivation)), derivation.score))
+        except IllFormedMeaningError:
+            continue
+    return aggregate(scored, sentence, len(derivations), len(derivations) - len(scored))

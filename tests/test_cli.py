@@ -496,6 +496,22 @@ def test_explain_lists_discarded_derivations(tmp_path, capsys):
     assert "ill-formed: residual App in meaning: F(I(0, 10), phi_b)(I(0, 5))" in out
 
 
+def test_explain_lists_derivations_when_every_one_is_discarded(capsys):
+    """With no derivation left, explain still lists each one and why it was
+    discarded, then fails as translate does."""
+    sentence = "Avoid A within 10 seconds and then reach B within 5 seconds."
+    assert main(["explain", sentence]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"sentence: {sentence}",
+        "1 derivation(s), 1 discarded, 0 candidate(s)",
+        "",
+        "discarded (1):",
+        "  derivation 0  score=0.0000  ill-formed: sequence head is not an eventually task",
+    ]
+    assert captured.err == "translation failed: all 1 derivations were discarded as ill-formed\n"
+
+
 def test_explain_no_parse_exits_2(capsys):
     assert main(["explain", "b within 10 seconds"]) == 2
 

@@ -7,9 +7,10 @@ import textwrap
 import ambistl
 import ambistl.pipeline as pipeline
 import ambistl.semantics as semantics
+import ambistl.stl as stl
 from ambistl import analyze, evaluate_candidates, translate
 
-from conftest import kstep_sentence, run_python
+from conftest import guarded_sentence, kstep_sentence, run_python
 
 # Run in a fresh interpreter, so that no earlier import has loaded numpy.
 COLD_PATH = textwrap.dedent(
@@ -56,16 +57,19 @@ def test_translate_path_does_not_load_numpy():
 
 def test_translate_path_calls_neither_reducer_nor_converter(lexicon, corpus, monkeypatch):
     """Once the entries a sentence uses are compiled, translating it again
-    composes compiled values only: no beta reduction, no term conversion."""
+    composes compiled values only: no beta reduction, no term conversion,
+    and no canonicalizing walk, since formulas are built canonical."""
     sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 7)]
+    sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in range(2, 7)]
     first = [translate(sentence, lexicon) for sentence in sentences]
 
     def forbidden(*args):
-        raise AssertionError("the translate path reduced or converted a term")
+        raise AssertionError("the translate path reduced, converted or canonicalized a term")
 
     monkeypatch.setattr(semantics, "beta_reduce", forbidden)
     monkeypatch.setattr(pipeline, "beta_reduce", forbidden)
     monkeypatch.setattr(pipeline, "to_stl", forbidden)
+    monkeypatch.setattr(stl, "_fold", forbidden)
     assert [translate(sentence, lexicon) for sentence in sentences] == first
 
 

@@ -1,0 +1,122 @@
+"""Differential test on sentences drawn from the lexicon's own grammar.
+
+The strategy expands a root category top-down (grammar-based sentence
+generation, Purdom 1972): a category is the surface of an entry of that
+category, a numeral for NUM, or the daughters ``X/Y Y`` or ``Y X\\Y`` of a
+functor category with result ``X`` that ends some entry's category.  Every
+drawn sentence therefore parses.  Depth bounds the derivation count, so
+enumerating every derivation stays cheap.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ambistl.lexicon import NUM, ROOT_CATEGORIES, Basic, Slash
+from ambistl.parser import parse_nbest, tokenize
+from ambistl.pipeline import EmptyCandidateSetError, IllFormedMeaningError, compose, translate
+from ambistl.stl import format_formula, parse_formula
+
+from conversion_reference import reference_formula
+from derivation_reference import enumerated
+from packing_reference import reference_canonicalize
+
+# Depth 7 reaches chains, disjunctions and guards inside one another; the
+# bundled lexicon gives at most a few hundred derivations per sentence there.
+MAX_DEPTH = 7
+
+
+def grammar(lexicon):
+    """The productions of ``lexicon``: per category, the surfaces of its
+    entries and its daughter pairs, one pair per entry that gives it; and
+    the fewest levels each category takes to expand into words."""
+    surfaces, splits = {}, {}
+    for entry in lexicon.all_entries():
+        surfaces.setdefault(entry.category, []).append(" ".join(entry.surface))
+        functor = entry.category
+        while isinstance(functor, Slash):
+            pair = (functor, functor.argument)
+            splits.setdefault(functor.result, []).append(pair if functor.slash == "/" else pair[::-1])
+            functor = functor.result
+    height = {cat: 1 for cat in [*surfaces, NUM]}
+    changed = True
+    while changed:
+        changed = False
+        for cat, pairs in splits.items():
+            for pair in pairs:
+                if all(daughter in height for daughter in pair):
+                    levels = 1 + max(height[daughter] for daughter in pair)
+                    if levels < height.get(cat, levels + 1):
+                        height[cat], changed = levels, True
+    return surfaces, splits, height
+
+
+def sentences(lexicon, depth: int = MAX_DEPTH):
+    """Sentences of ``lexicon`` whose derivation is at most ``depth`` deep."""
+    surfaces, splits, height = grammar(lexicon)
+
+    @st.composite
+    def draw_sentence(draw):
+        def expand(cat, depth):
+            options = list(surfaces.get(cat, ()))
+            if cat == NUM:
+                options.append(None)
+            options += [
+                pair for pair in splits.get(cat, ())
+                if all(height.get(daughter, depth) < depth for daughter in pair)
+            ]
+            choice = draw(st.sampled_from(options))
+            if choice is None:
+                return [str(draw(st.integers(0, 60)))]
+            if isinstance(choice, str):
+                return [choice]
+            return expand(choice[0], depth - 1) + expand(choice[1], depth - 1)
+
+        roots = [Basic(name) for name in ROOT_CATEGORIES]
+        root = draw(st.sampled_from([cat for cat in roots if height.get(cat, depth + 1) <= depth]))
+        return " ".join(expand(root, depth)) + "."
+
+    return draw_sentence()
+
+
+# An example's time depends on its sentence and the machine's load, so no
+# deadline applies.
+@settings(deadline=None)
+@given(data=st.data())
+def test_translate_equals_enumeration_on_generated_sentences(lexicon, data):
+    """``translate`` gives what enumerating every derivation gives.  Every
+    candidate is in the reference canonical form, rendered by
+    ``format_formula``, parses back to itself, and has as many derivations
+    as the reference conversion gives it, so a fault that both paths share
+    is still caught."""
+    lex = lexicon
+    sentence = data.draw(sentences(lex), label="sentence")
+    support = Counter()
+    for derivation in parse_nbest(tokenize(sentence), lex, n=sys.maxsize):
+        try:
+            support[format_formula(reference_formula(compose(derivation)))] += 1
+        except IllFormedMeaningError:
+            continue
+    try:
+        want = enumerated(sentence, lex)
+    except EmptyCandidateSetError:
+        with pytest.raises(EmptyCandidateSetError):
+            translate(sentence, lex)
+        assert not support
+        return
+    got = translate(sentence, lex)
+    assert got.formulas() == want.formulas()
+    assert [c.support_count for c in got.candidates] == [c.support_count for c in want.candidates]
+    assert (got.n_derivations, got.discarded_count) == (want.n_derivations, want.discarded_count)
+    for cand, ref in zip(got.candidates, want.candidates):
+        assert abs(cand.probability - ref.probability) <= 1e-12
+    for cand in got.candidates:
+        assert cand.formula == reference_canonicalize(cand.formula)
+        assert cand.text == format_formula(cand.formula)
+        assert parse_formula(cand.text) == cand.formula
+    assert {cand.text: cand.support_count for cand in got.candidates} == support

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import ambistl.lexicon as lexicon_module
 import ambistl.parser as parser
 import ambistl.pipeline as pipeline
 from ambistl.lexicon import format_lexicon, load_lexicon
@@ -13,16 +14,14 @@ from ambistl.pipeline import (
     ScoreRangeError,
     aggregate,
     analyze,
-    compose,
     to_stl,
     translate,
 )
 from ambistl.semantics import App, Con, IntC, Lam, ReductionBudgetError, Var, parse_term
-from ambistl.stl import (
-    And, Atom, F, G, Interval, Not, Or, canonical_form, canonicalize, format_formula
-)
+from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, canonicalize, format_formula
 
 from conftest import CUSTOM_ENTRIES, custom_lexicon, guarded_sentence, kstep_sentence
+from derivation_reference import enumerated
 from packing_reference import reference_canonicalize
 from reference_formulas import REFERENCE
 
@@ -88,7 +87,7 @@ def test_sequence_head_may_be_a_guarded_task():
     form, so a nested head is flattened and sorted first."""
     guarded = "AND(F(I(0, 15), phi_c), G(I(0, 15), NOT(phi_a)))"
     got = to_stl(parse_term(f"SEQ({guarded}, F(I(0, 5), phi_d))"))
-    c_then_d = F(Interval(0, 15), And((Atom("c"), F(Interval(0, 5), Atom("d")))))
+    c_then_d = F(Interval(0, 15), And((F(Interval(0, 5), Atom("d")), Atom("c"))))
     not_a = G(Interval(0, 15), Not(Atom("a")))
     assert got == And((c_then_d, not_a))
     nested = to_stl(
@@ -101,7 +100,7 @@ def test_sequence_head_is_read_in_canonical_form():
     """Duplicate eventually tasks are one task in canonical form, so the
     head takes the tail; a double negation hides no task."""
     got = to_stl(parse_term("SEQ(AND(F(I(0, 10), phi_b), F(I(0, 10), phi_b)), F(I(0, 5), phi_c))"))
-    assert got == F(Interval(0, 10), And((Atom("b"), F(Interval(0, 5), Atom("c")))))
+    assert got == F(Interval(0, 10), And((F(Interval(0, 5), Atom("c")), Atom("b"))))
     hidden = to_stl(parse_term("SEQ(NOT(NOT(F(I(0, 10), phi_b))), F(I(0, 5), phi_c))"))
     assert hidden == got
 
@@ -318,6 +317,23 @@ def test_translate_scores_outside_float_range(lexicon, weight, sentence):
         translate(sentence, load_lexicon(text))
 
 
+def test_calls_without_a_lexicon_load_the_bundled_one_once(monkeypatch):
+    """The bundled file is read and parsed once per process, not per call."""
+    loads = []
+    load_lexicon_once = lexicon_module.load_lexicon
+
+    def counting_load(source):
+        loads.append(source)
+        return load_lexicon_once(source)
+
+    monkeypatch.setattr(lexicon_module, "load_lexicon", counting_load)
+    pipeline._bundled_lexicon.cache_clear()
+    sentence = "Reach B within 10 seconds and then reach C within 15 seconds."
+    assert translate(sentence) == translate(sentence)
+    analyze(sentence)
+    assert len(loads) == 1
+
+
 def test_to_dict_schema(lexicon):
     result = translate("Reach B within 10 seconds.", lexicon)
     payload = result.to_dict()
@@ -341,19 +357,6 @@ def test_corpus_is_never_truncated(lexicon, corpus):
     for sentence in corpus.values():
         every = parse_nbest(tokenize(sentence), lexicon, n=sys.maxsize)
         assert translate(sentence, lexicon).n_derivations == len(every)
-
-
-def _enumerated(sentence, lexicon):
-    """Reference for translate: compose, convert and aggregate every
-    derivation one by one."""
-    derivations = parse_nbest(tokenize(sentence), lexicon, n=sys.maxsize)
-    scored = []
-    for derivation in derivations:
-        try:
-            scored.append((to_stl(compose(derivation)), derivation.score))
-        except IllFormedMeaningError:
-            continue
-    return aggregate(scored, sentence, len(derivations), len(derivations) - len(scored))
 
 
 MIDDLE_GUARD = (
@@ -452,7 +455,7 @@ def test_a_closure_is_not_normalized_under_its_binder(lexicon):
     with pytest.raises(EmptyCandidateSetError, match="all 1 derivations"):
         translate("yy zz", lex)
     with pytest.raises(ReductionBudgetError):
-        _enumerated("yy zz", lex)
+        enumerated("yy zz", lex)
 
 
 def test_applying_a_converted_meaning_is_discarded_and_counted(lexicon):
@@ -477,7 +480,7 @@ def test_packing_reads_a_duplicate_task_once(lexicon):
         format_lexicon(lexicon) + still.format(guard) + still.format(f"AND(p, {guard})")
     )
     sentence = "Reach B within 10 seconds still and then reach C within 5 seconds."
-    got, want = translate(sentence, lex), _enumerated(sentence, lex)
+    got, want = translate(sentence, lex), enumerated(sentence, lex)
     assert (got.n_derivations, got.discarded_count) == (2, 0)
     assert got.formulas() == ["(F[0,10](F[0,5] phi_c & phi_b) & G[0,1] !phi_a)"]
     assert [c.support_count for c in got.candidates] == [2]
@@ -485,16 +488,18 @@ def test_packing_reads_a_duplicate_task_once(lexicon):
 
 
 def test_packing_key_groups_as_the_reference_does(lexicon, corpus, monkeypatch):
-    """Over every formula the packing pass keys, the key is the rendering of
-    the uncached reference canonical form, and the entry holds the
-    canonical node, which keeps that rendering."""
+    """Every formula the packing pass packs is built in the uncached
+    reference canonical form; its key is that form's rendering, and its
+    entry holds a canonical node, which keeps that rendering."""
     seen = []
+    pack_one = pipeline._pack
 
-    def recording_form(formula):
-        seen.append((formula, canonical_form(formula)))
-        return seen[-1][1]
+    def recording_pack(merged, value, weight, count):
+        pack_one(merged, value, weight, count)
+        if isinstance(value, Formula):
+            seen.append((value, value._canonical, merged[value._canonical][0]))
 
-    monkeypatch.setattr(pipeline, "canonical_form", recording_form)
+    monkeypatch.setattr(pipeline, "_pack", recording_pack)
 
     def pack(sentence, lex):
         try:
@@ -512,11 +517,11 @@ def test_packing_key_groups_as_the_reference_does(lexicon, corpus, monkeypatch):
         extra += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in (2, 3, 4)]
         for sentence in list(corpus.values()) + extra + [DUPLICATE_TASKS]:
             pack(sentence, lex)
-    for formula, (canonical, key) in seen:
+    for formula, key, entry in seen:
         reference = reference_canonicalize(formula)
-        assert canonical == reference
-        assert key == canonical._canonical == format_formula(reference)
-    assert len({key for _, (_, key) in seen}) < len(seen)  # the pass merges meanings
+        assert formula == entry == reference
+        assert key == entry._canonical == format_formula(reference)
+    assert len({key for _, key, _ in seen}) < len(seen)  # the pass merges meanings
 
 
 @pytest.mark.parametrize("custom", [None, *CUSTOM_ENTRIES])
@@ -532,7 +537,7 @@ def test_translate_equals_enumerating_every_derivation(lexicon, corpus, custom):
     uncompared, discards = set(), 0
     for sentence in sentences:
         try:
-            want = _enumerated(sentence, lex)
+            want = enumerated(sentence, lex)
         except (NoParseError, EmptyCandidateSetError) as exc:
             with pytest.raises(type(exc)):
                 translate(sentence, lex)
@@ -573,7 +578,7 @@ def test_ill_formed_conversions_are_discarded_on_both_paths(lexicon, template, r
     lex = load_lexicon(format_lexicon(lexicon) + within)
     sentence = "Reach B within 10 seconds."
     got, reports = analyze(sentence, lex)
-    assert got == _enumerated(sentence, lex) == translate(sentence, lex)
+    assert got == enumerated(sentence, lex) == translate(sentence, lex)
     assert (got.n_derivations, got.discarded_count) == (2, 1)
     assert got.formulas() == ["F[0,10] phi_b"]
     assert [r.error for r in reports] == [None, reason]
