@@ -6,7 +6,9 @@ Subcommands: ``translate`` (sentence -> ranked candidates), ``corpus``
 
 Exit codes: 0 success, 1 usage error, 2 translation failure (including a
 template with no normal form and scores outside float range) or unknown
-atom, 3 I/O or file-format error, 4 corpus expectation mismatch.
+atom, 3 I/O or file-format error, 4 corpus expectation mismatch, 141
+(128 + SIGPIPE) when the reader of stdout closes it before the output ends
+(``ambistl explain ... | head -1``), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_USAGE = 1
 EXIT_TRANSLATION = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 # Errors that exit with EXIT_TRANSLATION.
 TRANSLATION_ERRORS = (
@@ -345,7 +348,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         "explain": cmd_explain,
     }
     try:
-        return handlers[args.command](args)
+        try:
+            return handlers[args.command](args)
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -356,6 +362,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LexiconError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except BrokenPipeError:
+        # Point stdout at the null device, so the interpreter's final flush
+        # of what the buffer still holds does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

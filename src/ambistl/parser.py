@@ -9,12 +9,15 @@ points through an index, the ascending ends of the non-empty cells at each
 start, and combines only daughters whose two cells are both non-empty.  A
 complete derivation covers the whole sentence with a category in
 ``ROOT_CATEGORIES`` (a closed formula S or a bounded task disjunction R).
-Two readers use a filled chart: the pipeline packs meanings over it
-directly, and :func:`unpack_nbest` unpacks the trees, summing each one's
-score as it builds it (no finished tree is walked), and returns the top n
-by score.  Ties in score keep chart order: root categories as the top cell
-holds them, then each item's backpointers in cell order, then left trees
-before right trees.
+A filled chart is read by one bottom-up walk, :func:`inside`: a reader
+is a function that folds one backpointer, a lexical entry or a rule with
+its daughters' values, into its item's value, and the walk alone orders
+the items, looks up daughters and drops what no mother still needs.  The
+pipeline's reader packs meanings; :func:`unpack_nbest`'s builds the trees,
+summing each one's score as it builds it (no finished tree is walked), and
+returns the top n by score.  Ties in score keep chart order: root
+categories as the top cell holds them, then each item's backpointers in
+cell order, then left trees before right trees.
 
 Scoring replaces a learned parser model with a declared structural
 preference: every post-modifier attachment (a while-clause or a trailing
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from bisect import insort
 from itertools import accumulate
-from typing import Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 from .lexicon import (
     BACKWARD, FORWARD, ROOT_CATEGORIES, Category, LexEntry, Lexicon, Slash, format_category, lookup
@@ -168,23 +171,6 @@ class Chart(Record):
         top = self.cells.get((0, len(self.words)), ())
         return [cat for cat in top if format_category(cat) in ROOT_CATEGORIES]
 
-    def items_under_roots(self) -> dict[tuple[int, int, Category], int]:
-        """Every ``(start, end, category)`` that some complete derivation
-        uses, shorter spans first, so daughters precede their mothers, each
-        with the number of backpointers that read it (0 for a root)."""
-        readers = {(0, len(self.words), cat): 0 for cat in self.roots}
-        # Longest spans first: a mother's span is longer than its daughters'.
-        for (i, j), cell in sorted(self.cells.items(), key=lambda item: item[0][0] - item[0][1]):
-            for cat, backs in cell.items():
-                if (i, j, cat) not in readers:
-                    continue
-                for back in backs:
-                    if isinstance(back, tuple):
-                        _, k, cat_l, cat_r, _, _ = back
-                        for daughter in ((i, k, cat_l), (k, j, cat_r)):
-                            readers[daughter] = readers.get(daughter, 0) + 1
-        return dict(sorted(readers.items(), key=lambda item: item[0][1] - item[0][0]))
-
 
 def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     """CKY over forward and backward application into a packed chart.
@@ -257,6 +243,64 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     return chart
 
 
+Value = TypeVar("Value")
+
+
+def inside(chart: Chart, start: Callable[[], Value], combine: Callable[..., Value]) -> list[Value]:
+    """The values of the root items of ``chart``, in ``chart.roots`` order.
+
+    Each item ``(i, j, category)`` under a root starts as ``start()``; each
+    of its backpointers, in cell order, is folded in by
+    ``combine(value, item, back, left, right)``, where ``left`` and ``right``
+    are the daughters' values, both ``None`` for a lexical entry.  Items are
+    visited shortest span first, so daughters precede their mothers.  The
+    backpointers that read each item are counted top-down from the roots
+    first, and an item's value is dropped once its last reader has been
+    combined, so the walk holds only what a pending mother still needs.
+    """
+    # back[1:4] of a binary backpointer over (i, j) are its split point k and
+    # the categories of its daughters (i, k) and (k, j).
+    readers = {(0, len(chart.words), cat): 0 for cat in chart.roots}
+    # Longest spans first: a mother's span is longer than its daughters'.
+    for (i, j), cell in sorted(chart.cells.items(), key=lambda item: item[0][0] - item[0][1]):
+        for cat, backs in cell.items():
+            for back in backs if (i, j, cat) in readers else ():
+                if isinstance(back, tuple):
+                    for daughter in ((i, back[1], back[2]), (back[1], j, back[3])):
+                        readers[daughter] = readers.get(daughter, 0) + 1
+    values: dict[tuple[int, int, Category], Value] = {}
+    for item in sorted(readers, key=lambda item: item[1] - item[0]):
+        i, j, cat = item
+        value = start()
+        for back in chart.cells[(i, j)][cat]:
+            if isinstance(back, LexEntry):
+                value = combine(value, item, back, None, None)
+                continue
+            left, right = (i, back[1], back[2]), (back[1], j, back[3])
+            value = combine(value, item, back, values[left], values[right])
+            for daughter in (left, right):
+                readers[daughter] -= 1
+                if not readers[daughter]:
+                    del values[daughter]
+        values[item] = value
+    return [values[(0, len(chart.words), cat)] for cat in chart.roots]
+
+
+def _unpack(trees: list, item: tuple, back: Backpointer, left: list, right: list) -> list:
+    """The tree reader of :func:`inside`: an item's trees, each with its
+    summed weight and skipped task verbs, left trees before right trees."""
+    i, j, cat = item
+    if isinstance(back, LexEntry):
+        return trees + [(Leaf(back, i, j), back.weight, 0)]
+    rule, _, _, _, weight, skipped = back
+    trees += [
+        (Node(rule, cat, tree_l, tree_r, i, j), weight + w_l + w_r, skipped + s_l + s_r)
+        for tree_l, w_l, s_l in left
+        for tree_r, w_r, s_r in right
+    ]
+    return trees
+
+
 def unpack_nbest(chart: Chart, n: int = DEFAULT_N_BEST) -> list[Derivation]:
     """The ``n`` best complete derivations of a filled chart, best-first.
 
@@ -267,20 +311,7 @@ def unpack_nbest(chart: Chart, n: int = DEFAULT_N_BEST) -> list[Derivation]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    trees: dict[tuple[int, int, Category], list[tuple[DerivationTree, float, int]]] = {}
-    for i, j, cat in chart.items_under_roots():
-        built = trees[(i, j, cat)] = []
-        for back in chart.cells[(i, j)][cat]:
-            if isinstance(back, LexEntry):
-                built.append((Leaf(back, i, j), back.weight, 0))
-                continue
-            rule, k, cat_l, cat_r, weight, skipped = back
-            built += [
-                (Node(rule, cat, left, right, i, j), weight + w_l + w_r, skipped + s_l + s_r)
-                for left, w_l, s_l in trees[(i, k, cat_l)]
-                for right, w_r, s_r in trees[(k, j, cat_r)]
-            ]
-    roots = [entry for cat in chart.roots for entry in trees[(0, len(chart.words), cat)]]
+    roots = [tree for trees in inside(chart, list, _unpack) for tree in trees]
     scored = [Derivation(root, score_of(weight, skipped)) for root, weight, skipped in roots]
     scored.sort(key=lambda d: -d.score)
     return scored[:n]

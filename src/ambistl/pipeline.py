@@ -20,7 +20,8 @@ compiled templates: on its first use, an entry's template is beta-reduced
 and compiled into a value, a lambda into a Python closure, an application
 into a call and a constructor into a call of its rule, and a composition
 is :func:`apply` of one daughter's value to the other's, with no meaning
-term built, reduced or converted.  It composes over the packed chart, not
+term built, reduced or converted.  It is a reader of the chart walk
+:func:`~ambistl.parser.inside`, so it composes over the packed chart, not
 over trees: per chart item, formula values with the same canonical
 rendering are merged, carrying the sum of exp(score) and the count of the
 derivations behind them, so the candidate set covers every derivation and
@@ -28,9 +29,11 @@ no tree is built or walked.  The rules build formulas through the
 canonical constructors of :mod:`ambistl.stl`, and a formula constant is
 canonicalized when its template is compiled, so no formula is
 canonicalized again.  The term path, :func:`compose` and :func:`to_stl`,
-builds the beta-normal meaning term of one derivation and converts it;
-:func:`analyze` lists derivations and their terms with it, and only it
-unpacks trees.
+builds the beta-normal meaning term of one derivation and converts it.
+:func:`analyze` reads the same chart twice: the candidate set by packing,
+and the listed derivations by the tree reader of
+:func:`~ambistl.parser.unpack_nbest`, whose terms it builds on the term
+path.
 
 A composition whose value is a closure is evaluated only when a mother
 applies it, not under its binder as :func:`compose` reduces: a lexicon
@@ -57,10 +60,10 @@ from itertools import count
 from types import FunctionType
 from typing import Iterator, Optional, Sequence, Union
 
-from .lexicon import Category, LexEntry, Lexicon, load_default_lexicon
+from .lexicon import LexEntry, Lexicon, load_default_lexicon
 from .parser import (
-    DEFAULT_N_BEST, Chart, Derivation, DerivationTree, Leaf, fill_chart, score_of, tokenize,
-    unpack_nbest,
+    DEFAULT_N_BEST, Backpointer, Chart, Derivation, DerivationTree, Leaf, fill_chart, inside,
+    score_of, tokenize, unpack_nbest,
 )
 from .record import Record
 from .semantics import (
@@ -516,44 +519,40 @@ def analyze(
         raise
 
 
+def _pack_backpointer(merged: dict, item: tuple, back: Backpointer, left: dict, right: dict) -> dict:
+    """The meaning reader of :func:`inside`: a lexical entry adds its
+    compiled template, a rule :func:`apply` of each of one daughter's
+    merged meanings to each of the other's, each product of summed
+    exp(score) weighted by the backpointer's own factor."""
+    if isinstance(back, LexEntry):
+        _pack(merged, _value_of(back), _exp(back.weight), 1)
+        return merged
+    rule, _, _, _, weight, skipped = back
+    factor = _exp(score_of(weight, skipped))
+    for value_l, weight_l, count_l in left.values():
+        for value_r, weight_r, count_r in right.values():
+            value = apply(value_l, value_r) if rule == "fa" else apply(value_r, value_l)
+            _pack(merged, value, weight_l * weight_r * factor, count_l * count_r)
+    return merged
+
+
 def pack_meanings(chart: Chart) -> tuple[list[tuple[Formula, float, int]], int, int]:
     """The packing pass over a filled chart: every well-formed root reading
     as (canonical formula, summed exp(score), derivation count), with the
     number of derivations and of those discarded as ill-formed.
 
-    Meanings are composed bottom-up over the chart items that lie under a
-    root: a leaf's value is its entry's compiled template, and a mother's is
-    :func:`apply` of one daughter's value to the other's.  Interchangeable
-    meanings are merged per item (see :func:`_pack`).
+    Meanings are composed bottom-up by :func:`inside`, over the chart items
+    that lie under a root: a leaf's value is its entry's compiled template,
+    and a mother's is :func:`apply` of one daughter's value to the other's.
+    Interchangeable meanings are merged per item (see :func:`_pack`).
     Each merged meaning carries the sum of exp(score) over its derivations
     and their count, so ranking the result equals aggregating every
-    derivation.  An item's meanings are dropped as soon as the last
-    backpointer that reads them has been composed, so the pass holds only
-    the items some pending mother still needs.
+    derivation.
     """
-    readers = chart.items_under_roots()  # backpointers left to read each item
-    packed: dict[tuple[int, int, Category], dict] = {}
-    for i, j, cat in readers:
-        merged = packed[(i, j, cat)] = {}
-        for back in chart.cells[(i, j)][cat]:
-            if isinstance(back, LexEntry):
-                _pack(merged, _value_of(back), _exp(back.weight), 1)
-                continue
-            rule, k, cat_l, cat_r, weight, skipped = back
-            factor = _exp(score_of(weight, skipped))
-            for left, weight_l, count_l in packed[(i, k, cat_l)].values():
-                for right, weight_r, count_r in packed[(k, j, cat_r)].values():
-                    value = apply(left, right) if rule == "fa" else apply(right, left)
-                    _pack(merged, value, weight_l * weight_r * factor, count_l * count_r)
-            for daughter in ((i, k, cat_l), (k, j, cat_r)):
-                readers[daughter] -= 1
-                if not readers[daughter]:
-                    del packed[daughter]
-
     weighted: list[tuple[Formula, float, int]] = []
     total = discarded = 0
-    for cat in chart.roots:
-        for meaning, weight, count in packed[(0, len(chart.words), cat)].values():
+    for merged in inside(chart, dict, _pack_backpointer):
+        for meaning, weight, count in merged.values():
             total += count
             if isinstance(meaning, Formula):
                 weighted.append((meaning, weight, count))

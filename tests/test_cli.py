@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -576,3 +578,34 @@ def test_sentence_without_a_reading_is_no_parse(capsys, command, regions_file, t
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "no complete parse" in captured.err
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(capsys, monkeypatch):
+    """A reader that closes stdout early (``explain ... | head -1``) is no
+    I/O error: stdout's write raises BrokenPipeError, ``main`` exits 141
+    and points stdout at the null device, so a later flush succeeds."""
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "w") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert main(["explain", kstep_sentence(5)]) == 141
+        print("more")
+        stdout.flush()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_closed_stdout_is_quiet_up_to_the_interpreter_exit():
+    """Also when the output fits stdout's buffer, so the pipe fails only
+    when the buffer is flushed (stdout is buffered, as it is by default),
+    and when the command fails after writing."""
+    script = (
+        "import os, sys; read, write = os.pipe(); os.close(read); os.dup2(write, 1); "
+        "from ambistl.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    for argv in (
+        ["explain", kstep_sentence(5)],
+        ["translate", "Reach B within 10 seconds."],
+        ["explain", "Avoid A within 10 seconds and then reach B within 5 seconds."],
+    ):
+        done = run_python(["-c", script, *argv], PYTHONUNBUFFERED="")
+        assert (done.returncode, done.stderr) == (141, b"")

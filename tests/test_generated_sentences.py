@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambistl.lexicon import NUM, ROOT_CATEGORIES, Basic, Slash
-from ambistl.parser import parse_nbest, tokenize
-from ambistl.pipeline import EmptyCandidateSetError, IllFormedMeaningError, compose, translate
+from ambistl.parser import fill_chart, inside, parse_nbest, tokenize
+from ambistl.pipeline import EmptyCandidateSetError, IllFormedMeaningError, analyze, translate
 from ambistl.stl import format_formula, parse_formula
 
+from conftest import CUSTOM_ENTRIES, custom_lexicon
 from conversion_reference import reference_formula
 from derivation_reference import enumerated
 from packing_reference import reference_canonicalize
@@ -84,30 +85,46 @@ def sentences(lexicon, depth: int = MAX_DEPTH):
     return draw_sentence()
 
 
-# An example's time depends on its sentence and the machine's load, so no
-# deadline applies.
-@settings(deadline=None)
-@given(data=st.data())
-def test_translate_equals_enumeration_on_generated_sentences(lexicon, data):
-    """``translate`` gives what enumerating every derivation gives.  Every
-    candidate is in the reference canonical form, rendered by
-    ``format_formula``, parses back to itself, and has as many derivations
-    as the reference conversion gives it, so a fault that both paths share
-    is still caught."""
-    lex = lexicon
-    sentence = data.draw(sentences(lex), label="sentence")
+def count_derivations(total: int, item, back, left, right) -> int:
+    """A counting reader of :func:`inside`: an item's derivations."""
+    return total + (1 if left is None else left * right)
+
+
+def reference_support(reports) -> Counter:
+    """Derivations per formula rendering, by the reference conversion of
+    each listed meaning."""
     support = Counter()
-    for derivation in parse_nbest(tokenize(sentence), lex, n=sys.maxsize):
+    for report in reports:
         try:
-            support[format_formula(reference_formula(compose(derivation)))] += 1
+            support[format_formula(reference_formula(report.meaning))] += 1
         except IllFormedMeaningError:
             continue
+    return support
+
+
+def check_against_enumeration(sentence: str, lex) -> None:
+    """``translate`` and ``analyze`` give what enumerating every derivation
+    gives.  Every candidate is in the reference canonical form, rendered by
+    ``format_formula``, parses back to itself, and has as many derivations
+    as the reference conversion gives it, so a fault that both paths share
+    is still caught.  The full listing of ``analyze`` groups into the
+    candidates by formula, its discarded reports number the discards, the
+    probabilities sum to one, and counting over :func:`inside` counts every
+    derivation."""
+    words = tokenize(sentence)
+    n_trees = len(parse_nbest(words, lex, n=sys.maxsize))
+    assert sum(inside(fill_chart(words, lex), int, count_derivations)) == n_trees
     try:
         want = enumerated(sentence, lex)
     except EmptyCandidateSetError:
         with pytest.raises(EmptyCandidateSetError):
             translate(sentence, lex)
-        assert not support
+        with pytest.raises(EmptyCandidateSetError) as caught:
+            analyze(sentence, lex, n=sys.maxsize)
+        reports = caught.value.reports
+        assert len(reports) == caught.value.n_derivations == n_trees
+        assert all(report.error is not None for report in reports)
+        assert not reference_support(reports)
         return
     got = translate(sentence, lex)
     assert got.formulas() == want.formulas()
@@ -115,8 +132,37 @@ def test_translate_equals_enumeration_on_generated_sentences(lexicon, data):
     assert (got.n_derivations, got.discarded_count) == (want.n_derivations, want.discarded_count)
     for cand, ref in zip(got.candidates, want.candidates):
         assert abs(cand.probability - ref.probability) <= 1e-12
+    assert abs(sum(cand.probability for cand in got.candidates) - 1.0) <= 1e-12
     for cand in got.candidates:
         assert cand.formula == reference_canonicalize(cand.formula)
         assert cand.text == format_formula(cand.formula)
         assert parse_formula(cand.text) == cand.formula
-    assert {cand.text: cand.support_count for cand in got.candidates} == support
+
+    listed_set, reports = analyze(sentence, lex, n=sys.maxsize)
+    assert listed_set == got
+    assert len(reports) == got.n_derivations == n_trees
+    listed = Counter(report.formula for report in reports if report.error is None)
+    assert listed == {cand.formula: cand.support_count for cand in got.candidates}
+    assert sum(report.error is not None for report in reports) == got.discarded_count
+    assert reference_support(reports) == {cand.text: cand.support_count for cand in got.candidates}
+
+
+@pytest.fixture(scope="module", params=list(CUSTOM_ENTRIES))
+def custom(request, lexicon):
+    return custom_lexicon(lexicon, request.param)
+
+
+# An example's time depends on its sentence and the machine's load, so no
+# deadline applies.
+@settings(deadline=None)
+@given(data=st.data())
+def test_translate_equals_enumeration_on_generated_sentences(lexicon, data):
+    check_against_enumeration(data.draw(sentences(lexicon), label="sentence"), lexicon)
+
+
+# Each custom lexicon takes its own draws: ill-formed whiles, stuck
+# applications and merged meanings of two entries.
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_translate_equals_enumeration_on_generated_sentences_of_custom_lexicons(custom, data):
+    check_against_enumeration(data.draw(sentences(custom), label="sentence"), custom)

@@ -1,5 +1,6 @@
 import sys
-from collections import defaultdict
+import weakref
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -11,6 +12,7 @@ from ambistl.parser import (
     Leaf,
     NoParseError,
     fill_chart,
+    inside,
     parse_nbest,
     pretty_derivation,
     tokenize,
@@ -217,6 +219,49 @@ def test_full_listing_is_the_chart_order_reference(lexicon, corpus):
         words = tokenize(sentence)
         expected = chart_order_derivations(fill_chart(words, lexicon), lexicon)
         assert listing(parse_nbest(words, lexicon, n=sys.maxsize)) == expected, sentence
+
+
+def test_inside_holds_only_the_items_a_pending_reader_needs(lexicon):
+    """Whenever ``inside`` combines a backpointer, every live value belongs
+    to that backpointer's item, to a root, or to an item that some
+    backpointer not yet combined reads; the roots come back in
+    ``chart.roots`` order."""
+    chart = fill_chart(tokenize(guarded_sentence(4, "and then")), lexicon)
+    roots = [(0, len(chart.words), cat) for cat in chart.roots]
+
+    def daughters(item, back):
+        (i, j, _), (_, k, cat_l, cat_r, _, _) = item, back
+        return [(i, k, cat_l), (k, j, cat_r)]
+
+    pending, seen, stack = Counter(), set(), list(roots)  # readers, found top-down
+    while stack:
+        item = stack.pop()
+        if item not in seen:
+            seen.add(item)
+            for back in chart.cells[item[:2]][item[2]]:
+                if isinstance(back, tuple):
+                    pending.update(daughters(item, back))
+                    stack += daughters(item, back)
+
+    class Value:  # weakly referenceable
+        item = None
+
+    live = weakref.WeakSet()
+
+    def start():
+        value = Value()
+        live.add(value)
+        return value
+
+    def combine(value, item, back, left, right):
+        value.item = item
+        assert all(v.item == item or v.item in roots or pending[v.item] for v in live)
+        if isinstance(back, tuple):
+            pending.subtract(daughters(item, back))
+        return value
+
+    assert [value.item for value in inside(chart, start, combine)] == roots
+    assert set(pending.values()) == {0}
 
 
 def test_chart_keeps_only_non_empty_cells(lexicon):

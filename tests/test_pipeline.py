@@ -73,12 +73,18 @@ def test_stuck_application_is_ill_formed():
         to_stl(Con("AND", (App(parse_term("OR(lam i. F(i, phi_b), lam i. F(i, phi_c))"), I10), B)))
 
 
-def test_sequence_head_must_be_eventually():
+def test_sequence_head_must_be_eventually(lexicon):
     with pytest.raises(IllFormedMeaningError):
         to_stl(parse_term("SEQ(G(I(0, 10), phi_b), F(I(0, 15), phi_c))"))
     # two eventually tasks leave the tail's anchor ambiguous
     with pytest.raises(IllFormedMeaningError):
         to_stl(parse_term("SEQ(AND(F(I(0, 10), phi_b), F(I(0, 15), phi_c)), F(I(0, 5), phi_d))"))
+    # a disjunction is no eventually task, even with one eventually disjunct
+    with pytest.raises(IllFormedMeaningError):
+        to_stl(parse_term("SEQ(OR(F(I(0, 10), phi_b), G(I(0, 10), NOT(phi_a))), F(I(0, 5), phi_c))"))
+    sentence = "Reach B within 10 seconds or avoid A within 10 seconds and then reach C within 5 seconds."
+    with pytest.raises(EmptyCandidateSetError, match="all 2 derivations"):
+        translate(sentence, lexicon)
 
 
 def test_sequence_head_may_be_a_guarded_task():
