@@ -85,33 +85,36 @@ class CategorySyntaxError(ValueError):
     pass
 
 
+_CATEGORIES: dict[tuple, Union["Basic", "Slash"]] = {}  # (class, *fields) -> the category
+
+
+def _interned(cls: type, fields: tuple) -> Union["Basic", "Slash"]:
+    """The one ``cls`` category with ``fields``: whichever thread builds it first."""
+    cat = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(cat, name, value)
+    return _CATEGORIES.setdefault((cls, *fields), cat)
+
+
 class Basic(Record):
-    """A basic category; its hash is computed once, at construction."""
+    """A basic category.  Categories are interned: equal categories are one
+    object, so equality and hashing are ``object``'s, by identity."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((name,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str) -> "Basic":
+        return _interned(cls, (name,))
 
 
 class Slash(Record):
-    """A functor category.  Its hash is computed once, at construction, from
-    the stored hashes of its daughters, so chart cells hash in O(1)."""
+    """A functor category, interned as :class:`Basic` is."""
 
-    __slots__ = ("slash", "result", "argument", "_hash")
+    __slots__ = ("slash", "result", "argument")  # slash is FORWARD or BACKWARD
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, slash: str, result: "Category", argument: "Category") -> None:
-        object.__setattr__(self, "slash", slash)  # FORWARD or BACKWARD
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "argument", argument)
-        object.__setattr__(self, "_hash", hash((slash, result, argument)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, slash: str, result: "Category", argument: "Category") -> "Slash":
+        return _interned(cls, (slash, result, argument))
 
 
 Category = Union[Basic, Slash]
@@ -154,16 +157,6 @@ def _parse_cat_atom(tokens: list[str], pos: int) -> tuple[Category, int]:
     raise CategorySyntaxError(f"unknown category atom {tok!r}")
 
 
-def _intern(cat: Category, table: dict[Category, Category]) -> Category:
-    """The one object in ``table`` equal to ``cat``, its daughters interned
-    too; ``cat`` is added when none is."""
-    if isinstance(cat, Slash):
-        result, argument = _intern(cat.result, table), _intern(cat.argument, table)
-        if result is not cat.result or argument is not cat.argument:
-            cat = Slash(cat.slash, result, argument)
-    return table.setdefault(cat, cat)
-
-
 def format_category(cat: Category) -> str:
     if isinstance(cat, Basic):
         return cat.name
@@ -204,7 +197,7 @@ class LexEntry(Record):
 class Lexicon(Record):
     """Immutable multimap from surface forms to entries, plus rule weights."""
 
-    __slots__ = ("entries", "rule_weights", "_task_verbs")
+    __slots__ = ("entries", "rule_weights", "_task_verbs", "_starting")
 
     def __init__(
         self,
@@ -219,6 +212,10 @@ class Lexicon(Record):
             if len(entry.surface) == 1 and entry.category == TASK_VERB_CATEGORY
         )
         object.__setattr__(self, "_task_verbs", task_verbs)
+        starting: dict[str, list] = {}  # first token -> (surface, entries), longest first
+        for surface in sorted(entries, key=len, reverse=True):
+            starting.setdefault(surface[0], []).append((surface, entries[surface]))
+        object.__setattr__(self, "_starting", starting)
 
     def all_entries(self) -> Iterable[LexEntry]:
         for group in self.entries.values():
@@ -249,12 +246,11 @@ def lookup(lexicon: Lexicon, words: Sequence[str], position: int) -> list[tuple[
     if position >= len(words):
         raise IndexError(f"position {position} beyond token count {len(words)}")
     matches: list[tuple[int, LexEntry]] = []
-    longest = min(MAX_SURFACE_TOKENS, len(words) - position)
-    for span in range(longest, 0, -1):
-        key = tuple(words[position : position + span])
-        for entry in lexicon.entries.get(key, ()):
-            matches.append((span, entry))
     word = words[position]
+    for surface, group in lexicon._starting.get(word, ()):
+        span = len(surface)
+        if span == 1 or tuple(words[position : position + span]) == surface:
+            matches += [(span, entry) for entry in group]
     if word.isdecimal() and len(word) <= MAX_NUMERAL_DIGITS:
         matches.append((1, numeral_entry(word)))
     return matches
@@ -274,12 +270,10 @@ def load_lexicon(source: TextSource) -> Lexicon:
     Raises :class:`LexiconSyntaxError` with the offending line number on
     malformed lines, categories or templates, and :class:`LexiconError` on
     an empty lexicon.  Exact duplicate entries trigger a
-    :class:`LexiconWarning` and are kept once.  Equal categories, and equal
-    daughters of categories, are one object, which is :data:`NUM` for NUM,
-    so the parser's category tests mostly meet the same object.
+    :class:`LexiconWarning` and are kept once.  Categories are interned
+    process-wide, so equal categories are one object in every lexicon.
     """
     entries: dict[tuple[str, ...], list[LexEntry]] = {}
-    categories: dict[Category, Category] = {NUM: NUM}
     rule_weights: dict[str, float] = {}
     for lineno, raw in enumerate(lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -301,7 +295,7 @@ def load_lexicon(source: TextSource) -> Lexicon:
             )
         surface = tuple(fields[0].split())
         try:
-            category = _intern(parse_category(fields[1]), categories)
+            category = parse_category(fields[1])
         except CategorySyntaxError as exc:
             raise LexiconSyntaxError(lineno, f"bad category: {exc}") from None
         try:

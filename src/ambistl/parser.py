@@ -4,9 +4,9 @@ The chart is filled once over forward and backward application
 (coordination is lexical, via (X\\X)/X categories).  It is packed: each
 span maps every category built over it to the backpointers that build it,
 so it stays small however many derivations it holds.  Only non-empty spans
-are kept: a span with no category has no cell.  The fill finds split
-points through an index, the ascending ends of the non-empty cells at each
-start, and combines only daughters whose two cells are both non-empty.  A
+are kept: a span with no category has no cell.  The fill pairs each new
+cell with its non-empty neighbours, so it visits only the splits whose two
+daughter cells are non-empty, and compares interned categories by identity.  A
 complete derivation covers the whole sentence with a category in
 ``ROOT_CATEGORIES`` (a closed formula S or a bounded task disjunction R).
 A filled chart is read by one bottom-up walk, :func:`inside`: a reader
@@ -34,7 +34,6 @@ the words.
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import accumulate
 from typing import Callable, Sequence, TypeVar, Union
 
@@ -176,14 +175,14 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     """CKY over forward and backward application into a packed chart.
 
     Only non-empty cells are kept: a span over which no category is built
-    has no key in ``Chart.cells``.  Spans are filled shortest first.  A
-    cell ``(i, j)`` is built from the splits ``k`` where both ``(i, k)``
-    and ``(k, j)`` are non-empty: for each start ``i`` the ends of its
-    non-empty cells are kept in ascending order (the split-point index),
-    and only those are visited.  Each cell's backpointers come in the order
-    a dense loop over every ``k`` gives them (ascending ``k``, then the
-    daughters' categories in cell order, ``fa`` before ``ba``), the chart
-    order that tied derivations and float sums follow.
+    has no key in ``Chart.cells``.  Spans are filled shortest first.  A cell
+    ``(i, j)`` is built from the splits ``k`` where both ``(i, k)`` and
+    ``(k, j)`` are non-empty, found by pairing: a new non-empty cell is
+    paired with each one that ends where it starts or starts where it ends,
+    and the split is queued under the span the two cover.  Each cell's
+    backpointers come in the order a dense loop over every ``k`` gives them
+    (ascending ``k``, then the daughters' categories in cell order, ``fa``
+    before ``ba``), the chart order that tied derivations and float sums follow.
 
     Raises :class:`CoverageError` when a word has no lexical entry and
     :class:`NoParseError` when no root category covers the whole sentence.
@@ -193,6 +192,10 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
     length = len(words)
     # rows[i][j] is the cell (i, j); only non-empty cells have a key
     rows: list[dict[int, dict[Category, list[Backpointer]]]] = [{} for _ in range(length)]
+    # splits[j - i][i]: the split points k of the non-empty pairs (i, k), (k, j);
+    # ends[i] and starts[j]: the j and the i of each paired non-empty cell (i, j)
+    splits: list[dict[int, list[int]]] = [{} for _ in range(length + 1)]
+    ends, starts = [[] for _ in range(length + 1)], [[] for _ in range(length + 1)]
 
     covered = 0  # words[:covered] lie under some entry
     for i in range(length):
@@ -202,39 +205,38 @@ def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:
         if covered <= i:
             raise CoverageError(words[i], i)
 
-    # ends[i]: ascending ends j of the non-empty cells (i, j)
-    ends = [sorted(row) for row in rows]
     # verbs[i]: task verbs among words[:i], whose differences count skips
     verbs = list(accumulate((word in lexicon.task_verbs for word in words), initial=0))
     fa_weight, ba_weight = lexicon.rule_weight("fa"), lexicon.rule_weight("ba")
+    fresh = [(i, j) for i, row in enumerate(rows) for j in row]  # non-empty cells not yet paired
     for span in range(2, length + 1):
-        for i in range(0, length - span + 1):
+        for i, j in fresh:  # queue the splits each new cell makes with the paired ones
+            for end in ends[j]:
+                splits[end - i].setdefault(i, []).append(j)
+            for start in starts[i]:
+                splits[j - start].setdefault(start, []).append(i)
+            ends[i].append(j)
+            starts[j].append(i)
+        fresh = []
+        for i, ks in splits[span].items():
             j = i + span
             row = rows[i]
             cell = row.get(j, {})
-            for k in ends[i]:
-                if k >= j:
-                    break
-                right = rows[k].get(j)
-                if right is None:
-                    continue
+            for k in sorted(ks):
+                right = rows[k][j]
                 skipped = max(0, verbs[k] - verbs[i] - 1) if words[k] in POST_MODIFIER_HEADS else 0
                 for cat_l in row[k]:
-                    forward = isinstance(cat_l, Slash) and cat_l.slash == FORWARD
+                    argument = cat_l.argument if type(cat_l) is Slash and cat_l.slash == FORWARD else None
                     for cat_r in right:
-                        if forward and cat_l.argument == cat_r:
+                        if cat_r is argument:
                             back = ("fa", k, cat_l, cat_r, fa_weight, 0)
                             cell.setdefault(cat_l.result, []).append(back)
-                        if (
-                            isinstance(cat_r, Slash)
-                            and cat_r.slash == BACKWARD
-                            and cat_r.argument == cat_l
-                        ):
+                        if type(cat_r) is Slash and cat_r.argument is cat_l and cat_r.slash == BACKWARD:
                             back = ("ba", k, cat_l, cat_r, ba_weight, skipped)
                             cell.setdefault(cat_r.result, []).append(back)
             if cell and j not in row:
                 row[j] = cell
-                insort(ends[i], j)
+                fresh.append((i, j))
 
     cells = {(i, j): cell for i, row in enumerate(rows) for j, cell in row.items()}
     chart = Chart(tuple(words), cells)
@@ -261,19 +263,22 @@ def inside(chart: Chart, start: Callable[[], Value], combine: Callable[..., Valu
     # back[1:4] of a binary backpointer over (i, j) are its split point k and
     # the categories of its daughters (i, k) and (k, j).
     readers = {(0, len(chart.words), cat): 0 for cat in chart.roots}
+    reached = []  # each item under a root with its backpointers, mothers first
     # Longest spans first: a mother's span is longer than its daughters'.
     for (i, j), cell in sorted(chart.cells.items(), key=lambda item: item[0][0] - item[0][1]):
         for cat, backs in cell.items():
-            for back in backs if (i, j, cat) in readers else ():
-                if isinstance(back, tuple):
-                    for daughter in ((i, back[1], back[2]), (back[1], j, back[3])):
-                        readers[daughter] = readers.get(daughter, 0) + 1
+            if (i, j, cat) in readers:
+                reached.append(((i, j, cat), backs))
+                for back in backs:
+                    if type(back) is tuple:
+                        for daughter in ((i, back[1], back[2]), (back[1], j, back[3])):
+                            readers[daughter] = readers.get(daughter, 0) + 1
     values: dict[tuple[int, int, Category], Value] = {}
-    for item in sorted(readers, key=lambda item: item[1] - item[0]):
-        i, j, cat = item
+    for item, backs in reversed(reached):
+        i, j, _ = item
         value = start()
-        for back in chart.cells[(i, j)][cat]:
-            if isinstance(back, LexEntry):
+        for back in backs:
+            if type(back) is not tuple:
                 value = combine(value, item, back, None, None)
                 continue
             left, right = (i, back[1], back[2]), (back[1], j, back[3])

@@ -70,8 +70,8 @@ from .semantics import (
     REDUCTION_BUDGET, App, Con, IntC, Lam, ReductionBudgetError, Term, Var, beta_reduce
 )
 from .stl import (
-    And, F, Formula, G, Interval, Or, canonical_form, canonical_junction, canonical_not,
-    canonical_temporal, canonicalize, extent,
+    _NODES, And, F, Formula, G, Interval, Or, canonical_form, canonical_junction, canonical_not,
+    canonical_temporal, canonicalize, extent, sharing,
 )
 
 
@@ -245,7 +245,7 @@ def _chains(chi: Formula) -> int:
     if type(chi) is F:
         return 1
     if type(chi) is And:
-        return sum(type(child) is F for child in chi.children)
+        return list(map(type, chi.children)).count(F)
     return 0
 
 
@@ -253,17 +253,21 @@ def _seq_insert(chi: Formula, tail: Formula) -> Formula:
     """Conjoin ``tail`` into the unique eventually-conjunct of a canonical
     ``chi``, recursively, or directly at ``chi`` when there is none (or
     several).  Every child of a canonical node is canonical, so the walk
-    never meets a nested conjunction."""
+    never meets a nested conjunction.  A sharing call's node table memoizes it
+    by the pair's identities: each formula of a call is in that table or a template."""
+    memo, key = _NODES.get(), ("SEQ", id(chi), id(tail))
+    if key in memo:
+        return memo[key]
     if type(chi) is F:
-        return canonical_temporal(F, chi.interval, _seq_insert(chi.child, tail))
-    if type(chi) is And:
-        tasks = [i for i, child in enumerate(chi.children) if type(child) is F]
-        if len(tasks) == 1:
-            (idx,) = tasks
-            updated = (_seq_insert(chi.children[idx], tail),)
-            return canonical_junction(And, chi.children[:idx] + updated + chi.children[idx + 1 :])
-        return canonical_junction(And, chi.children + (tail,))
-    return canonical_junction(And, (chi, tail))
+        result = canonical_temporal(F, chi.interval, _seq_insert(chi.child, tail))
+    elif _chains(chi) == 1:  # a conjunction with one eventually task
+        idx = list(map(type, chi.children)).index(F)
+        updated = (_seq_insert(chi.children[idx], tail),)
+        result = canonical_junction(And, chi.children[:idx] + updated + chi.children[idx + 1 :])
+    else:  # a conjunction child gives its members
+        result = canonical_junction(And, (chi, tail))
+    memo[key] = result
+    return result
 
 
 def _exp(score: float) -> float:
@@ -492,6 +496,7 @@ def _bundled_lexicon() -> Lexicon:
     return load_default_lexicon()
 
 
+@sharing
 def analyze(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> tuple[CandidateSet, list[DerivationReport]]:
@@ -563,6 +568,7 @@ def pack_meanings(chart: Chart) -> tuple[list[tuple[Formula, float, int]], int, 
     return weighted, total, discarded
 
 
+@sharing
 def translate(
     sentence: str, lexicon: Optional[Lexicon] = None, n: int = DEFAULT_N_BEST
 ) -> CandidateSet:

@@ -7,7 +7,7 @@ class, equal fields), the hash of the field tuple, the
 ``Name(field=value, ...)`` repr and ``__match_args__``; nothing is
 generated per class.  Assignment and deletion raise :class:`AttributeError`.
 A slot whose name starts with an underscore is not a field; it holds a
-cache, such as a stored hash.
+cache, such as a formula's rendering.  Interned CCG categories compare by identity.
 """
 
 from __future__ import annotations
@@ -50,6 +50,6 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        # Rebuilt through __init__, so copies and unpickled values are checked
-        # again and caches such as a stored hash are recomputed.
+        # Rebuilt through the constructor, so copies and unpickled values are
+        # checked again, caches are recomputed and interned values stay one object.
         return type(self), self._values(self)

@@ -10,17 +10,21 @@ Every rendering is built by one node renderer, ``_text``: the text of
 :func:`format_formula` and the canonical rendering.  The canonical
 constructors (:func:`canonical_not`, :func:`canonical_junction`,
 :func:`canonical_temporal`) build a node over canonical children and keep
-its rendering; :func:`canonical_form` folds any formula through them.  The
-canonical rendering is the one formula key: the translation pipeline packs
-meanings and deduplicates the candidate set by it, so it is deterministic
-down to the byte.
+its rendering and extent; :func:`canonical_form` folds any formula through
+them.  Within a :func:`sharing` call they are hash-consed: a node is built
+once per kind, interval and children, while equality stays structural.
+The canonical rendering is the one formula key: the translation pipeline
+packs meanings and deduplicates candidates by it, to the byte.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import TYPE_CHECKING, Iterable
+from contextvars import ContextVar
+from functools import wraps
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .record import Record
 from .text import scan
@@ -76,9 +80,9 @@ class Formula(Record):
     (:class:`~ambistl.record.Record`), and the node classes are final: the
     walkers dispatch on exact types.  A canonical node that a canonical
     constructor built or :func:`canonical_form` returned keeps its rendering
-    in the ``_canonical`` slot; a node with that slot is canonical."""
+    and extent in the ``_canonical`` and ``_extent`` slots; it is canonical."""
 
-    __slots__ = ("_canonical",)
+    __slots__ = ("_canonical", "_extent")
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -204,6 +208,33 @@ def format_formula(formula: Formula) -> str:
         raise FormulaDepthError(_TOO_DEEP) from None
 
 
+class _Unshared(dict):
+    """The node table outside a sharing call: it keeps nothing."""
+
+    def __setitem__(self, key: object, value: object) -> None:
+        pass
+
+
+# The nodes of the current sharing call by kind, interval and child identities.
+_NODES: ContextVar[dict] = ContextVar("ambistl.stl.nodes", default=_Unshared())
+
+
+def sharing(fn: Callable) -> Callable:
+    """``fn`` with a node table for its call, dropped on return or error: the
+    canonical constructors build one node per kind, interval and children."""
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        token = None if type(_NODES.get()) is dict else _NODES.set({})  # the outermost makes it
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if token is not None:
+                _NODES.reset(token)
+
+    return call
+
+
 def canonicalize(formula: Formula) -> Formula:
     """Rewrite a formula to its canonical normal form.
 
@@ -219,6 +250,7 @@ def canonicalize(formula: Formula) -> Formula:
     return canonical_form(formula)[0]
 
 
+@sharing
 def canonical_form(formula: Formula) -> tuple[Formula, str]:
     """:func:`canonicalize` and :func:`format_formula` of the result.  A
     canonical node keeps its rendering, which is read; any other formula is
@@ -243,12 +275,18 @@ def _fold(node: Formula) -> Formula:
         return canonical_junction(kind, map(_fold, node.children))
     if kind is F or kind is G or kind is Until:
         return canonical_temporal(kind, node.interval, *map(_fold, _children(node)))
-    return _keep(node, [])  # a leaf is canonical as it is
+    return _keep(node, [], 0, (kind.__name__, id(node)))  # a leaf is canonical as it is
 
 
-def _keep(node: Formula, parts: list[str]) -> Formula:
-    """The canonical ``node``, keeping its rendering from its children's ``parts``."""
-    object.__setattr__(node, "_canonical", _text(node, parts))  # a cache slot, not a field
+_EXTENT = attrgetter("_extent")
+
+
+def _keep(node: Formula, parts: list[str], horizon: int, key: tuple) -> Formula:
+    """The canonical ``node``, rendered from its children's ``parts``, with
+    extent ``horizon``; the node table keeps it under ``key``."""
+    object.__setattr__(node, "_canonical", _text(node, parts))  # cache slots, not fields
+    object.__setattr__(node, "_extent", horizon)
+    _NODES.get()[key] = node
     return node
 
 
@@ -256,7 +294,8 @@ def canonical_not(child: Formula) -> Formula:
     """The canonical negation of a canonical ``child``: ``!!f`` is ``f``."""
     if type(child) is Not:
         return child.child
-    return _keep(Not(child), [child._canonical])
+    key = ("Not", id(child))
+    return _NODES.get().get(key) or _keep(Not(child), [child._canonical], child._extent, key)
 
 
 def canonical_junction(kind: type[And] | type[Or], children: Iterable[Formula]) -> Formula:
@@ -270,22 +309,28 @@ def canonical_junction(kind: type[And] | type[Or], children: Iterable[Formula]) 
     if len(members) == 1:
         return members.popitem()[1]
     parts = sorted(members)
-    return _keep(kind(tuple(map(members.__getitem__, parts))), parts)
+    ordered = tuple(map(members.__getitem__, parts))
+    key = (kind.__name__, *map(id, ordered))
+    return _NODES.get().get(key) or _keep(kind(ordered), parts, max(map(_EXTENT, ordered)), key)
 
 
 def canonical_temporal(kind: type, interval: Interval, *children: Formula) -> Formula:
     """The ``kind`` operator (F, G or Until) over canonical ``children``."""
-    return _keep(kind(interval, *children), [child._canonical for child in children])
+    key = (kind.__name__, interval.lo, interval.hi, *map(id, children))
+    return _NODES.get().get(key) or _keep(
+        kind(interval, *children), [child._canonical for child in children],
+        interval.hi + max(map(_EXTENT, children)), key,
+    )
 
 
 def extent(formula: Formula) -> int:
     """Temporal horizon: the farthest step the formula can look ahead."""
+    if hasattr(formula, "_extent"):  # a canonical node keeps it
+        return formula._extent
     below = 0
     try:
         for child in _children(formula):
-            horizon = extent(child)
-            if horizon > below:
-                below = horizon
+            below = max(below, extent(child))
     except RecursionError:
         raise FormulaDepthError(_TOO_DEEP) from None
     kind = type(formula)

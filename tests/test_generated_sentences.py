@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +21,14 @@ from hypothesis import strategies as st
 from ambistl.lexicon import NUM, ROOT_CATEGORIES, Basic, Slash
 from ambistl.parser import fill_chart, inside, parse_nbest, tokenize
 from ambistl.pipeline import EmptyCandidateSetError, IllFormedMeaningError, analyze, translate
-from ambistl.stl import format_formula, parse_formula
+from ambistl.regions import load_regions
+from ambistl.stl import EmptyWindowError, format_formula, parse_formula, robustness
+from ambistl.trajectory import Trajectory
 
-from conftest import CUSTOM_ENTRIES, custom_lexicon
+from conftest import CUSTOM_ENTRIES, REPO, custom_lexicon
 from conversion_reference import reference_formula
 from derivation_reference import enumerated
+from oracle import brute_force_robustness
 from packing_reference import reference_canonicalize
 
 # Depth 7 reaches chains, disjunctions and guards inside one another; the
@@ -85,6 +89,29 @@ def sentences(lexicon, depth: int = MAX_DEPTH):
     return draw_sentence()
 
 
+# A short random walk over the demo regions, on which the oracle can check
+# every candidate at every t.
+REGIONS = load_regions((REPO / "demos" / "data" / "regions.txt").read_text(encoding="utf-8"))
+WALK = Trajectory(4.0 + np.cumsum(np.random.default_rng(7).normal(0.0, 0.8, (60, 2)), axis=0))
+
+
+def check_robustness_against_oracle(formula) -> None:
+    """``robustness`` of ``formula`` agrees with the brute-force oracle at
+    every t of :data:`WALK`: the same value within 1e-12, or both find an
+    empty window."""
+    points = WALK.states.tolist()
+    boxes = {name: (box.xmin, box.ymin, box.xmax, box.ymax) for name, box in REGIONS.boxes.items()}
+    for t in range(len(points)):
+        try:
+            want = brute_force_robustness(formula, points, boxes, t)
+        except ValueError:
+            with pytest.raises(EmptyWindowError):
+                robustness(formula, WALK, REGIONS, t)
+            continue
+        got = robustness(formula, WALK, REGIONS, t)
+        assert abs(got - want) <= 1e-12, f"{format_formula(formula)} at t={t}: {got} != {want}"
+
+
 def count_derivations(total: int, item, back, left, right) -> int:
     """A counting reader of :func:`inside`: an item's derivations."""
     return total + (1 if left is None else left * right)
@@ -102,7 +129,7 @@ def reference_support(reports) -> Counter:
     return support
 
 
-def check_against_enumeration(sentence: str, lex) -> None:
+def check_against_enumeration(sentence: str, lex):
     """``translate`` and ``analyze`` give what enumerating every derivation
     gives.  Every candidate is in the reference canonical form, rendered by
     ``format_formula``, parses back to itself, and has as many derivations
@@ -110,7 +137,8 @@ def check_against_enumeration(sentence: str, lex) -> None:
     is still caught.  The full listing of ``analyze`` groups into the
     candidates by formula, its discarded reports number the discards, the
     probabilities sum to one, and counting over :func:`inside` counts every
-    derivation."""
+    derivation.  Returns the candidate set, or ``None`` when every
+    derivation is discarded."""
     words = tokenize(sentence)
     n_trees = len(parse_nbest(words, lex, n=sys.maxsize))
     assert sum(inside(fill_chart(words, lex), int, count_derivations)) == n_trees
@@ -145,6 +173,7 @@ def check_against_enumeration(sentence: str, lex) -> None:
     assert listed == {cand.formula: cand.support_count for cand in got.candidates}
     assert sum(report.error is not None for report in reports) == got.discarded_count
     assert reference_support(reports) == {cand.text: cand.support_count for cand in got.candidates}
+    return got
 
 
 @pytest.fixture(scope="module", params=list(CUSTOM_ENTRIES))
@@ -157,7 +186,9 @@ def custom(request, lexicon):
 @settings(deadline=None)
 @given(data=st.data())
 def test_translate_equals_enumeration_on_generated_sentences(lexicon, data):
-    check_against_enumeration(data.draw(sentences(lexicon), label="sentence"), lexicon)
+    got = check_against_enumeration(data.draw(sentences(lexicon), label="sentence"), lexicon)
+    for cand in got.candidates if got is not None else ():
+        check_robustness_against_oracle(cand.formula)
 
 
 # Each custom lexicon takes its own draws: ill-formed whiles, stuck

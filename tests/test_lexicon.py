@@ -1,4 +1,6 @@
 import io
+import sys
+import threading
 
 import pytest
 
@@ -52,21 +54,49 @@ def test_category_round_trip():
 
 
 def test_categories_parsed_apart_key_one_entry():
+    """Categories are interned: parsing one twice gives the same object."""
     texts = ["S", "NP", r"S\NP", "S/NP", r"(S\S)/S", r"((S/S)/UNIT)/NUM", r"(NP\NP)/NP"]
     table = {}
     for text in texts:
         first, second = parse_category(text), parse_category(text)
-        assert first is not second
+        assert first is second
         assert first == second and hash(first) == hash(second)
         table[first] = text
         assert table[second] == text
         table[second] = text + "!"
         assert table[first] == text + "!"
     assert len(table) == len(texts)
-    # The stored hash is the hash of the field tuple, as a rebuilt value's.
     nested = parse_category(r"(S\S)/S")
-    assert hash(nested) == hash(("/", Slash("\\", Basic("S"), Basic("S")), Basic("S")))
-    assert hash(Basic("S")) == hash(("S",))
+    assert nested is Slash("/", Slash("\\", Basic("S"), Basic("S")), Basic("S"))
+    assert nested.result.result is nested.argument is Basic("S")
+
+
+def test_threads_building_one_new_category_get_one_object():
+    """The intern table is filled with ``dict.setdefault``, so threads that
+    build the same new categories at once all get the objects stored."""
+    names = [f"FRESH{i}" for i in range(300)]
+    start = threading.Barrier(4, timeout=30)
+    built = []
+
+    def build():
+        start.wait()
+        built.append([Slash("/", Basic(name), Slash("\\", Basic(name), Basic("NP"))) for name in names])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 4
+    for cats in zip(*built):
+        assert all(cat is cats[0] for cat in cats)
+        assert cats[0].result is cats[0].argument.result
 
 
 def test_equal_categories_are_one_object_per_lexicon(lexicon):

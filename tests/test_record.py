@@ -67,6 +67,8 @@ VALUES = [
      lambda: RobustnessReport("b", (ReportRow("phi_b", 1.0, 0.5, True),))),
 ]
 UNHASHABLE = {Lexicon, Chart, RegionMap, Trajectory}
+# Interned classes: equal values are one object, and equality is identity.
+INTERNED = {Basic, Slash}
 
 
 def _ids(cases):
@@ -86,7 +88,7 @@ def test_every_value_class_is_covered():
 @pytest.mark.parametrize("cls, fields, make", VALUES, ids=_ids(VALUES))
 def test_value_semantics(cls, fields, make):
     value, twin = make(), make()
-    assert type(value) is cls and value is not twin
+    assert type(value) is cls and (value is twin) == (cls in INTERNED)
     assert value == twin and not value != twin
     if cls in UNHASHABLE:
         with pytest.raises(TypeError):
@@ -102,6 +104,9 @@ def test_value_semantics(cls, fields, make):
     assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(fields, values))})"
     assert repr(pickle.loads(pickle.dumps(value))) == repr(value)
     assert copy.copy(value) == value
+    if cls in INTERNED:
+        assert pickle.loads(pickle.dumps(value)) is value
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
 
     for name in fields + ("other",):
         with pytest.raises(AttributeError):
