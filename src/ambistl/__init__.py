@@ -2,10 +2,10 @@
 candidates, with quantitative robustness evaluation on 2-D trajectories.
 
 Importing the package loads the numpy-free modules only: translation,
-formulas and regions.  The trajectory names (``Trajectory``,
-``load_trajectory``, ``evaluate_candidates``, ``RobustnessReport``) are
-resolved from :mod:`ambistl.trajectory` on first access, and that first
-access is what loads numpy.
+formulas and regions.  The names of the numeric layer (``Trajectory``,
+``load_trajectory``, ``robustness``, ``evaluate_candidates``,
+``RobustnessReport``) are resolved from :mod:`ambistl.trajectory` on first
+access, and that first access is what loads numpy.
 """
 
 from .lexicon import (
@@ -48,7 +48,6 @@ from .stl import (
     extent,
     format_formula,
     parse_formula,
-    robustness,
 )
 from .regions import Box, RegionMap, load_regions
 
@@ -105,7 +104,7 @@ __all__ = [
 ]
 
 _TRAJECTORY_NAMES = frozenset(
-    {"RobustnessReport", "Trajectory", "evaluate_candidates", "load_trajectory"}
+    {"RobustnessReport", "Trajectory", "evaluate_candidates", "load_trajectory", "robustness"}
 )
 
 

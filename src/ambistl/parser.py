@@ -38,13 +38,14 @@ from itertools import accumulate
 from typing import Callable, Sequence, TypeVar, Union
 
 from .lexicon import (
-    BACKWARD, FORWARD, ROOT_CATEGORIES, Category, LexEntry, Lexicon, Slash, format_category, lookup
+    BACKWARD, FORWARD, ROOT_CATEGORIES, Basic, Category, LexEntry, Lexicon, Slash, format_category, lookup
 )
 from .record import Record
 
 LOCALITY_PENALTY = 0.7
 POST_MODIFIER_HEADS = ("while", "within")
 DEFAULT_N_BEST = 40
+_ROOTS = frozenset(map(Basic, ROOT_CATEGORIES))  # interned, so compared by identity
 
 
 class ParserError(Exception):
@@ -168,7 +169,7 @@ class Chart(Record):
     def roots(self) -> list[Category]:
         """Categories in ``ROOT_CATEGORIES`` over the whole sentence."""
         top = self.cells.get((0, len(self.words)), ())
-        return [cat for cat in top if format_category(cat) in ROOT_CATEGORIES]
+        return [cat for cat in top if cat in _ROOTS]
 
 
 def fill_chart(words: Sequence[str], lexicon: Lexicon) -> Chart:

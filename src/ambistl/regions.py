@@ -5,22 +5,18 @@ signed margin of a point with respect to a box is the smallest distance to
 any face, positive inside, zero on the boundary and negative outside, so an
 atom holds at a state exactly when its margin is positive.
 
-This module does not import numpy, so translating a sentence and reading a
-regions file never load it; :meth:`Box.margins` works on the arrays that
-:mod:`ambistl.trajectory` builds.  A regions file is broken into lines by
-:func:`ambistl.text.lines`, as every line-based file of the package is.
+This module holds no evaluation code and does not import numpy, so reading
+a regions file never loads it; :func:`ambistl.trajectory.margins` takes the
+margins.  A regions file is broken into lines by :func:`ambistl.text.lines`,
+as every line-based file of the package is.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .record import Record
 from .text import TextSource, lines
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 
 class RegionFileError(ValueError):
@@ -41,18 +37,6 @@ class Box(Record):
         object.__setattr__(self, "ymin", ymin)
         object.__setattr__(self, "xmax", xmax)
         object.__setattr__(self, "ymax", ymax)
-
-    def margins(self, points: np.ndarray) -> np.ndarray:
-        """Signed distance of each row of an (N, 2) array to the nearest face;
-        positive strictly inside."""
-        # Local: the caller already holds a numpy array, so numpy is loaded.
-        import numpy as np
-
-        px, py = points[:, 0], points[:, 1]
-        # np.minimum keeps its second argument on a tie, so passing the faces
-        # in reverse keeps the first of two equal zeros, as the builtin min does.
-        m = np.minimum(self.xmax - px, px - self.xmin)
-        return np.minimum(self.ymax - py, np.minimum(py - self.ymin, m))
 
 
 class RegionMap(Record):

@@ -1,10 +1,11 @@
-"""Discrete-time STL formulas: syntax tree, canonical form, horizon, robustness.
+"""Discrete-time STL formulas: syntax tree, canonical form, horizon, reader.
 
 Formulas are immutable trees built from True, atoms, boolean connectives and
 the bounded temporal operators F (eventually), G (always) and U (until).
-Atoms are named propositions; when a formula is evaluated on a trajectory,
-each atom is grounded through a region map that assigns it a signed margin
-at every state.
+Atoms are named propositions.  The module holds no evaluation code and
+imports no numpy, so the translation path and the command line use its
+formulas and its :class:`StlError` family without loading numpy; robustness
+on a trajectory is :func:`ambistl.trajectory.robustness`.
 
 Every rendering is built by one node renderer, ``_text``: the text of
 :func:`format_formula` and the canonical rendering.  The canonical
@@ -19,19 +20,13 @@ packs meanings and deduplicates candidates by it, to the byte.
 
 from __future__ import annotations
 
-import math
-import numbers
 from contextvars import ContextVar
 from functools import wraps
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from .record import Record
 from .text import scan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
-    from .regions import RegionMap
-    from .trajectory import Trajectory
 
 
 class StlError(Exception):
@@ -335,82 +330,6 @@ def extent(formula: Formula) -> int:
         raise FormulaDepthError(_TOO_DEEP) from None
     kind = type(formula)
     return formula.interval.hi + below if kind is F or kind is G or kind is Until else below
-
-
-def robustness(formula: Formula, x: "Trajectory", regions: "RegionMap", t: int = 0) -> float:
-    """Quantitative satisfaction degree of ``formula`` on trajectory ``x`` at time ``t``.
-
-    Positive means satisfied, negative violated.  Atom robustness is the
-    signed box margin of the state; boolean connectives take min and max;
-    F and G take max and min over the shifted window, clipped to the end
-    of the trajectory; U combines both.  A window whose intersection with
-    the trajectory is empty raises :class:`EmptyWindowError`, signalling
-    that the trajectory is too short to judge the formula at all.
-
-    An atom's margins up to step ``t + extent(formula)`` are computed in
-    one numpy pass on its first visit and dropped on return, so the first
-    error in evaluation order is raised, :class:`UnknownAtomError` included.
-    A ``t`` that is not an integer (a bool or a float included) raises
-    :class:`TypeError`.
-    """
-    if isinstance(t, bool) or not isinstance(t, numbers.Integral):
-        raise TypeError(f"time index t must be an integer, got {t!r}")
-    horizon = len(x) - 1
-    if t < 0 or t > horizon:
-        raise EmptyWindowError(f"time index {t} outside trajectory [0,{horizon}]")
-    signals = _MarginSignals(x.states[: min(t + extent(formula), horizon) + 1], regions)
-    try:
-        return _rob(formula, signals, t, horizon)
-    except RecursionError:
-        raise FormulaDepthError(_TOO_DEEP) from None
-
-
-class _MarginSignals(dict):
-    """Atom name -> margin at each step of ``states``, filled on first lookup."""
-
-    def __init__(self, states, regions: "RegionMap") -> None:
-        super().__init__()
-        self.states, self.regions = states, regions
-
-    def __missing__(self, name: str) -> list[float]:
-        if name not in self.regions:
-            raise UnknownAtomError(f"atom '{name}' has no region")
-        signal = self[name] = self.regions.boxes[name].margins(self.states).tolist()
-        return signal
-
-
-def _window(t: int, interval: Interval, horizon: int) -> range:
-    lo = t + interval.lo
-    hi = min(t + interval.hi, horizon)
-    if lo > hi:
-        raise EmptyWindowError(
-            f"window t+{interval} = [{lo},{t + interval.hi}] has no overlap with [0,{horizon}]"
-        )
-    return range(lo, hi + 1)
-
-
-def _rob(f: Formula, signals: _MarginSignals, t: int, horizon: int) -> float:
-    if isinstance(f, TrueF):
-        return math.inf
-    if isinstance(f, Atom):
-        return signals[f.name][t]
-    if isinstance(f, Not):
-        return -_rob(f.child, signals, t, horizon)
-    if isinstance(f, And):
-        return min(_rob(c, signals, t, horizon) for c in f.children)
-    if isinstance(f, Or):
-        return max(_rob(c, signals, t, horizon) for c in f.children)
-    if isinstance(f, F):
-        return max(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
-    if isinstance(f, G):
-        return min(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
-    if isinstance(f, Until):
-        best = -math.inf
-        for t1 in _window(t, f.interval, horizon):
-            hold = min(_rob(f.left, signals, t2, horizon) for t2 in range(t, t1 + 1))
-            best = max(best, min(_rob(f.right, signals, t1, horizon), hold))
-        return best
-    raise TypeError(f"not a formula node: {f!r}")
 
 
 # ---------------------------------------------------------------------------

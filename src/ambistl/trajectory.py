@@ -1,22 +1,29 @@
-"""Trajectories, their CSV loader and robustness reports over candidate sets.
+"""Trajectories, their CSV loader, robustness and reports over candidate sets.
 
-This is the one module of the package that imports numpy: a trajectory is an
-``(N, 2)`` array of states.  The region types and :func:`load_regions` live
-in :mod:`ambistl.regions`, which does not import numpy.
+This is the one module of the package that imports numpy, and its one
+numeric layer: a trajectory is an ``(N, 2)`` array of states, on which the
+atom :func:`margins` and :func:`robustness` work.  The formulas and the
+regions live in :mod:`ambistl.stl` and :mod:`ambistl.regions`, which import
+neither numpy nor this module.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import numbers
 import warnings
 
 import numpy as np
 
 from .pipeline import CandidateSet
 from .record import Record
-from .regions import RegionMap
-from .stl import UnknownAtomError, atoms_of, extent, robustness
+from .regions import Box, RegionMap
+from .stl import (
+    _TOO_DEEP, And, Atom, EmptyWindowError, F, Formula, FormulaDepthError, G, Interval, Not, Or,
+    TrueF, UnknownAtomError, Until, atoms_of, extent,
+)
 from .text import TextSource, lines
 
 
@@ -135,6 +142,94 @@ def _states_row_by_row(text: str) -> np.ndarray:
         except ValueError:
             raise TrajectoryFileError(f"row {expected_t + 2}: non-numeric coordinate") from None
     return np.array(points)
+
+
+def margins(box: Box, points: np.ndarray) -> np.ndarray:
+    """Signed distance of each row of an (N, 2) array to the nearest face of
+    ``box``; positive strictly inside."""
+    px, py = points[:, 0], points[:, 1]
+    # np.minimum keeps its second argument on a tie, so passing the faces
+    # in reverse keeps the first of two equal zeros, as the builtin min does.
+    m = np.minimum(box.xmax - px, px - box.xmin)
+    return np.minimum(box.ymax - py, np.minimum(py - box.ymin, m))
+
+
+def robustness(formula: Formula, x: Trajectory, regions: RegionMap, t: int = 0) -> float:
+    """Quantitative satisfaction degree of ``formula`` on trajectory ``x`` at time ``t``.
+
+    Positive means satisfied, negative violated.  Atom robustness is the
+    signed box margin of the state; boolean connectives take min and max;
+    F and G take max and min over the shifted window, clipped to the end
+    of the trajectory; U combines both.  A window whose intersection with
+    the trajectory is empty raises :class:`EmptyWindowError`, signalling
+    that the trajectory is too short to judge the formula at all.
+
+    An atom's margins up to step ``t + extent(formula)`` are computed in
+    one numpy pass on its first visit and dropped on return, so the first
+    error in evaluation order is raised, :class:`UnknownAtomError` included.
+    A ``t`` that is not an integer (a bool or a float included) raises
+    :class:`TypeError`.
+    """
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+        raise TypeError(f"time index t must be an integer, got {t!r}")
+    horizon = len(x) - 1
+    if t < 0 or t > horizon:
+        raise EmptyWindowError(f"time index {t} outside trajectory [0,{horizon}]")
+    signals = _MarginSignals(x.states[: min(t + extent(formula), horizon) + 1], regions)
+    try:
+        return _rob(formula, signals, t, horizon)
+    except RecursionError:
+        raise FormulaDepthError(_TOO_DEEP) from None
+
+
+class _MarginSignals(dict):
+    """Atom name -> margin at each step of ``states``, filled on first lookup."""
+
+    def __init__(self, states: np.ndarray, regions: RegionMap) -> None:
+        super().__init__()
+        self.states, self.regions = states, regions
+
+    def __missing__(self, name: str) -> list[float]:
+        if name not in self.regions:
+            raise UnknownAtomError(f"atom '{name}' has no region")
+        signal = self[name] = margins(self.regions.boxes[name], self.states).tolist()
+        return signal
+
+
+def _window(t: int, interval: Interval, horizon: int) -> range:
+    lo = t + interval.lo
+    hi = min(t + interval.hi, horizon)
+    if lo > hi:
+        raise EmptyWindowError(
+            f"window t+{interval} = [{lo},{t + interval.hi}] has no overlap with [0,{horizon}]"
+        )
+    return range(lo, hi + 1)
+
+
+def _rob(f: Formula, signals: _MarginSignals, t: int, horizon: int) -> float:
+    if isinstance(f, TrueF):
+        return math.inf
+    if isinstance(f, Atom):
+        return signals[f.name][t]
+    if isinstance(f, Not):
+        return -_rob(f.child, signals, t, horizon)
+    if isinstance(f, And):
+        return min(_rob(c, signals, t, horizon) for c in f.children)
+    if isinstance(f, Or):
+        return max(_rob(c, signals, t, horizon) for c in f.children)
+    if isinstance(f, F):
+        return max(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
+    if isinstance(f, G):
+        return min(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
+    if isinstance(f, Until):  # hold: the running minimum of the left operand over [t, t1]
+        window = _window(t, f.interval, horizon)
+        best, hold = -math.inf, math.inf
+        for t1 in range(t, window.stop):
+            hold = min(hold, _rob(f.left, signals, t1, horizon))
+            if t1 >= window.start:
+                best = max(best, min(_rob(f.right, signals, t1, horizon), hold))
+        return best
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 class ReportRow(Record):

@@ -38,9 +38,11 @@ def run_python(args: list[str], timeout: float | None = None, **env: str):
     )
 
 
-def kstep_sentence(k: int) -> str:
-    """'reach X within N seconds and then ... while avoiding A' with k tasks."""
-    tasks = " and then ".join(f"reach {'BCD'[i % 3]} within {10 + i} seconds" for i in range(k))
+def kstep_sentence(k: int, bounds: tuple[int, ...] = ()) -> str:
+    """'reach X within N seconds and then ... while avoiding A' with k tasks;
+    task i is bounded by ``bounds[i % len(bounds)]`` seconds, or by 10 + i."""
+    seconds = [bounds[i % len(bounds)] if bounds else 10 + i for i in range(k)]
+    tasks = " and then ".join(f"reach {'BCD'[i % 3]} within {seconds[i]} seconds" for i in range(k))
     return f"{tasks} while avoiding A."
 
 

@@ -28,10 +28,9 @@ from ambistl.stl import (
     canonicalize,
     extent,
     format_formula,
-    robustness,
 )
 from ambistl.regions import Box, RegionMap
-from ambistl.trajectory import Trajectory, evaluate_candidates
+from ambistl.trajectory import Trajectory, evaluate_candidates, robustness
 
 from conftest import DEMO_BOXES, random_formula, random_trajectory
 from oracle import brute_force_robustness

@@ -22,10 +22,10 @@ from ambistl.lexicon import NUM, ROOT_CATEGORIES, Basic, Slash
 from ambistl.parser import fill_chart, inside, parse_nbest, tokenize
 from ambistl.pipeline import EmptyCandidateSetError, IllFormedMeaningError, analyze, translate
 from ambistl.regions import load_regions
-from ambistl.stl import EmptyWindowError, format_formula, parse_formula, robustness
-from ambistl.trajectory import Trajectory
+from ambistl.stl import EmptyWindowError, extent, format_formula, parse_formula
+from ambistl.trajectory import Trajectory, robustness
 
-from conftest import CUSTOM_ENTRIES, REPO, custom_lexicon
+from conftest import CUSTOM_ENTRIES, REPO, custom_lexicon, kstep_sentence
 from conversion_reference import reference_formula
 from derivation_reference import enumerated
 from oracle import brute_force_robustness
@@ -110,6 +110,19 @@ def check_robustness_against_oracle(formula) -> None:
             continue
         got = robustness(formula, WALK, REGIONS, t)
         assert abs(got - want) <= 1e-12, f"{format_formula(formula)} at t={t}: {got} != {want}"
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_nested_kstep_readings_agree_with_oracle(lexicon, k):
+    """Each reading of a k-step sentence with bounds of at most 3 s nests k
+    eventualities, and its horizon fits the walk; its robustness agrees with
+    the oracle at every t, windows clipped at the walk's end included."""
+    candidate_set = translate(kstep_sentence(k, bounds=(1, 2, 3)), lexicon)
+    assert len(candidate_set.candidates) == k
+    for cand in candidate_set.candidates:
+        assert format_formula(cand.formula).count("F[") == k
+        assert extent(cand.formula) < WALK.horizon
+        check_robustness_against_oracle(cand.formula)
 
 
 def count_derivations(total: int, item, back, left, right) -> int:

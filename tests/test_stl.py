@@ -26,10 +26,9 @@ from ambistl.stl import (
     extent,
     format_formula,
     parse_formula,
-    robustness,
 )
 from ambistl.regions import Box, RegionMap
-from ambistl.trajectory import Trajectory
+from ambistl.trajectory import Trajectory, robustness
 
 from oracle import brute_force_robustness
 from packing_reference import reference_canonicalize

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from ambistl import trajectory as trajectory_module
 from ambistl.pipeline import aggregate, translate
-from ambistl.stl import UnknownAtomError, extent, robustness
+from ambistl.stl import Atom, Interval, Not, UnknownAtomError, Until, extent
 from ambistl.regions import Box, RegionFileError, RegionMap, load_regions
 from ambistl.trajectory import (
     Trajectory,
     TrajectoryFileError,
     evaluate_candidates,
     load_trajectory,
+    margins,
+    robustness,
 )
 
 from conftest import random_formula, random_trajectory
@@ -32,8 +34,8 @@ UNIT_BOX = Box(0.0, 0.0, 1.0, 1.0)
 
 
 def margin(box: Box, point) -> float:
-    """Box.margins on a one-row array."""
-    return float(box.margins(np.array([point], dtype=float))[0])
+    """margins of ``box`` on a one-row array."""
+    return float(margins(box, np.array([point], dtype=float))[0])
 
 
 def test_margin_inside_center():
@@ -49,7 +51,7 @@ def test_margin_on_boundary():
 
 
 def test_margins_equal_the_builtin_min_over_faces():
-    """Box.margins, on the whole array and on one-row arrays, equals min()
+    """margins, on the whole array and on one-row arrays, equals min()
     over the four face distances in the order left, right, bottom, top,
     down to the sign of a zero where two faces meet."""
     box = Box(0.0, -1.0, 2.0, 0.0)
@@ -58,7 +60,7 @@ def test_margins_equal_the_builtin_min_over_faces():
     expected = [
         repr(min(px - box.xmin, box.xmax - px, py - box.ymin, box.ymax - py)) for px, py in points
     ]
-    assert [repr(m) for m in box.margins(np.array(points)).tolist()] == expected
+    assert [repr(m) for m in margins(box, np.array(points)).tolist()] == expected
     assert [repr(margin(box, p)) for p in points] == expected
 
 
@@ -426,6 +428,35 @@ def test_formula_within_horizon_never_hits_an_empty_window(demo_regions):
         [row] = evaluate_candidates(aggregate([(formula, 0.0)]), x, demo_regions).rows
         assert row.error is None
     assert fitting > 100 and exceeding > 20
+
+
+@pytest.mark.parametrize("t, lo, hi", [(0, 0, 300), (2, 5, 300), (40, 0, 300)])
+def test_until_reads_each_operand_step_once(monkeypatch, demo_regions, t, lo, hi):
+    """U[lo,hi](!phi_a, phi_b) at t reads its left operand once at each step
+    from t to the window's end and its right operand once per window step,
+    in the order left(t), ..., left(t+lo), right(t+lo), left(t+lo+1), ...;
+    the value agrees with the oracle.  Windows clipped at the walk's end
+    (t = 40) stop both at the last step."""
+    formula = Until(Interval(lo, hi), Not(Atom("a")), Atom("b"))
+    x = random_trajectory(random.Random(7), min_len=301, max_len=301)
+    reads = []
+    rob = trajectory_module._rob
+
+    def counting(f, signals, step, horizon):
+        if f is formula.left or f is formula.right:
+            reads.append(("left" if f is formula.left else "right", step))
+        return rob(f, signals, step, horizon)
+
+    monkeypatch.setattr(trajectory_module, "_rob", counting)
+    value = robustness(formula, x, demo_regions, t)
+    last = min(t + hi, x.horizon)
+    expected = [("left", step) for step in range(t, t + lo)]
+    for step in range(t + lo, last + 1):
+        expected += [("left", step), ("right", step)]
+    assert reads == expected
+    points = [tuple(p) for p in x.states.tolist()]
+    boxes = {name: (b.xmin, b.ymin, b.xmax, b.ymax) for name, b in demo_regions.boxes.items()}
+    assert value == pytest.approx(brute_force_robustness(formula, points, boxes, t), abs=1e-12)
 
 
 def test_unknown_atom_aborts(lexicon):
