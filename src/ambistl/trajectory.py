@@ -14,6 +14,7 @@ import io
 import math
 import numbers
 import warnings
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -164,9 +165,17 @@ def robustness(formula: Formula, x: Trajectory, regions: RegionMap, t: int = 0) 
     the trajectory is empty raises :class:`EmptyWindowError`, signalling
     that the trajectory is too short to judge the formula at all.
 
-    An atom's margins up to step ``t + extent(formula)`` are computed in
-    one numpy pass on its first visit and dropped on return, so the first
-    error in evaluation order is raised, :class:`UnknownAtomError` included.
+    One call evaluates each temporal node (F, G, U) at most once per step:
+    its value is kept in a table keyed by node identity and step.  The work
+    is the sum, over distinct temporal nodes, of the steps at which each is
+    evaluated times its window width, not the product of nested window
+    widths.  An atom's margins up to step ``t + extent(formula)`` are
+    computed in one numpy pass on its first visit.  Only values that were
+    computed go into the table, and margins and table are dropped on
+    return, so the values and the first error in evaluation order are those
+    of the plain recursion, :class:`UnknownAtomError` included.  The calls
+    that :func:`evaluate_candidates` makes share one table and one set of
+    margins.
     A ``t`` that is not an integer (a bool or a float included) raises
     :class:`TypeError`.
     """
@@ -175,7 +184,11 @@ def robustness(formula: Formula, x: Trajectory, regions: RegionMap, t: int = 0) 
     horizon = len(x) - 1
     if t < 0 or t > horizon:
         raise EmptyWindowError(f"time index {t} outside trajectory [0,{horizon}]")
-    signals = _MarginSignals(x.states[: min(t + extent(formula), horizon) + 1], regions)
+    steps = min(t + extent(formula), horizon) + 1
+    shared = _SHARED.get()
+    fits = shared is not None and shared.x is x and shared.regions is regions
+    signals = shared if fits and len(shared.states) >= steps else _MarginSignals(x, regions, steps)
+    signals.roots.append(formula)  # alive, its nodes' ids key the table uniquely
     try:
         return _rob(formula, signals, t, horizon)
     except RecursionError:
@@ -183,17 +196,25 @@ def robustness(formula: Formula, x: Trajectory, regions: RegionMap, t: int = 0) 
 
 
 class _MarginSignals(dict):
-    """Atom name -> margin at each step of ``states``, filled on first lookup."""
+    """Atom name -> margin at each of the first ``steps`` steps of ``x``,
+    filled on first lookup; ``temporal`` maps (node id, step) to the value
+    of an F, G or U node of one of ``roots`` at that step."""
 
-    def __init__(self, states: np.ndarray, regions: RegionMap) -> None:
+    def __init__(self, x: Trajectory, regions: RegionMap, steps: int) -> None:
         super().__init__()
-        self.states, self.regions = states, regions
+        self.x, self.regions, self.states = x, regions, x.states[:steps]
+        self.temporal: dict[tuple[int, int], float] = {}
+        self.roots: list[Formula] = []
 
     def __missing__(self, name: str) -> list[float]:
         if name not in self.regions:
             raise UnknownAtomError(f"atom '{name}' has no region")
         signal = self[name] = margins(self.regions.boxes[name], self.states).tolist()
         return signal
+
+
+# The margins and table that the robustness calls of one evaluate_candidates call share.
+_SHARED: ContextVar[_MarginSignals | None] = ContextVar("_SHARED", default=None)
 
 
 def _window(t: int, interval: Interval, horizon: int) -> range:
@@ -217,19 +238,25 @@ def _rob(f: Formula, signals: _MarginSignals, t: int, horizon: int) -> float:
         return min(_rob(c, signals, t, horizon) for c in f.children)
     if isinstance(f, Or):
         return max(_rob(c, signals, t, horizon) for c in f.children)
+    key = (id(f), t)
+    value = signals.temporal.get(key)
+    if value is not None:
+        return value
     if isinstance(f, F):
-        return max(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
-    if isinstance(f, G):
-        return min(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
-    if isinstance(f, Until):  # hold: the running minimum of the left operand over [t, t1]
+        value = max(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
+    elif isinstance(f, G):
+        value = min(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
+    elif isinstance(f, Until):  # hold: the running minimum of the left operand over [t, t1]
         window = _window(t, f.interval, horizon)
-        best, hold = -math.inf, math.inf
+        value, hold = -math.inf, math.inf
         for t1 in range(t, window.stop):
             hold = min(hold, _rob(f.left, signals, t1, horizon))
             if t1 >= window.start:
-                best = max(best, min(_rob(f.right, signals, t1, horizon), hold))
-        return best
-    raise TypeError(f"not a formula node: {f!r}")
+                value = max(value, min(_rob(f.right, signals, t1, horizon), hold))
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    signals.temporal[key] = value
+    return value
 
 
 class ReportRow(Record):
@@ -298,7 +325,11 @@ def evaluate_candidates(
     All atoms must be grounded by ``regions``; an ungrounded atom raises
     :class:`UnknownAtomError` up front.  A candidate whose horizon exceeds
     the trajectory is reported as a per-row error instead of aborting the
-    whole report.
+    whole report.  The :func:`robustness` calls share one set of atom
+    margins, over the steps up to the largest extent that fits, and one
+    table of temporal values, so a subformula that candidates share (the
+    pipeline builds it once) is evaluated once per step for the whole set;
+    both are dropped on return.
     """
     needed: set[str] = set()
     for cand in candidate_set.candidates:
@@ -307,28 +338,33 @@ def evaluate_candidates(
     if missing:
         raise UnknownAtomError(f"atoms without regions: {', '.join(missing)}")
 
+    extents = [extent(cand.formula) for cand in candidate_set.candidates]
+    steps = max((e for e in extents if e <= x.horizon), default=0) + 1
     rows = []
-    for cand in candidate_set.candidates:
-        needed_horizon = extent(cand.formula)
-        if needed_horizon > x.horizon:
+    token = _SHARED.set(_MarginSignals(x, regions, steps))
+    try:
+        for cand, needed_horizon in zip(candidate_set.candidates, extents):
+            if needed_horizon > x.horizon:
+                rows.append(
+                    ReportRow(
+                        formula=cand.text,
+                        probability=cand.probability,
+                        robustness=None,
+                        satisfied=None,
+                        error=f"horizon-exceeded (needs T>={needed_horizon}, trajectory T={x.horizon})",
+                    )
+                )
+                continue
+            # extent <= horizon keeps every window robustness visits non-empty
+            value = robustness(cand.formula, x, regions, 0)
             rows.append(
                 ReportRow(
                     formula=cand.text,
                     probability=cand.probability,
-                    robustness=None,
-                    satisfied=None,
-                    error=f"horizon-exceeded (needs T>={needed_horizon}, trajectory T={x.horizon})",
+                    robustness=value,
+                    satisfied=value > 0,
                 )
             )
-            continue
-        # extent <= horizon keeps every window robustness visits non-empty
-        value = robustness(cand.formula, x, regions, 0)
-        rows.append(
-            ReportRow(
-                formula=cand.text,
-                probability=cand.probability,
-                robustness=value,
-                satisfied=value > 0,
-            )
-        )
+    finally:
+        _SHARED.reset(token)
     return RobustnessReport(sentence=candidate_set.sentence, rows=tuple(rows))

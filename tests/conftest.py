@@ -18,7 +18,7 @@ from ambistl.lexicon import format_lexicon, load_default_lexicon, load_lexicon
 from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, TrueF, Until
 from ambistl.regions import Box, RegionMap
 from ambistl.text import lines
-from ambistl.trajectory import Trajectory
+from ambistl.trajectory import Trajectory, evaluate_candidates, robustness
 
 # Property tests draw a fixed, derandomized set of examples, so tier-1 runs
 # the same inputs every time; ``pytest --hypothesis-profile long`` draws
@@ -137,6 +137,20 @@ def random_formula(rng: random.Random, depth: int) -> Formula:
     if kind == "G":
         return G(interval, random_formula(rng, depth - 1))
     return Until(interval, random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+
+
+def random_walk(length: int, seed: int = 5) -> Trajectory:
+    """A Gaussian random walk of ``length`` steps from the middle of the demo regions."""
+    return Trajectory(3.0 + np.cumsum(np.random.default_rng(seed).normal(0.0, 0.6, (length, 2)), axis=0))
+
+
+def assert_rows_are_calls_alone(candidate_set, x: Trajectory, regions: RegionMap) -> None:
+    """Each row of ``evaluate_candidates`` reads as the robustness of its
+    candidate computed alone: the same float, bit for bit."""
+    report = evaluate_candidates(candidate_set, x, regions)
+    for cand, row in zip(candidate_set.candidates, report.rows, strict=True):
+        if row.error is None:
+            assert repr(row.robustness) == repr(robustness(cand.formula, x, regions, 0)), cand.text
 
 
 def random_trajectory(rng: random.Random, min_len: int = 7, max_len: int = 10) -> Trajectory:

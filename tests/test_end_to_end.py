@@ -1,10 +1,12 @@
 """The entry points a user runs, each in a fresh interpreter: the demos,
-the Catalan-sized guarded chain through ``translate``, and ``eval`` on the
-demo trajectories with either line ending."""
+the Catalan-sized guarded chain through ``translate`` and ``eval``, and
+``eval`` on the demo trajectories with either line ending."""
+
+import json
 
 import pytest
 
-from conftest import REPO, guarded_sentence, run_python
+from conftest import REPO, guarded_sentence, random_walk, run_python
 
 DEMOS = sorted((REPO / "demos").glob("*.py"))
 DEMO_TRAJECTORIES = sorted((REPO / "demos" / "data").glob("traj_*.csv"))
@@ -27,6 +29,24 @@ def test_guarded_chain_of_eight_translates_in_bounded_time(joiner):
     done = run_python(["-m", "ambistl.cli", "translate", guarded_sentence(8, joiner)], timeout=60)
     assert done.returncode == 0, done.stderr.decode()
     assert len(done.stdout.splitlines()) == 1430
+
+
+def test_guarded_sequence_of_six_evaluates_in_bounded_time(tmp_path):
+    """132 readings of six guarded tasks in sequence on a 200-step walk,
+    within a minute. Each nested eventuality is evaluated once per step;
+    re-evaluating it at every step of its parent's window took more than a
+    minute."""
+    csv = tmp_path / "walk.csv"
+    rows = (f"{t},{x!r},{y!r}\n" for t, (x, y) in enumerate(random_walk(200).states.tolist()))
+    csv.write_text("t,x,y\n" + "".join(rows), encoding="utf-8")
+    done = run_python([
+        "-m", "ambistl.cli", "eval", "--format", "json", guarded_sentence(6, "and then"),
+        "--regions", "demos/data/regions.txt", "--trajectory", str(csv),
+    ], timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+    candidates = json.loads(done.stdout)["candidates"]
+    assert len(candidates) == 132
+    assert all(row["error"] is None for row in candidates)
 
 
 @pytest.mark.parametrize("csv", DEMO_TRAJECTORIES, ids=[csv.stem for csv in DEMO_TRAJECTORIES])

@@ -25,7 +25,9 @@ from ambistl.regions import load_regions
 from ambistl.stl import EmptyWindowError, extent, format_formula, parse_formula
 from ambistl.trajectory import Trajectory, robustness
 
-from conftest import CUSTOM_ENTRIES, REPO, custom_lexicon, kstep_sentence
+from conftest import (
+    CUSTOM_ENTRIES, REPO, assert_rows_are_calls_alone, custom_lexicon, kstep_sentence,
+)
 from conversion_reference import reference_formula
 from derivation_reference import enumerated
 from oracle import brute_force_robustness
@@ -202,6 +204,8 @@ def test_translate_equals_enumeration_on_generated_sentences(lexicon, data):
     got = check_against_enumeration(data.draw(sentences(lexicon), label="sentence"), lexicon)
     for cand in got.candidates if got is not None else ():
         check_robustness_against_oracle(cand.formula)
+    if got is not None:
+        assert_rows_are_calls_alone(got, WALK, REGIONS)
 
 
 # Each custom lexicon takes its own draws: ill-formed whiles, stuck

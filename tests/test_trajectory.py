@@ -2,6 +2,7 @@ import io
 import random
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from ambistl import trajectory as trajectory_module
 from ambistl.pipeline import aggregate, translate
-from ambistl.stl import Atom, Interval, Not, UnknownAtomError, Until, extent
+from ambistl.stl import And, Atom, F, G, Interval, Not, Or, UnknownAtomError, Until, extent
 from ambistl.regions import Box, RegionFileError, RegionMap, load_regions
 from ambistl.trajectory import (
     Trajectory,
@@ -22,7 +23,10 @@ from ambistl.trajectory import (
     robustness,
 )
 
-from conftest import random_formula, random_trajectory
+from conftest import (
+    REPO, assert_rows_are_calls_alone, guarded_sentence, kstep_sentence, random_formula,
+    random_trajectory, random_walk,
+)
 from loader_oracle import reference_load_trajectory
 from oracle import brute_force_robustness
 from reference_formulas import S8_GLOBAL, S8_LOCAL
@@ -457,6 +461,106 @@ def test_until_reads_each_operand_step_once(monkeypatch, demo_regions, t, lo, hi
     points = [tuple(p) for p in x.states.tolist()]
     boxes = {name: (b.xmin, b.ymin, b.xmax, b.ymax) for name, b in demo_regions.boxes.items()}
     assert value == pytest.approx(brute_force_robustness(formula, points, boxes, t), abs=1e-12)
+
+
+def count_evaluations(monkeypatch) -> Counter:
+    """Wrap ``_rob`` to count, per (temporal node id, step), the evaluations
+    that read an operand; a value read from the table reads none."""
+    rob = trajectory_module._rob
+    open_calls = []  # [node, step, has read an operand]
+    evaluations = Counter()
+
+    def counting(f, signals, step, horizon):
+        if open_calls and not open_calls[-1][2]:
+            open_calls[-1][2] = True
+            node, at, _ = open_calls[-1]
+            if isinstance(node, (F, G, Until)):
+                evaluations[id(node), at] += 1
+        open_calls.append([f, step, False])
+        try:
+            return rob(f, signals, step, horizon)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(trajectory_module, "_rob", counting)
+    return evaluations
+
+
+def temporal_depth(f) -> int:
+    """The most temporal operators on one path from the root to a leaf."""
+    if isinstance(f, (F, G)):
+        return 1 + temporal_depth(f.child)
+    if isinstance(f, Until):
+        return 1 + max(temporal_depth(f.left), temporal_depth(f.right))
+    if isinstance(f, Not):
+        return temporal_depth(f.child)
+    if isinstance(f, (And, Or)):
+        return max(map(temporal_depth, f.children))
+    return 0
+
+
+def test_a_candidate_set_evaluates_each_temporal_node_once_per_step(
+    monkeypatch, lexicon, demo_regions
+):
+    """The 42 readings of five guarded tasks in sequence share their nested
+    eventualities; over a 200-step walk no (node, step) is evaluated twice,
+    and each atom's margins are taken once for the whole set.
+    Re-evaluating each nested window at every step of its parent's took
+    seconds here and more than a minute with six tasks."""
+    candidate_set = translate(guarded_sentence(5, "and then"), lexicon)
+    evaluations = count_evaluations(monkeypatch)
+    margin_passes = []
+
+    def counting_margins(box, points):
+        margin_passes.append(box)
+        return margins(box, points)
+
+    monkeypatch.setattr(trajectory_module, "margins", counting_margins)
+    report = evaluate_candidates(candidate_set, random_walk(200), demo_regions)
+    assert len(report.rows) == 42 and all(row.error is None for row in report.rows)
+    assert evaluations and max(evaluations.values()) == 1
+    assert len(margin_passes) == 4  # one per atom: a, b, c and d
+
+
+def test_one_call_evaluates_each_temporal_node_once_per_step(monkeypatch, lexicon, demo_regions):
+    """A reading of five tasks in sequence nests five windows; alone, over
+    a 1,001-step walk, each nested node is evaluated once per step."""
+    candidate_set = translate(kstep_sentence(5), lexicon)
+    nested = max((cand.formula for cand in candidate_set.candidates), key=temporal_depth)
+    assert temporal_depth(nested) == 5
+    evaluations = count_evaluations(monkeypatch)
+    robustness(nested, random_walk(1001), demo_regions, 0)
+    assert len({node for node, _ in evaluations}) >= 5
+    assert max(evaluations.values()) == 1
+
+
+DEMO_DATA = REPO / "demos" / "data"
+
+
+@pytest.mark.parametrize("csv", ["traj_detour.csv", "traj_through_a.csv"])
+def test_report_rows_are_calls_alone_on_the_corpus(lexicon, corpus, csv):
+    """Sharing margins and temporal values across a set changes no value."""
+    regions = load_regions((DEMO_DATA / "regions.txt").read_text(encoding="utf-8"))
+    x = load_trajectory((DEMO_DATA / csv).read_text(encoding="utf-8"))
+    for sentence in corpus.values():
+        assert_rows_are_calls_alone(translate(sentence, lexicon), x, regions)
+
+
+def test_consecutive_reports_share_no_value(lexicon, demo_regions):
+    """What one call keeps is dropped on return: each call, on another walk
+    or on moved regions, agrees with the oracle."""
+    candidate_set = translate(guarded_sentence(3, "and then"), lexicon)
+    moved = RegionMap({name: Box(b.xmin + 0.5, b.ymin, b.xmax + 0.5, b.ymax)
+                       for name, b in demo_regions.boxes.items()})
+    for x, regions in [(random_walk(100, seed=1), demo_regions),
+                       (random_walk(100, seed=2), demo_regions), (random_walk(100, seed=2), moved)]:
+        report = evaluate_candidates(candidate_set, x, regions)
+        points = x.states.tolist()
+        boxes = {name: (b.xmin, b.ymin, b.xmax, b.ymax) for name, b in regions.boxes.items()}
+        for cand, row in zip(candidate_set.candidates, report.rows, strict=True):
+            want = brute_force_robustness(cand.formula, points, boxes, 0)
+            assert row.robustness == pytest.approx(want, abs=1e-12), cand.text
+    assert trajectory_module._SHARED.get() is None
 
 
 def test_unknown_atom_aborts(lexicon):
