@@ -170,12 +170,19 @@ def robustness(formula: Formula, x: Trajectory, regions: RegionMap, t: int = 0) 
     is the sum, over distinct temporal nodes, of the steps at which each is
     evaluated times its window width, not the product of nested window
     widths.  An atom's margins up to step ``t + extent(formula)`` are
-    computed in one numpy pass on its first visit.  Only values that were
-    computed go into the table, and margins and table are dropped on
-    return, so the values and the first error in evaluation order are those
-    of the plain recursion, :class:`UnknownAtomError` included.  The calls
-    that :func:`evaluate_candidates` makes share one table and one set of
-    margins.
+    computed in one numpy pass on its first visit.  An F or G whose operand
+    holds no F, G or U (only atoms, True, !, & and |) reads that operand's
+    values at every step, a Python list built once per call from the margin
+    lists, and takes the builtin max or min of one slice of it: its cost no
+    longer grows with its window.  The builtin reductions keep the first of
+    equal values, as the per-step recursion does, so even the sign of a zero
+    is unchanged.  Only values that were computed go into the table, the
+    window is checked before its operand, and the operand's structure before
+    any of its atoms is read; margins, lists and table are dropped on
+    return.  So the values and the first error in evaluation order are
+    those of the plain recursion, :class:`UnknownAtomError` included.  The
+    calls that :func:`evaluate_candidates` makes share one table, one set of
+    margins and one set of operand lists.
     A ``t`` that is not an integer (a bool or a float included) raises
     :class:`TypeError`.
     """
@@ -198,12 +205,15 @@ def robustness(formula: Formula, x: Trajectory, regions: RegionMap, t: int = 0) 
 class _MarginSignals(dict):
     """Atom name -> margin at each of the first ``steps`` steps of ``x``,
     filled on first lookup; ``temporal`` maps (node id, step) to the value
-    of an F, G or U node of one of ``roots`` at that step."""
+    of an F, G or U node of one of ``roots`` at that step, and ``operands``
+    maps the id of a window's operand to its value at each of those steps,
+    or to None if it holds an F, G or U."""
 
     def __init__(self, x: Trajectory, regions: RegionMap, steps: int) -> None:
         super().__init__()
         self.x, self.regions, self.states = x, regions, x.states[:steps]
         self.temporal: dict[tuple[int, int], float] = {}
+        self.operands: dict[int, list[float] | None] = {}
         self.roots: list[Formula] = []
 
     def __missing__(self, name: str) -> list[float]:
@@ -242,10 +252,14 @@ def _rob(f: Formula, signals: _MarginSignals, t: int, horizon: int) -> float:
     value = signals.temporal.get(key)
     if value is not None:
         return value
-    if isinstance(f, F):
-        value = max(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
-    elif isinstance(f, G):
-        value = min(_rob(f.child, signals, t1, horizon) for t1 in _window(t, f.interval, horizon))
+    if isinstance(f, (F, G)):
+        window = _window(t, f.interval, horizon)
+        pick = max if isinstance(f, F) else min
+        signal = _operand(f.child, signals)
+        if signal is not None:
+            value = pick(signal[window.start:window.stop])
+        else:
+            value = pick(_rob(f.child, signals, t1, horizon) for t1 in window)
     elif isinstance(f, Until):  # hold: the running minimum of the left operand over [t, t1]
         window = _window(t, f.interval, horizon)
         value, hold = -math.inf, math.inf
@@ -257,6 +271,47 @@ def _rob(f: Formula, signals: _MarginSignals, t: int, horizon: int) -> float:
         raise TypeError(f"not a formula node: {f!r}")
     signals.temporal[key] = value
     return value
+
+
+def _operand(f: Formula, signals: _MarginSignals) -> list[float] | None:
+    """The value of ``f`` at each step if it holds no F, G or U, else None.
+
+    The structure is checked before any atom is read, so a window inside
+    ``f`` still raises before an unknown atom that follows it."""
+    key = id(f)
+    if key not in signals.operands:
+        signals.operands[key] = _signal(f, signals) if _temporal_free(f) else None
+    return signals.operands[key]
+
+
+def _temporal_free(f: Formula) -> bool:
+    if isinstance(f, (Atom, TrueF)):
+        return True
+    if isinstance(f, Not):
+        return _temporal_free(f.child)
+    if isinstance(f, (And, Or)):
+        return all(map(_temporal_free, f.children))
+    return False
+
+
+def _signal(f: Formula, signals: _MarginSignals) -> list[float]:
+    """The value of temporal-free ``f`` at each step, built once per node.
+
+    The builtin min and max keep the first of equal values, as the
+    per-step recursion does, so ties between 0.0 and -0.0 resolve alike."""
+    signal = signals.operands.get(id(f))
+    if signal is None:
+        if isinstance(f, Atom):
+            signal = signals[f.name]
+        elif isinstance(f, TrueF):
+            signal = [math.inf] * len(signals.states)
+        elif isinstance(f, Not):
+            signal = [-v for v in _signal(f.child, signals)]
+        else:
+            pick = min if isinstance(f, And) else max
+            signal = list(map(pick, *[_signal(c, signals) for c in f.children]))
+        signals.operands[id(f)] = signal
+    return signal
 
 
 class ReportRow(Record):
@@ -326,10 +381,11 @@ def evaluate_candidates(
     :class:`UnknownAtomError` up front.  A candidate whose horizon exceeds
     the trajectory is reported as a per-row error instead of aborting the
     whole report.  The :func:`robustness` calls share one set of atom
-    margins, over the steps up to the largest extent that fits, and one
-    table of temporal values, so a subformula that candidates share (the
-    pipeline builds it once) is evaluated once per step for the whole set;
-    both are dropped on return.
+    margins, over the steps up to the largest extent that fits, the lists
+    of values of temporal-free window operands, and one table of temporal
+    values, so a subformula that candidates share (the pipeline builds it
+    once) is evaluated once per step for the whole set; all are dropped on
+    return.
     """
     needed: set[str] = set()
     for cand in candidate_set.candidates:

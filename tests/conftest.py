@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import settings
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tests"))
 
+from ambistl import trajectory as trajectory_module
 from ambistl.lexicon import format_lexicon, load_default_lexicon, load_lexicon
 from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, TrueF, Until
 from ambistl.regions import Box, RegionMap
@@ -151,6 +153,51 @@ def assert_rows_are_calls_alone(candidate_set, x: Trajectory, regions: RegionMap
     for cand, row in zip(candidate_set.candidates, report.rows, strict=True):
         if row.error is None:
             assert repr(row.robustness) == repr(robustness(cand.formula, x, regions, 0)), cand.text
+
+
+def count_evaluations(monkeypatch) -> Counter:
+    """Wrap ``_rob`` and ``_operand`` to count, per (temporal node id, step),
+    the evaluations that read an operand: a window read from an operand's
+    list of values counts as one, and a value read from the table as none."""
+    rob, operand = trajectory_module._rob, trajectory_module._operand
+    open_calls = []  # [node, step, has read an operand]
+    evaluations = Counter()
+
+    def reads_operand():
+        if open_calls and not open_calls[-1][2]:
+            open_calls[-1][2] = True
+            node, at, _ = open_calls[-1]
+            if isinstance(node, (F, G, Until)):
+                evaluations[id(node), at] += 1
+
+    def counting(f, signals, step, horizon):
+        reads_operand()
+        open_calls.append([f, step, False])
+        try:
+            return rob(f, signals, step, horizon)
+        finally:
+            open_calls.pop()
+
+    def counting_operand(f, signals):
+        reads_operand()
+        return operand(f, signals)
+
+    monkeypatch.setattr(trajectory_module, "_rob", counting)
+    monkeypatch.setattr(trajectory_module, "_operand", counting_operand)
+    return evaluations
+
+
+def temporal_depth(f) -> int:
+    """The most temporal operators on one path from the root to a leaf."""
+    if isinstance(f, (F, G)):
+        return 1 + temporal_depth(f.child)
+    if isinstance(f, Until):
+        return 1 + max(temporal_depth(f.left), temporal_depth(f.right))
+    if isinstance(f, Not):
+        return temporal_depth(f.child)
+    if isinstance(f, (And, Or)):
+        return max(map(temporal_depth, f.children))
+    return 0
 
 
 def random_trajectory(rng: random.Random, min_len: int = 7, max_len: int = 10) -> Trajectory:

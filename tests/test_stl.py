@@ -347,6 +347,21 @@ def test_first_error_in_evaluation_order_wins():
         robustness(atom_first, x, UNIT_REGIONS, 0)
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("F[0,3](F[50,60] phi_m & phi_zz)", EmptyWindowError, r"\[50,60\] has no overlap"),
+    ("F[0,3](phi_zz & F[50,60] phi_m)", UnknownAtomError, "atom 'zz' has no region"),
+    ("G[0,3](phi_m | (phi_zz & F[50,60] phi_m))", UnknownAtomError, "atom 'zz' has no region"),
+])
+def test_first_error_under_an_enclosing_window_wins(text, error, message):
+    """Under a window, too, the error raised is the first one the per-step
+    recursion reaches: an operand that holds a window has none of its atoms
+    read ahead of that window, so an unknown atom wins only when it comes
+    first."""
+    x = margins_trajectory([1.0] * 11)
+    with pytest.raises(error, match=message):
+        robustness(parse_formula(text), x, UNIT_REGIONS, 0)
+
+
 def test_over_deep_formula_is_a_typed_error():
     deep = M
     for _ in range(10_000):

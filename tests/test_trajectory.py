@@ -2,7 +2,6 @@ import io
 import random
 import tempfile
 import warnings
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from ambistl import trajectory as trajectory_module
 from ambistl.pipeline import aggregate, translate
-from ambistl.stl import And, Atom, F, G, Interval, Not, Or, UnknownAtomError, Until, extent
+from ambistl.stl import Atom, Interval, Not, UnknownAtomError, Until, extent, parse_formula
 from ambistl.regions import Box, RegionFileError, RegionMap, load_regions
 from ambistl.trajectory import (
     Trajectory,
@@ -24,8 +23,8 @@ from ambistl.trajectory import (
 )
 
 from conftest import (
-    REPO, assert_rows_are_calls_alone, guarded_sentence, kstep_sentence, random_formula,
-    random_trajectory, random_walk,
+    DEMO_BOXES, REPO, assert_rows_are_calls_alone, count_evaluations, guarded_sentence,
+    kstep_sentence, random_formula, random_trajectory, random_walk, temporal_depth,
 )
 from loader_oracle import reference_load_trajectory
 from oracle import brute_force_robustness
@@ -463,42 +462,6 @@ def test_until_reads_each_operand_step_once(monkeypatch, demo_regions, t, lo, hi
     assert value == pytest.approx(brute_force_robustness(formula, points, boxes, t), abs=1e-12)
 
 
-def count_evaluations(monkeypatch) -> Counter:
-    """Wrap ``_rob`` to count, per (temporal node id, step), the evaluations
-    that read an operand; a value read from the table reads none."""
-    rob = trajectory_module._rob
-    open_calls = []  # [node, step, has read an operand]
-    evaluations = Counter()
-
-    def counting(f, signals, step, horizon):
-        if open_calls and not open_calls[-1][2]:
-            open_calls[-1][2] = True
-            node, at, _ = open_calls[-1]
-            if isinstance(node, (F, G, Until)):
-                evaluations[id(node), at] += 1
-        open_calls.append([f, step, False])
-        try:
-            return rob(f, signals, step, horizon)
-        finally:
-            open_calls.pop()
-
-    monkeypatch.setattr(trajectory_module, "_rob", counting)
-    return evaluations
-
-
-def temporal_depth(f) -> int:
-    """The most temporal operators on one path from the root to a leaf."""
-    if isinstance(f, (F, G)):
-        return 1 + temporal_depth(f.child)
-    if isinstance(f, Until):
-        return 1 + max(temporal_depth(f.left), temporal_depth(f.right))
-    if isinstance(f, Not):
-        return temporal_depth(f.child)
-    if isinstance(f, (And, Or)):
-        return max(map(temporal_depth, f.children))
-    return 0
-
-
 def test_a_candidate_set_evaluates_each_temporal_node_once_per_step(
     monkeypatch, lexicon, demo_regions
 ):
@@ -532,6 +495,123 @@ def test_one_call_evaluates_each_temporal_node_once_per_step(monkeypatch, lexico
     robustness(nested, random_walk(1001), demo_regions, 0)
     assert len({node for node, _ in evaluations}) >= 5
     assert max(evaluations.values()) == 1
+
+
+@pytest.mark.parametrize("sentence", [
+    "Within {} seconds, reach B or reach C while avoiding A.",
+    "Reach B within {} seconds or reach C within {} seconds while avoiding A.",
+])
+def test_windows_over_temporal_free_operands_cost_the_same_at_every_length(
+    monkeypatch, lexicon, demo_regions, sentence
+):
+    """Complexity contract: on S8- and S9-shaped sets whose windows span
+    about the whole walk, each window reads its operand's list of values as
+    one slice, so the ``_rob`` calls and the evaluations are as many at
+    T = 10^2 as at 10^4, and each atom's margins are taken once."""
+    evaluations = count_evaluations(monkeypatch)
+    rob, calls, margin_passes = trajectory_module._rob, [], []
+
+    def counting(f, signals, step, horizon):
+        calls.append(f)
+        return rob(f, signals, step, horizon)
+
+    def counting_margins(box, points):
+        margin_passes.append(box)
+        return margins(box, points)
+
+    monkeypatch.setattr(trajectory_module, "_rob", counting)
+    monkeypatch.setattr(trajectory_module, "margins", counting_margins)
+    work = []
+    for length in (10**2, 10**3, 10**4):
+        candidate_set = translate(sentence.format(length - 1, length - 2), lexicon)
+        evaluations.clear()
+        calls.clear()
+        margin_passes.clear()
+        report = evaluate_candidates(candidate_set, random_walk(length), demo_regions)
+        assert all(row.error is None for row in report.rows)
+        assert max(evaluations.values()) == 1
+        assert len(margin_passes) == 3  # one per atom: a, b and c
+        work.append((len(calls), sum(evaluations.values())))
+    assert work[0] == work[1] == work[2], work
+
+
+# Commands shaped like the benchmark's S8, S9, S10 and S12, with short windows.
+MONITOR_SHAPED = (
+    "Within 40 seconds, reach B or reach C while avoiding A.",
+    "Reach B within 40 seconds or reach C within 38 seconds while avoiding A.",
+    "Reach B within 6 seconds and then reach C within 7 seconds while avoiding A.",
+    "Reach B within 6 seconds and then reach C within 7 seconds"
+    " or reach D within 5 seconds while avoiding A.",
+)
+
+
+@pytest.fixture(scope="module")
+def metamorphic_set(lexicon):
+    """Monitor-shaped readings and those of guarded chains of two to four
+    tasks, in one set: its extents run from 11 to 46."""
+    guarded = [guarded_sentence(k, joiner) for k in (2, 3, 4) for joiner in ("and then", "or")]
+    readings = [cand.formula for sentence in (*MONITOR_SHAPED, *guarded)
+                for cand in translate(sentence, lexicon).candidates]
+    return aggregate([(formula, 0.0) for formula in readings])
+
+
+def test_scaling_walk_and_boxes_by_8_scales_every_value_by_8(metamorphic_set, demo_regions):
+    """Metamorphic relation: a power-of-two scale is exact in floating
+    point, so every robustness value scales bit for bit, signed zeros
+    included, and every horizon-exceeded row stays one."""
+    scaled_regions = RegionMap({name: Box(8 * b.xmin, 8 * b.ymin, 8 * b.xmax, 8 * b.ymax)
+                                for name, b in demo_regions.boxes.items()})
+    exceeded = 0
+    for seed in range(1, 6):
+        x = random_walk(45, seed)
+        rows = evaluate_candidates(metamorphic_set, x, demo_regions).rows
+        scaled_x = Trajectory(8 * x.states)
+        scaled_rows = evaluate_candidates(metamorphic_set, scaled_x, scaled_regions).rows
+        for row, scaled in zip(rows, scaled_rows, strict=True):
+            assert scaled.error == row.error, row.formula
+            exceeded += row.error is not None
+            if row.error is None:
+                assert repr(scaled.robustness) == repr(8 * row.robustness), row.formula
+    assert exceeded > 0
+
+
+def test_appending_states_past_the_extent_changes_no_value(metamorphic_set, demo_regions):
+    """Metamorphic relation: the value at t reads no state past
+    t + extent, so states appended after it change nothing, bit for bit.
+    Over the whole walk, a report's margins reach past all but its longest
+    candidates' extents; alone on the cut walk, a candidate's do not."""
+    for seed in range(1, 6):
+        x = random_walk(80, seed)
+        rows = evaluate_candidates(metamorphic_set, x, demo_regions).rows
+        for cand, row in zip(metamorphic_set.candidates, rows, strict=True):
+            later = robustness(cand.formula, x, demo_regions, 3)
+            for t, value in [(0, row.robustness), (3, later)]:
+                cut = Trajectory(x.states[:t + extent(cand.formula) + 1])
+                alone = robustness(cand.formula, cut, demo_regions, t)
+                assert repr(alone) == repr(value), cand.text
+
+
+def test_signed_zeros_match_the_oracle_on_box_corners(demo_regions):
+    """A walk over the demo boxes' corners puts zero margins in every
+    window, of both signs once negated.  Each window over a temporal-free
+    operand keeps the zero the per-step recursion keeps: the builtin max
+    and min return the first of equal values, where numpy's make no
+    promise."""
+    rng = random.Random(31)
+    corners = sorted({(b[i], b[j]) for b in DEMO_BOXES.values() for i in (0, 2) for j in (1, 3)})
+    points = [rng.choice(corners) for _ in range(41)]
+    x = Trajectory(np.array(points))
+    texts = ["F[0,30](phi_b | phi_c)", "G[0,30] !phi_a", "F[0,30](phi_b & !phi_a)",
+             "G[0,20](!phi_a | !phi_b)", "F[0,30](phi_b | (!phi_a & phi_a))",
+             "G[0,30](!phi_b & (phi_a | !phi_a))"]
+    values = []
+    for text in texts:
+        formula = parse_formula(text)
+        for t in range(10):
+            value = robustness(formula, x, demo_regions, t)
+            assert repr(value) == repr(brute_force_robustness(formula, points, DEMO_BOXES, t)), text
+            values.append(repr(value))
+    assert values.count("0.0") >= 10 and values.count("-0.0") >= 10
 
 
 DEMO_DATA = REPO / "demos" / "data"
