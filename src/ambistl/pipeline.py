@@ -14,37 +14,35 @@ two symbolic devices are resolved rather than left to reduction:
 * EXTG(guard, anchor) applies the guard to the interval [0, extent(anchor)],
   yielding the avoidance condition that spans its sibling's full horizon.
 
-Two paths share the rules.  Translation is :func:`fill_chart`, a packing
-pass (:func:`pack_meanings`) and ranking.  The packing pass composes
-compiled templates: on its first use, an entry's template is beta-reduced
-and compiled into a value, a lambda into a Python closure, an application
-into a call and a constructor into a call of its rule, and a composition
-is :func:`apply` of one daughter's value to the other's, with no meaning
-term built, reduced or converted.  It is a reader of the chart walk
-:func:`~ambistl.parser.inside`, so it composes over the packed chart, not
-over trees: per chart item, formula values with the same canonical
+One interpreter runs the rules: a term compiles into a value, a lambda
+into a Python closure, an application into a call and a constructor into
+a call of its rule.  Translation is :func:`fill_chart`, a packing pass
+(:func:`pack_meanings`) and ranking.  The packing pass is a reader of the
+chart walk :func:`~ambistl.parser.inside`: a leaf's value is its entry's
+template, beta-reduced and compiled on first use, and a composition is
+:func:`apply` of one daughter's value to the other's, with no meaning term
+or tree built.  Per chart item, formula values with the same canonical
 rendering are merged, carrying the sum of exp(score) and the count of the
-derivations behind them, so the candidate set covers every derivation and
-no tree is built or walked.  The rules build formulas through the
-canonical constructors of :mod:`ambistl.stl`, and a formula constant is
-canonicalized when its template is compiled, so no formula is
-canonicalized again.  The term path, :func:`compose` and :func:`to_stl`,
-builds the beta-normal meaning term of one derivation and converts it.
-:func:`analyze` reads the same chart twice: the candidate set by packing,
-and the listed derivations by the tree reader of
-:func:`~ambistl.parser.unpack_nbest`, whose terms it builds on the term
-path.
+derivations behind them, so the candidate set covers every derivation.
+The rules build formulas through the canonical constructors of
+:mod:`ambistl.stl`, and a formula constant is canonicalized when its
+template is compiled, so no formula is canonicalized again.
+:func:`analyze` also lists derivations, read off the same chart by
+:func:`~ambistl.parser.unpack_nbest`: :func:`compose` builds the meaning
+term that ``explain`` prints, and :func:`to_stl` compiles and runs it, so
+its formula or discard reason is the one the packing pass computes.
 
 A composition whose value is a closure is evaluated only when a mother
 applies it, not under its binder as :func:`compose` reduces: a lexicon
 whose templates are not simply typed can see a divergence inside a closure
-that is never applied discarded by :func:`translate`, where the term path
+that is never applied discarded by :func:`translate`, where :func:`compose`
 raises :class:`~ambistl.semantics.ReductionBudgetError`.
 
 A sequence whose head holds no eventually task (``avoid A ... and then
 ...``) has no reading, and a custom lexicon can build a meaning that
 contains a lambda, a variable or a stuck application.  Such derivations
-are discarded as ill-formed and only counted.  Surviving formulas are
+are discarded as ill-formed and only counted, with their reasons, which
+``explain`` lists.  Surviving formulas are
 grouped by canonical form; each group's score is the sum of
 exp(derivation score), normalised into probabilities over the whole set;
 a lexicon whose weights push a sum out of the normal float range raises
@@ -55,7 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache, partial
+from functools import cache
 from itertools import count
 from types import FunctionType
 from typing import Iterator, Optional, Sequence, Union
@@ -156,13 +154,25 @@ class CandidateSet(Record):
 
 
 # Conversion rules: each builds the value of one constructor from the values
-# of its arguments, or raises IllFormedMeaningError.  :func:`to_stl` calls
-# them on converted subterms, compiled templates on computed values.
+# of its arguments, or raises IllFormedMeaningError with the reason.
+
+
+class _Reason(str):
+    """An ill-formed value: the reason its meaning is discarded."""
+
+
+def _shown(value: object) -> str:
+    """``value`` in a reason: a closure by its kind, as its repr holds an address."""
+    if type(value) is FunctionType:
+        return "function"
+    return value._canonical if isinstance(value, Formula) else str(value)
 
 
 def _formula(value: object) -> Formula:
     if isinstance(value, Formula):
         return value
+    if type(value) is _Reason:
+        raise IllFormedMeaningError(value)
     raise IllFormedMeaningError(f"{type(value).__name__} is not a formula position")
 
 
@@ -176,7 +186,7 @@ def _interval(lo: object, hi: object) -> Interval:
 def _temporal(kind: type[F] | type[G]):
     def build(interval: object, body: object) -> Formula:
         if type(interval) is not Interval:
-            raise IllFormedMeaningError(f"not an interval: {interval!r}")
+            raise IllFormedMeaningError(f"not a literal interval: {_shown(interval)}")
         return canonical_temporal(kind, interval, _formula(body))
 
     return build
@@ -190,10 +200,9 @@ def _seq(first: object, second: object) -> Formula:
     return _seq_insert(head, _formula(second))
 
 
-def _extg(guard: object, anchor: object, call) -> Formula:
-    """The guard applied, by ``call(guard, window)``, to the window
-    [0, extent(anchor)]."""
-    return _formula(call(guard, Interval(0, extent(_formula(anchor)))))
+def _extg(guard: object, anchor: object, steps: Iterator[int]) -> Formula:
+    """The guard applied to the window [0, extent(anchor)] within ``steps``."""
+    return _formula(_apply(guard, Interval(0, extent(_formula(anchor))), steps))
 
 
 _RULES = {
@@ -207,36 +216,11 @@ _RULES = {
 }
 
 
-def _interval_of(term: Term) -> Interval:
-    match term:
-        case Con("I", (IntC(lo), IntC(hi))):
-            return _interval(lo, hi)
-    raise IllFormedMeaningError(f"not a literal interval: {term}")
-
-
 def to_stl(term: Term | Formula) -> Formula:
-    """Convert a beta-normal meaning term to its canonical STL formula, or
-    raise :class:`IllFormedMeaningError`.
-    This is the term path of :func:`analyze`; :func:`translate` computes
-    the same formulas with compiled templates (:func:`apply`)."""
-    match term:
-        case Formula():
-            return canonicalize(term)
-        case Con("NOT" | "AND" | "OR" | "SEQ" as name, args):
-            return _RULES[name](*map(to_stl, args))
-        case Con("F" | "G" as name, (interval, body)):
-            return _RULES[name](_interval_of(interval), to_stl(body))
-        case Con("EXTG", (guard, anchor)):
-            return _extg(guard, to_stl(anchor), _reduce_applied)
-        case Lam() | Var() | App():
-            raise IllFormedMeaningError(f"residual {type(term).__name__} in meaning: {term}")
-    kind = term.name if isinstance(term, Con) else type(term).__name__
-    raise IllFormedMeaningError(f"{kind} is not a formula position")
-
-
-def _reduce_applied(guard: Term, window: Interval) -> Formula:
-    bounds = (IntC(window.lo), IntC(window.hi))
-    return to_stl(beta_reduce(App(guard, Con("I", bounds))))
+    """The canonical STL formula of a closed beta-normal meaning term, or
+    :class:`IllFormedMeaningError` with the reason it has none.  The term is
+    compiled and run as a template, within the limits of :func:`apply`."""
+    return _formula(_run(term))
 
 
 def _chains(chi: Formula) -> int:
@@ -349,7 +333,8 @@ def _pack(merged: dict, value: object, weight: float, count: int) -> None:
     reads the canonical head, and a guard window reads the extent, which
     canonicalization keeps.  A formula entry holds its first meaning, the
     value mothers compose over; every other value (a closure, an integer,
-    an interval or an ill-formed meaning) gets an entry of its own.
+    an interval or the reason of an ill-formed meaning) gets an entry of
+    its own.
     """
     if not isinstance(value, Formula):
         merged[object()] = [value, weight, count]
@@ -367,16 +352,17 @@ def _pack(merged: dict, value: object, weight: float, count: int) -> None:
 # ``code(env, steps)`` that computes its value: ``env`` holds the values of
 # the variables in scope, innermost last, and ``steps`` numbers the
 # contractions of one composition.  A value is a closure ``fn(arg, steps)``
-# (from a lambda), an integer, an interval, a formula, or ``None`` for an
-# ill-formed meaning: a stuck application, or a constructor whose rule
-# rejected its arguments.  A closure returns a call in tail position as the
-# pair ``(fn, arg)``, which :func:`_apply` makes in its loop, so a template
-# that diverges counts contractions instead of nesting Python frames (a
-# nested call past the recursion limit is no normal form, too).
+# (from a lambda), an integer, an interval, a formula, or a :class:`_Reason`:
+# an unbound variable, a stuck application, a rule's rejection, or the first
+# reason, left to right, among a constructor's or a stuck call's operands.
+# A closure returns a call in tail position as the pair ``(fn, arg)``, which
+# :func:`_apply` makes in its loop, so a template that diverges counts
+# contractions instead of nesting Python frames (a nested call past the
+# recursion limit is no normal form, too).
 
 
 def _compile(term: Term | Formula, scope: tuple[str, ...] = (), tail: bool = False):
-    if isinstance(term, Var):
+    if isinstance(term, Var) and term.name in scope:
         index = len(scope) - 1 - scope[::-1].index(term.name)
         return lambda env, steps: env[index]
     if isinstance(term, Lam):
@@ -393,15 +379,19 @@ def _compile(term: Term | Formula, scope: tuple[str, ...] = (), tail: bool = Fal
 
         def construct(env, steps):
             values = [code(env, steps) for code in codes]
+            for value in values:
+                if type(value) is _Reason:
+                    return value
             try:
-                if rule is None:
-                    return _extg(*values, partial(_apply, steps=steps))
-                return rule(*values)
-            except IllFormedMeaningError:
-                return None
+                return _extg(*values, steps) if rule is None else rule(*values)
+            except IllFormedMeaningError as exc:
+                return _Reason(exc)
 
         return construct
-    value = term.value if isinstance(term, IntC) else canonicalize(term)
+    if isinstance(term, Var):
+        value = _Reason(f"residual Var in meaning: {term}")
+    else:
+        value = term.value if isinstance(term, IntC) else canonicalize(term)
     return lambda env, steps: value
 
 
@@ -413,16 +403,27 @@ def _apply(fn: object, arg: object, steps: Iterator[int]) -> object:
         if type(value) is not tuple:
             return value
         fn, arg = value
-    return None
+    for value in (fn, arg):
+        if type(value) is _Reason:
+            return value
+    return _Reason(f"residual App in meaning: {_shown(fn)} applied to {_shown(arg)}")
 
 
 def apply(fn: object, arg: object) -> object:
     """The value of ``fn`` applied to ``arg``, one composition: more than
     :data:`REDUCTION_BUDGET` closure calls, or calls nested past the
     recursion limit, raise :class:`ReductionBudgetError`.  Applying a value
-    that is not a closure is stuck and gives ``None``, an ill-formed meaning."""
+    that is not a closure is stuck and gives the reason, an ill-formed value."""
     try:
         return _apply(fn, arg, count(1))
+    except RecursionError:
+        raise ReductionBudgetError("the recursion limit") from None
+
+
+def _run(term: Term | Formula) -> object:
+    """The value of a closed term, compiled and run as one composition."""
+    try:
+        return _compile(term)((), count(1))
     except RecursionError:
         raise ReductionBudgetError("the recursion limit") from None
 
@@ -433,17 +434,14 @@ def _value_of(entry: LexEntry) -> object:
     try:
         return entry._value
     except AttributeError:
-        try:
-            value = _compile(beta_reduce(entry.template))((), count(1))
-        except RecursionError:
-            raise ReductionBudgetError("the recursion limit") from None
+        value = _run(beta_reduce(entry.template))
         object.__setattr__(entry, "_value", value)  # a cache slot of the immutable entry
         return value
 
 
 def compose(derivation: Union[Derivation, DerivationTree]) -> Term:
     """Compose lexical templates along a derivation and beta-reduce: the
-    term path, which :func:`analyze` lists and :func:`translate` does not take.
+    meaning term that :func:`analyze` lists, which :func:`translate` never builds.
 
     Leaves contribute their entry templates; a forward-application node
     applies the left meaning to the right one, a backward-application node

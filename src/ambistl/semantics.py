@@ -11,9 +11,9 @@ Lexical templates are closed terms in this language, reduced by a single
 normal-order normalizer, :func:`beta_reduce`, within ``REDUCTION_BUDGET``
 beta contractions and the recursion limit.  ``pipeline`` normalizes each
 template once and compiles it into closures, which ``translate`` composes
-by calling them, within the same limits; the reducer also serves the term
-path, ``pipeline.compose``, which applies the templates along one
-derivation and reduces the result for ``analyze`` and ``explain``.
+by calling them, within the same limits; the reducer also builds the
+meaning term of one derivation, ``pipeline.compose``, which ``explain``
+prints and ``pipeline.to_stl`` compiles and runs as a template.
 
 Constructors are opaque to reduction: an application whose head is a
 constructor is stuck and survives into the normal form, where the

@@ -7,7 +7,8 @@ the words as ``chart_reference`` does;
 :func:`chart_order_derivations` enumerates every complete derivation
 straight from ``chart.cells`` and sorts them stably by that score, which
 is the order ``unpack_nbest`` documents; :func:`enumerated` is the
-candidate set of ``translate`` computed one derivation at a time.
+candidate set of ``translate`` computed one derivation at a time and
+converted by ``conversion_reference``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from ambistl.lexicon import Category, LexEntry, Lexicon, format_category
 from ambistl.parser import (
     LOCALITY_PENALTY, Chart, DerivationTree, Leaf, Node, parse_nbest, tokenize
 )
-from ambistl.pipeline import CandidateSet, IllFormedMeaningError, aggregate, compose, to_stl
+from ambistl.pipeline import CandidateSet, IllFormedMeaningError, aggregate, compose
 from ambistl.semantics import format_term
 
 from chart_reference import skipped_verbs
+from conversion_reference import reference_formula
 
 
 def format_derivation(tree: DerivationTree) -> str:
@@ -81,12 +83,13 @@ def chart_order_derivations(chart: Chart, lexicon: Lexicon) -> list[tuple[float,
 
 def enumerated(sentence: str, lexicon: Lexicon) -> CandidateSet:
     """Reference for translate: compose, convert and aggregate every
-    derivation one by one."""
+    derivation one by one, converting with ``conversion_reference``, which
+    shares no conversion rule with ``pipeline``."""
     derivations = parse_nbest(tokenize(sentence), lexicon, n=sys.maxsize)
     scored = []
     for derivation in derivations:
         try:
-            scored.append((to_stl(compose(derivation)), derivation.score))
+            scored.append((reference_formula(compose(derivation)), derivation.score))
         except IllFormedMeaningError:
             continue
     return aggregate(scored, sentence, len(derivations), len(derivations) - len(scored))

@@ -495,7 +495,7 @@ def test_explain_lists_discarded_derivations(tmp_path, capsys):
     assert "2 derivation(s), 1 discarded, 1 candidate(s)" in out
     assert "meaning: AND(F(I(0, 10), phi_b), F(I(0, 15), phi_c))" in out
     assert "discarded (1):" in out
-    assert "ill-formed: residual App in meaning: F(I(0, 10), phi_b)(I(0, 5))" in out
+    assert "ill-formed: residual App in meaning: F[0,10] phi_b applied to [0,5]" in out
 
 
 def test_explain_lists_derivations_when_every_one_is_discarded(capsys):

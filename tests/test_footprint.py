@@ -57,17 +57,18 @@ def test_translate_path_does_not_load_numpy():
 
 def test_translate_path_calls_neither_reducer_nor_converter(lexicon, corpus, monkeypatch):
     """Once the entries a sentence uses are compiled, translating it again
-    composes compiled values only: no beta reduction, no term conversion,
-    and no canonicalizing walk, since formulas are built canonical."""
+    composes compiled values only: no beta reduction, no compiling, no term
+    conversion, and no canonicalizing walk, since formulas are built canonical."""
     sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 7)]
     sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in range(2, 7)]
     first = [translate(sentence, lexicon) for sentence in sentences]
 
     def forbidden(*args):
-        raise AssertionError("the translate path reduced, converted or canonicalized a term")
+        raise AssertionError("the translate path reduced, compiled, converted or canonicalized a term")
 
     monkeypatch.setattr(semantics, "beta_reduce", forbidden)
     monkeypatch.setattr(pipeline, "beta_reduce", forbidden)
+    monkeypatch.setattr(pipeline, "_compile", forbidden)
     monkeypatch.setattr(pipeline, "to_stl", forbidden)
     monkeypatch.setattr(stl, "_fold", forbidden)
     assert [translate(sentence, lexicon) for sentence in sentences] == first

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -18,7 +19,9 @@ from ambistl.pipeline import (
     translate,
 )
 from ambistl.semantics import App, Con, IntC, Lam, ReductionBudgetError, Var, parse_term
-from ambistl.stl import And, Atom, F, Formula, G, Interval, Not, Or, canonicalize, format_formula
+from ambistl.stl import (
+    And, Atom, F, Formula, G, Interval, Not, Or, canonicalize, format_formula, parse_formula,
+)
 
 from conftest import CUSTOM_ENTRIES, custom_lexicon, guarded_sentence, kstep_sentence
 from derivation_reference import enumerated
@@ -116,7 +119,7 @@ def test_root_interval_distributes_over_disjunction(lexicon):
     # so conversion never sees a root application
     open_b = parse_term("lam i. F(i, phi_b)")
     open_guarded_c = parse_term("lam i. AND(F(i, phi_c), G(i, NOT(phi_a)))")
-    with pytest.raises(IllFormedMeaningError, match="residual App"):
+    with pytest.raises(IllFormedMeaningError, match="^function is not a formula position$"):
         to_stl(App(Con("OR", (open_b, open_guarded_c)), I10))
     result = translate("Within 10 seconds, reach B or reach C while avoiding A.", lexicon)
     expected = Or(
@@ -572,7 +575,7 @@ def test_translate_equals_enumerating_every_derivation(lexicon, corpus, custom):
     [
         ("p(I(n, 0))", "invalid interval [10,0]"),
         ("p(n)", "not a literal interval: 10"),
-        ("AND(p(I(0, n)), I(0, n))", "I is not a formula position"),
+        ("AND(p(I(0, n)), I(0, n))", "Interval is not a formula position"),
     ],
 )
 def test_ill_formed_conversions_are_discarded_on_both_paths(lexicon, template, reason):
@@ -595,3 +598,32 @@ def test_translate_deterministic_output(lexicon, corpus):
         first = translate(sentence, lexicon).to_dict()
         second = translate(sentence, lexicon).to_dict()
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+_B_C = str.maketrans("BCbc", "CBcb")
+
+
+def _swap_b_and_c(text: str) -> str:
+    """``text`` with regions B and C swapped, as words of a sentence or as
+    atoms of a formula's rendering."""
+    return re.sub(r"(?:\b|(?<=phi_))[BCbc]\b", lambda m: m[0].translate(_B_C), text)
+
+
+def test_swapping_regions_b_and_c_renames_the_candidate_set(lexicon, corpus):
+    """Metamorphic relation: swapping B and C in a sentence swaps phi_b and
+    phi_c in its readings.  Renamed and put in canonical form, each
+    candidate is one of the swapped sentence's, with a bit-equal
+    probability and the same support count.  The sets are compared as
+    maps, as the order among exact ties follows the renderings."""
+    sentences = list(corpus.values()) + [kstep_sentence(k) for k in range(2, 9)]
+    sentences += [guarded_sentence(k, joiner) for joiner in ("and then", "or") for k in range(2, 6)]
+    for sentence in sentences:
+        renamed = {
+            format_formula(canonicalize(parse_formula(_swap_b_and_c(cand.text)))):
+                (repr(cand.probability), cand.support_count)
+            for cand in translate(sentence, lexicon).candidates
+        }
+        swapped = translate(_swap_b_and_c(sentence), lexicon)
+        assert renamed == {
+            cand.text: (repr(cand.probability), cand.support_count) for cand in swapped.candidates
+        }, sentence

@@ -591,6 +591,25 @@ def test_appending_states_past_the_extent_changes_no_value(metamorphic_set, demo
                 assert repr(alone) == repr(value), cand.text
 
 
+def test_shifting_the_walk_by_t_moves_each_value_at_t_to_0(metamorphic_set, demo_regions):
+    """Metamorphic relation: where t + extent <= horizon, the value at t
+    reads only the states t .. t + extent, so it is the value at 0 of the
+    walk that starts at t, bit for bit.  The walk is as long as the
+    longest candidate needs at t = 7, so that one reads its last state."""
+    formulas = [cand.formula for cand in metamorphic_set.candidates]
+    checked = 0
+    for seed in range(1, 4):
+        x = random_walk(7 + max(map(extent, formulas)) + 1, seed)
+        for t in (1, 3, 7):
+            shifted = Trajectory(x.states[t:])
+            for formula in formulas:
+                if t + extent(formula) <= x.horizon:
+                    value = robustness(formula, x, demo_regions, t)
+                    assert repr(robustness(formula, shifted, demo_regions, 0)) == repr(value)
+                    checked += 1
+    assert checked == 3 * 3 * len(formulas)
+
+
 def test_signed_zeros_match_the_oracle_on_box_corners(demo_regions):
     """A walk over the demo boxes' corners puts zero margins in every
     window, of both signs once negated.  Each window over a temporal-free
